@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,10 @@ import numpy as np
 from reliagp import distributions as dists
 from reliagp import gp as gpmod
 from reliagp import ingest
-from reliagp.distributions import Family, InputVariableSpec, PriorKind, PriorSpec, mle_fit
-from reliagp.failure import FailurePosterior, simulate_pf, summarize
+from reliagp.distributions import Family, InputVariableSpec, PriorSpec, mle_fit
+from reliagp.failure import simulate_pf, summarize
 from reliagp.gp import GpDesign, bayes_log_posterior, fit_reml, hessian_nu_estimate
-from reliagp.kriging import KrigingModel, loo_diagnostics, loo_predictions
+from reliagp.kriging import loo_diagnostics, loo_predictions
 from reliagp.mcmc import (
     AmSettings,
     am_sample,
@@ -214,9 +214,6 @@ def stage_fit_inputs(cfg: PipelineConfig, dataset) -> list[Path]:
         prior = _prior_for(cfg, spec)
         mle = mle_fit(spec)
         init = mle.as_array()
-        if cfg.input_prior == "conjugate" and spec.family == Family.WEIBULL:
-            # shape fixed at beta0; sample only along the scale axis
-            pass
         target = lambda psi, s=spec, pr=prior: dists.log_posterior_unnorm(
             dists.params_from_array(s.family, psi), s, pr
         )
@@ -228,13 +225,7 @@ def stage_fit_inputs(cfg: PipelineConfig, dataset) -> list[Path]:
             z = geweke(chain)
         except ValueError:
             z = np.full(2, np.nan)
-        chain = type(chain)(
-            draws=chain.draws,
-            acceptance_rate=chain.acceptance_rate,
-            settings=chain.settings,
-            burn_in_fraction=0.0,
-            geweke_z=z,
-        )
+        chain = replace(chain, geweke_z=z)
         path = chain_paths[idx]
         path.parent.mkdir(parents=True, exist_ok=True)
         names = ["mu", "sigma2"] if spec.family == Family.NORMAL else ["alpha", "beta"]
@@ -300,6 +291,11 @@ def stage_fit_gp(cfg: PipelineConfig, dataset) -> Path:
     rng = stage_rng(cfg.seed, "fit-gp")
     fit = fit_reml(design, lam=lam, restarts=cfg.restarts, rng=rng)
     tau_hat, nu_sq_hat = hessian_nu_estimate(fit)
+    if not (math.isfinite(nu_sq_hat) and nu_sq_hat > 0):
+        raise NumericalError(
+            f"fit-gp: prior variance estimate nu_sq_hat={nu_sq_hat} is not positive; "
+            f"the REML Hessian at theta={list(fit.theta)} is not positive definite"
+        )
     _write_json(
         out_json,
         {
@@ -349,6 +345,8 @@ def stage_tune_prior(cfg: PipelineConfig, dataset) -> Path:
     report = cv_hyperparams(
         design, candidates, cv_settings, burn_in=cfg.burn_in, master_seed=cv_seed, scale=cfg.scale
     )
+    if not np.any(np.isfinite(report.scores)):
+        raise NumericalError(f"tune-prior: every prior candidate {candidates} failed cross-validation")
     tau_star, nu_sq_star = report.candidates[report.winner]
     _write_json(
         out_json,
@@ -370,15 +368,10 @@ def stage_tune_prior(cfg: PipelineConfig, dataset) -> Path:
     rng = stage_rng(cfg.seed, "tune-prior-chain")
     chain = am_sample(target, init, default_init_cov(target, init), settings, rng)
     try:
-        z = chain.geweke_z or geweke(chain)
+        z = geweke(chain)
     except ValueError:
         z = np.full(design.K, np.nan)
-    chain = type(chain)(
-        draws=chain.draws,
-        acceptance_rate=chain.acceptance_rate,
-        settings=chain.settings,
-        geweke_z=np.asarray(z),
-    )
+    chain = replace(chain, geweke_z=z)
     save_chain(chain, theta_csv, names=[f"theta_{k}" for k in range(design.K)])
     ctx.finish([out_json, theta_csv, theta_csv.with_suffix(".json")])
     print(f"tune-prior: winner tau={tau_star}, nu_sq={nu_sq_star:.4f}")

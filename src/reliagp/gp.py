@@ -11,7 +11,9 @@ theta are provided: profile, REML, ridge-regularized REML, and the Bayesian
 integrated likelihood with a Normal prior on the theta_k.
 
 All linear algebra goes through Cholesky factors; explicit inverses are
-never formed.
+never formed.  One core, GpStack, computes the GLS quantities for a stack of
+(design, theta) pairs; every likelihood and the kriging predictor use its
+one-member case, and sampling many chains at once uses the whole stack.
 """
 
 from __future__ import annotations
@@ -19,13 +21,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import optimize
+from scipy.linalg.lapack import dpotrs, dtrtrs
+
+from reliagp.mcmc import cholesky_stack, fd_hessian
 
 __all__ = [
     "GpDesign",
     "GpFit",
+    "GpStack",
     "covariance_matrix",
     "cholesky_with_nugget",
     "gls_beta",
@@ -34,6 +41,7 @@ __all__ = [
     "nll_reml_regularized",
     "nll_bayes",
     "bayes_log_posterior",
+    "bayes_log_posterior_stack",
     "fit_reml",
     "hessian_nu_estimate",
 ]
@@ -113,6 +121,11 @@ class GpDesign:
         """Input locations in the (possibly standardized) distance coordinates."""
         return (self.S - self._mu) / self._sd
 
+    @cached_property
+    def logdet_xtx(self) -> float:
+        """log|X^T X|, a constant of the REML likelihood."""
+        return np.linalg.slogdet(self.X.T @ self.X)[1]
+
     def transform(self, pts: np.ndarray) -> np.ndarray:
         """Map new input points into the training distance coordinates."""
         return (np.atleast_2d(np.asarray(pts, dtype=float)) - self._mu) / self._sd
@@ -134,14 +147,20 @@ def covariance_matrix(S: np.ndarray, theta: np.ndarray, nugget: float = 0.0) -> 
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != S.shape[1]:
         raise ValueError(f"theta has {theta.size} entries for {S.shape[1]} input dimensions")
-    W = S / np.exp(theta)  # scale each column by its range
-    sq = np.sum(W**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (W @ W.T)
+    return _covariance_stack(S[None], theta[None], nugget)[0]
+
+
+def _covariance_stack(S: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
+    """covariance_matrix for B (S, theta) pairs: S (B, n, K), theta (B, K)."""
+    W = S / np.exp(theta)[:, None, :]  # scale each column by its range
+    sq = np.sum(W**2, axis=2)
+    d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (W @ W.transpose(0, 2, 1))
     np.maximum(d2, 0.0, out=d2)
     V = np.exp(-d2)
     # enforce exact symmetry and unit pre-nugget diagonal
-    V = 0.5 * (V + V.T)
-    np.fill_diagonal(V, 1.0 + nugget)
+    V = 0.5 * (V + V.transpose(0, 2, 1))
+    diag = np.arange(S.shape[1])
+    V[:, diag, diag] = 1.0 + nugget
     return V
 
 
@@ -180,29 +199,88 @@ def cholesky_with_nugget(
                 )
 
 
+class GpStack:
+    """GLS quantities for B (design, theta) pairs of one size at once, from
+    the Cholesky factor L of each V: beta_hat, G^2, log|V| and log|X^T V^-1 X|.
+
+    ``S`` (B, n, K) holds each design's distance coordinates, ``X`` (B, n, q)
+    its mean design, ``Z`` (B, n) its outputs and ``theta`` (B, K) the range
+    parameters.  Each member goes through exactly the floating-point
+    operations of a lone evaluation, so its numbers do not depend on B or on
+    the other members: NumPy's Cholesky and matmul over the whole stack, and
+    per member the LAPACK triangular and Cholesky solves as
+    ``scipy.linalg.solve_triangular`` and ``cho_solve`` call them for a
+    C-ordered factor.  ``error[b]`` is the FactorizationError or ValueError
+    a lone evaluation of member b raises, else None; a failed member's other
+    entries are meaningless.
+    """
+
+    def __init__(self, S, X, Z, theta, nugget: float = NUGGET_START):
+        B, n, q = X.shape
+        self.nugget = np.full(B, float(nugget))
+        self.error: list[Exception | None] = [None] * B
+        try:
+            L = np.linalg.cholesky(_covariance_stack(S, theta, nugget))
+        except np.linalg.LinAlgError:
+            # some member needs a larger nugget: run the escalation per member;
+            # a failed member carries the identity so the stack stays finite
+            L = np.empty((B, n, n))
+            for b in range(B):
+                try:
+                    L[b], self.nugget[b] = cholesky_with_nugget(S[b], theta[b], nugget)
+                except FactorizationError as e:
+                    L[b], self.error[b] = np.eye(n), e
+        self.L = L
+        self.logdet_V = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        # whitened design and outputs, L a = X and L b = Z; each member's Xw is
+        # Fortran-ordered as trtrs returns it, so the products below see the
+        # same strides as on a lone member
+        XwT = np.empty((B, q, n))
+        self.Zw = np.empty((B, n))
+        for b in range(B):
+            Lt = L[b].T
+            XwT[b] = dtrtrs(Lt, X[b], lower=0, trans=1)[0].T
+            self.Zw[b] = dtrtrs(Lt, Z[b], lower=0, trans=1)[0]
+        self.Xw = Xw = XwT.transpose(0, 2, 1)
+        self.L_xtvx, ok = cholesky_stack(XwT @ Xw)
+        for b in np.flatnonzero(~ok):
+            self.L_xtvx[b] = np.eye(q)
+            self.error[b] = self.error[b] or FactorizationError("X^T V^-1 X is singular")
+        self.logdet_xtvx = 2.0 * np.sum(
+            np.log(np.diagonal(self.L_xtvx, axis1=1, axis2=2)), axis=1
+        )
+        rhs = XwT @ self.Zw[:, :, None]
+        self.beta_hat = np.empty((B, q))
+        for b in range(B):
+            self.beta_hat[b] = dpotrs(self.L_xtvx[b], rhs[b, :, 0], lower=1)[0]
+        resid_w = self.Zw - (Xw @ self.beta_hat[:, :, None])[:, :, 0]
+        self.G_sq = (resid_w[:, None, :] @ resid_w[:, :, None])[:, 0, 0]
+        # NaN or inf in a factor or the data reaches these three; a lone
+        # evaluation through SciPy's checked solves raised ValueError there
+        finite = np.isfinite(self.logdet_V) & np.isfinite(self.logdet_xtvx) & np.isfinite(self.G_sq)
+        for b in np.flatnonzero(~finite):
+            self.error[b] = self.error[b] or ValueError("array must not contain infs or NaNs")
+
+
 class GpWork:
-    """Shared GLS quantities at a fixed theta, computed once from the Cholesky
-    factor of V: beta_hat, G^2, log|V|, and log|X^T V^-1 X|."""
+    """Shared GLS quantities at a fixed theta: the one-member GpStack."""
 
     def __init__(self, design: GpDesign, theta, nugget: float = NUGGET_START):
         theta = np.asarray(theta, dtype=float).ravel()
+        stack = GpStack(design.coords[None], design.X[None], design.Z[None], theta[None], nugget)
+        if stack.error[0] is not None:
+            raise stack.error[0]
         self.design = design
         self.theta = theta
-        self.L, self.nugget = cholesky_with_nugget(design.coords, theta, nugget)
-        self.logdet_V = 2.0 * float(np.sum(np.log(np.diag(self.L))))
-        # whitened design and outputs: L a = X, L b = Z
-        self.Xw = linalg.solve_triangular(self.L, design.X, lower=True)
-        self.Zw = linalg.solve_triangular(self.L, design.Z, lower=True)
-        xtvx = self.Xw.T @ self.Xw
-        try:
-            self.L_xtvx = np.linalg.cholesky(xtvx)
-        except np.linalg.LinAlgError:
-            raise FactorizationError("X^T V^-1 X is singular")
-        self.logdet_xtvx = 2.0 * float(np.sum(np.log(np.diag(self.L_xtvx))))
-        rhs = self.Xw.T @ self.Zw
-        self.beta_hat = linalg.cho_solve((self.L_xtvx, True), rhs)
-        resid_w = self.Zw - self.Xw @ self.beta_hat
-        self.G_sq = float(resid_w @ resid_w)
+        self.nugget = float(stack.nugget[0])
+        self.L = stack.L[0]
+        self.logdet_V = float(stack.logdet_V[0])
+        self.Xw = stack.Xw[0]
+        self.Zw = stack.Zw[0]
+        self.L_xtvx = stack.L_xtvx[0]
+        self.logdet_xtvx = float(stack.logdet_xtvx[0])
+        self.beta_hat = stack.beta_hat[0]
+        self.G_sq = float(stack.G_sq[0])
 
 
 def gls_beta(design: GpDesign, theta, nugget: float = NUGGET_START):
@@ -226,11 +304,10 @@ def _nll_reml_from_work(w: GpWork) -> float:
     n, q = design.n, design.q
     if w.G_sq <= 0:
         raise ValueError("degenerate data: zero GLS residual, REML NLL is -inf")
-    sign, logdet_xtx = np.linalg.slogdet(design.X.T @ design.X)
     return (
         0.5 * (n - q) * math.log(2 * math.pi)
         + 0.5 * (n - q) * math.log(w.G_sq / (n - q))
-        - 0.5 * logdet_xtx
+        - 0.5 * design.logdet_xtx
         + 0.5 * w.logdet_xtvx
         + 0.5 * w.logdet_V
         + 0.5 * (n - q)
@@ -258,24 +335,35 @@ def nll_bayes(
 ) -> float:
     """Negative log of the theta posterior with beta and alpha integrated out
     under the prior pi(theta)/alpha, pi(theta) = prod_k N(theta_k | tau, nu^2)."""
-    if nu_sq <= 0:
-        raise ValueError("prior variance nu_sq must be positive")
     theta = np.asarray(theta, dtype=float).ravel()
-    w = GpWork(design, theta, nugget)
-    n, q = design.n, design.q
-    if w.G_sq <= 0:
-        raise ValueError("degenerate data: zero GLS residual")
-    K = theta.size
-    log_prior = (
-        -0.5 * K * math.log(2 * math.pi * nu_sq)
-        - 0.5 * float(np.sum((theta - tau) ** 2)) / nu_sq
+    (value,), (error,) = _nll_bayes_stack(
+        design.coords[None], design.X[None], design.Z[None], theta[None],
+        np.array([tau], dtype=float), np.array([nu_sq], dtype=float), nugget,
     )
-    return (
-        -log_prior
-        + 0.5 * w.logdet_V
-        + 0.5 * (n - q) * math.log(w.G_sq)
-        + 0.5 * w.logdet_xtvx
-    )
+    if error is not None:
+        raise error
+    return float(value)
+
+
+def _nll_bayes_stack(S, X, Z, theta, tau, nu_sq, nugget):
+    """nll_bayes for B members: their values, and per member the exception
+    a lone call raises (None if it returns), whose value is then inf."""
+    w = GpStack(S, X, Z, theta, nugget)
+    B, n, q = X.shape
+    K = theta.shape[1]
+    sq_dev = np.sum((theta - tau[:, None]) ** 2, axis=1)
+    values = np.full(B, math.inf)
+    errors: list[Exception | None] = list(w.error)
+    members = zip(nu_sq.tolist(), sq_dev.tolist(), w.logdet_V.tolist(), w.G_sq.tolist(), w.logdet_xtvx.tolist())
+    for b, (nu_sq_b, sq_dev_b, logdet_V, G_sq, logdet_xtvx) in enumerate(members):
+        if nu_sq_b <= 0:
+            errors[b] = ValueError("prior variance nu_sq must be positive")
+        elif errors[b] is None and G_sq <= 0:
+            errors[b] = ValueError("degenerate data: zero GLS residual")
+        if errors[b] is None:
+            log_prior = -0.5 * K * math.log(2 * math.pi * nu_sq_b) - 0.5 * sq_dev_b / nu_sq_b
+            values[b] = -log_prior + 0.5 * logdet_V + 0.5 * (n - q) * math.log(G_sq) + 0.5 * logdet_xtvx
+    return values, errors
 
 
 def bayes_log_posterior(
@@ -292,6 +380,35 @@ def bayes_log_posterior(
             return -nll_bayes(design, theta, tau, nu_sq, nugget)
         except (FactorizationError, ValueError):
             return -math.inf
+
+    return log_target
+
+
+def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START):
+    """bayes_log_posterior for B chains at once.
+
+    The callable maps a (B, K) stack of theta rows to B log targets, row b
+    under ``designs[b]``, ``tau[b]`` and ``nu_sq[b]``; the designs share one
+    size.  Each value equals bayes_log_posterior's bit for bit, and one call
+    factorizes every in-box row through one GpStack.
+    """
+    S = np.stack([d.coords for d in designs])
+    X = np.stack([d.X for d in designs])
+    Z = np.stack([d.Z for d in designs])
+    tau = np.asarray(tau, dtype=float)
+    nu_sq = np.asarray(nu_sq, dtype=float)
+
+    def log_target(theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        out = np.full(len(theta), -math.inf)
+        in_box = np.all((theta >= THETA_BOUNDS[0]) & (theta <= THETA_BOUNDS[1]), axis=1)
+        live = np.flatnonzero(in_box & (nu_sq > 0))
+        if live.size:
+            nll, _ = _nll_bayes_stack(
+                S[live], X[live], Z[live], theta[live], tau[live], nu_sq[live], nugget
+            )
+            out[live] = -nll
+        return out
 
     return log_target
 
@@ -316,37 +433,6 @@ class GpFit:
         if which == "profile":
             return self.alpha_profile
         raise ValueError("scale must be 'reml' or 'profile'")
-
-
-def _objective_hessian(f, theta: np.ndarray) -> np.ndarray:
-    """Central finite-difference Hessian with step 0.2 * max(1, |theta_k|).
-
-    The wide step reads the curvature of the objective's quadratic envelope
-    rather than the factorization-level roughness a tiny step would amplify;
-    Wald intervals from a much smaller step are badly anti-conservative.
-    """
-    k = theta.size
-    h = 0.2 * np.maximum(1.0, np.abs(theta))
-    hess = np.empty((k, k))
-    f0 = f(theta)
-    for i in range(k):
-        for j in range(i, k):
-            ei = np.zeros(k)
-            ej = np.zeros(k)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            if i == j:
-                val = (f(theta + ei) - 2 * f0 + f(theta - ei)) / h[i] ** 2
-            else:
-                val = (
-                    f(theta + ei + ej)
-                    - f(theta + ei - ej)
-                    - f(theta - ei + ej)
-                    + f(theta - ei - ej)
-                ) / (4 * h[i] * h[j])
-            hess[i, j] = val
-            hess[j, i] = val
-    return hess
 
 
 def fit_reml(
@@ -414,7 +500,11 @@ def fit_reml(
 
     w = GpWork(design, best_theta, nugget)
     n, q = design.n, design.q
-    hess = _objective_hessian(objective, best_theta)
+    # the wide step reads the curvature of the objective's quadratic envelope
+    # rather than the factorization-level roughness a tiny step would
+    # amplify; Wald intervals from a much smaller step are badly
+    # anti-conservative
+    hess = fd_hessian(objective, best_theta, 0.2)
     at_bounds = bool(
         np.any(np.isclose(best_theta, THETA_BOUNDS[0])) or np.any(np.isclose(best_theta, THETA_BOUNDS[1]))
     )

@@ -5,7 +5,9 @@ Metropolis whose Gaussian proposal covariance is the empirical covariance of
 the whole chain history, scaled by s_d = 2.4^2/d and regularized by eps*I.
 Adaptation starts after an initial non-adaptive period t0 and the proposal
 covariance is refreshed every t1 steps; every t2-th state is retained as
-output, so a run of t steps yields t/t2 draws.
+output, so a run of t steps yields t/t2 draws.  ``am_sample_lockstep`` runs
+many independent chains side by side with one target call per step, and
+``am_sample`` is its one-chain case.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "AmSettings",
     "PosteriorChain",
     "am_sample",
+    "am_sample_lockstep",
     "remove_burn_in",
     "geweke",
     "running_average",
@@ -94,7 +96,7 @@ def default_init_cov(log_target, init: np.ndarray, step: float = 1e-4) -> np.nda
     d = init.size
     fallback = 0.1 * np.eye(d)
     try:
-        hess = _fd_hessian(lambda x: -log_target(x), init, step)
+        hess = fd_hessian(lambda x: -log_target(x), init, step)
         if not np.all(np.isfinite(hess)):
             return fallback
         cov = np.linalg.inv(hess)
@@ -104,7 +106,9 @@ def default_init_cov(log_target, init: np.ndarray, step: float = 1e-4) -> np.nda
         return fallback
 
 
-def _fd_hessian(f, x: np.ndarray, step: float) -> np.ndarray:
+def fd_hessian(f, x: np.ndarray, step: float) -> np.ndarray:
+    """Central finite-difference Hessian of f at x with step
+    step * max(1, |x_k|) in coordinate k."""
     d = x.size
     h = step * np.maximum(1.0, np.abs(x))
     hess = np.empty((d, d))
@@ -126,6 +130,26 @@ def _fd_hessian(f, x: np.ndarray, step: float) -> np.ndarray:
     return hess
 
 
+def cholesky_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a (B, d, d) stack, member by member.
+
+    Returns (L, ok): where A[b] is not positive definite ok[b] is False and
+    L[b] is NaN, and the other members are factorized all the same.
+    """
+    try:
+        return np.linalg.cholesky(A), np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        L = np.full_like(A, np.nan)
+        ok = np.zeros(len(A), dtype=bool)
+        for b, a in enumerate(A):
+            try:
+                L[b] = np.linalg.cholesky(a)
+                ok[b] = True
+            except np.linalg.LinAlgError:
+                pass
+        return L, ok
+
+
 def am_sample(
     log_target,
     init,
@@ -133,7 +157,7 @@ def am_sample(
     settings: AmSettings,
     rng: np.random.Generator,
 ) -> PosteriorChain:
-    """Run the adaptive Metropolis sampler.
+    """Run the adaptive Metropolis sampler: the one-chain am_sample_lockstep.
 
     The proposal is Gaussian centered at the current state with covariance
     s_d*init_cov during the first t0 steps and
@@ -141,54 +165,112 @@ def am_sample(
     Symmetric accept/reject with probability min(1, exp(delta log-target)).
     """
     init = np.asarray(init, dtype=float)
-    d = settings.d
-    if init.shape != (d,):
-        raise ValueError(f"init has shape {init.shape}, expected ({d},)")
-    lp = float(log_target(init))
-    if not math.isfinite(lp):
-        raise ValueError("log_target(init) must be finite")
-    init_cov = np.asarray(init_cov, dtype=float)
-    chol = np.linalg.cholesky(settings.s_d * init_cov)
+    if init.shape != (settings.d,):
+        raise ValueError(f"init has shape {init.shape}, expected ({settings.d},)")
+    (chain,) = am_sample_lockstep(
+        lambda x: [float(log_target(x[0]))], init[None], np.asarray(init_cov)[None], settings, [rng]
+    )
+    if isinstance(chain, Exception):
+        raise chain
+    return chain
 
-    x = init.copy()
-    # running first/second moments over the full history (init included)
-    count = 1
-    s1 = init.copy()
-    s2 = np.outer(init, init)
+
+def am_sample_lockstep(
+    log_target,
+    inits,
+    init_covs,
+    settings: AmSettings,
+    rngs: list[np.random.Generator],
+) -> list:
+    """Run B adaptive Metropolis chains side by side, one step of all per
+    iteration.
+
+    ``log_target`` maps a (B, d) stack of states, row b from chain b, to B
+    log densities, so one call scores every chain's proposal.  Chain b draws
+    standard_normal(d) and then uniform() from ``rngs[b]`` at each step, and
+    its accept test, moments and adaptation use its own state only, so it
+    follows bit for bit the path am_sample gives it alone.  Returns one
+    PosteriorChain per chain, or the exception am_sample would raise for a
+    chain whose proposal covariance is not positive definite; such a chain
+    stops moving and the others run on.
+    """
+    B, d = len(rngs), settings.d
+    t0, t1, t2 = settings.t0, settings.t1, settings.t2
+    x = np.array(inits, dtype=float)
+    if x.shape != (B, d):
+        raise ValueError(f"inits have shape {x.shape}, expected ({B}, {d})")
+    lp = np.asarray(log_target(x.copy()), dtype=float).tolist()
+    if not all(map(math.isfinite, lp)):
+        raise ValueError("log_target(init) must be finite")
+    chol, alive = cholesky_stack(settings.s_d * np.asarray(init_covs, dtype=float))
+    errors = [
+        None if ok else np.linalg.LinAlgError("initial proposal covariance is not positive definite")
+        for ok in alive
+    ]
+    chol[~alive] = 0.0  # a stopped chain proposes its own state
+    stopped = not alive.all()
+
+    # Running first/second moments over the full history (init included).
+    # The states of t1 steps are buffered in rows 1..t1 and folded into row
+    # 0 at every t1-th step by a cumulative sum down the rows, which adds
+    # them in the order one += per step would.
+    hist = np.empty((t1 + 1, B, d))
+    outer = np.empty((t1 + 1, B, d, d))
+    hist[0] = x
+    outer[0] = x[:, :, None] * x[:, None, :]
     eps_eye = settings.epsilon * np.eye(d)
 
-    retained = np.empty((settings.n_retained, d))
-    n_accept = 0
+    z = np.empty((B, d, 1))
+    log_u = [0.0] * B
+    # each chain's draws, from its own generator into its row of z; random()
+    # is uniform() without the identity map 0 + 1*u, the same double from
+    # the same draw
+    draws = [(rng.standard_normal, rng.random, z[b, :, 0]) for b, rng in enumerate(rngs)]
+    retained = np.empty((B, settings.n_retained, d))
+    n_accept = [0] * B
     out = 0
-    for step in range(1, settings.t + 1):
-        prop = x + chol @ rng.standard_normal(d)
-        lp_prop = float(log_target(prop))
-        log_u = math.log(max(rng.uniform(), 1e-300))
-        if lp_prop - lp > log_u:
-            x = prop
-            lp = lp_prop
-            n_accept += 1
-        count += 1
-        s1 += x
-        s2 += np.outer(x, x)
-        if step > settings.t0 and step % settings.t1 == 0:
-            cov = (s2 - np.outer(s1, s1) / count) / (count - 1)
-            try:
-                chol = np.linalg.cholesky(settings.s_d * (cov + eps_eye))
-            except np.linalg.LinAlgError:
-                raise RuntimeError(
-                    "proposal covariance lost positive definiteness despite regularization"
-                )
-        if step % settings.t2 == 0:
-            retained[out] = x
+    row = 0
+    for step in range(1, settings.t + 1) if alive.any() else ():
+        for b, (normal, uniform, z_b) in enumerate(draws):
+            normal(out=z_b)
+            log_u[b] = math.log(max(uniform(), 1e-300))
+        prop = x + (chol @ z)[:, :, 0]
+        for b, lp_prop in enumerate(log_target(prop)):
+            if lp_prop - lp[b] > log_u[b]:
+                x[b] = prop[b]
+                lp[b] = lp_prop
+                n_accept[b] += 1
+        row += 1
+        hist[row] = x
+        if row == t1:
+            row = 0
+            np.multiply(hist[1:, :, :, None], hist[1:, :, None, :], out=outer[1:])
+            hist[0] = np.add.accumulate(hist, axis=0)[-1]
+            outer[0] = np.add.accumulate(outer, axis=0)[-1]
+            if step > t0:
+                count = step + 1
+                s1, s2 = hist[0], outer[0]
+                cov = (s2 - s1[:, :, None] * s1[:, None, :] / count) / (count - 1)
+                chol, ok = cholesky_stack(settings.s_d * (cov + eps_eye))
+                if stopped or not ok.all():
+                    for b in np.flatnonzero(alive & ~ok):
+                        errors[b] = RuntimeError(
+                            "proposal covariance lost positive definiteness despite regularization"
+                        )
+                    alive &= ok
+                    chol[~alive] = 0.0
+                    stopped = True
+                    if not alive.any():
+                        break
+        if step % t2 == 0:
+            retained[:, out] = x
             out += 1
 
-    chain = PosteriorChain(
-        draws=retained,
-        acceptance_rate=n_accept / settings.t,
-        settings=settings,
-    )
-    return chain
+    return [
+        errors[b]
+        or PosteriorChain(draws=retained[b], acceptance_rate=n_accept[b] / settings.t, settings=settings)
+        for b in range(B)
+    ]
 
 
 def remove_burn_in(chain: PosteriorChain, fraction: float = 0.2) -> PosteriorChain:

@@ -8,7 +8,7 @@ Two protocols, both with squared-error loss:
 * ``cv_hyperparams``: for each candidate (tau, nu^2) prior, run the adaptive
   Metropolis sampler on the integrated-likelihood target per fold, krige the
   held-out point once per retained draw, and average the per-draw summed
-  losses.
+  losses.  All candidates' and folds' chains run in lockstep.
 
 Per-fold seeds derive deterministically from (master seed, candidate index,
 fold index) so candidates are compared on common random numbers.
@@ -21,9 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reliagp.gp import GpDesign, bayes_log_posterior, fit_reml
+from reliagp.gp import GpDesign, bayes_log_posterior, bayes_log_posterior_stack, fit_reml
 from reliagp.kriging import KrigingModel
-from reliagp.mcmc import AmSettings, am_sample, default_init_cov, remove_burn_in
+# am_sample stays importable from here: perfbench/spans.py wraps tuning.am_sample
+from reliagp.mcmc import (  # noqa: F401
+    AmSettings,
+    am_sample,
+    am_sample_lockstep,
+    default_init_cov,
+    remove_burn_in,
+)
 
 __all__ = ["CvReport", "cv_lambda", "cv_hyperparams", "fold_rng"]
 
@@ -108,6 +115,11 @@ def cv_hyperparams(
     data, burn-in is removed, and the held-out point is kriged once per
     retained draw j; L_qj sums squared errors over folds at draw j and the
     candidate's score is the mean of L_qj over j.
+
+    All (candidate, fold) chains run in lockstep on one batched likelihood,
+    and each follows its own fold_rng stream, so the report equals that of
+    running the chains one after another, folds in order, and stopping a
+    candidate at its first failed fold.
     """
     candidates = [tuple(c) for c in candidates]
     if not candidates:
@@ -116,39 +128,59 @@ def cv_hyperparams(
         raise ValueError("need n >= 3 for leave-one-out")
     n = design.n
     Q = len(candidates)
-    scores = np.empty(Q)
-    n_kept = am_settings.n_retained - int(math.floor(burn_in * am_settings.n_retained))
-    fold_losses = np.full((Q, n), np.nan)
+    folds = [design.drop_row(i) for i in range(n)]
+
+    # a candidate's chains stop at its first fold with no finite start
+    members, inits, init_covs, rngs = [], [], [], []
     for q, (tau, nu_sq) in enumerate(candidates):
-        per_draw = np.zeros(n_kept)  # L_qj accumulated over folds
-        failed = False
-        for i in range(n):
-            rng = fold_rng(master_seed, q, i)
-            reduced = design.drop_row(i)
-            target = bayes_log_posterior(reduced, tau, nu_sq, nugget)
-            init = np.full(design.K, tau, dtype=float)
+        init = np.full(design.K, tau, dtype=float)
+        for i, fold in enumerate(folds):
+            target = bayes_log_posterior(fold, tau, nu_sq, nugget)
             if not math.isfinite(target(init)):
-                failed = True
                 break
             try:
-                init_cov = default_init_cov(target, init)
-                chain = remove_burn_in(
-                    am_sample(target, init, init_cov, am_settings, rng), burn_in
-                )
+                init_covs.append(default_init_cov(target, init))
+            except Exception:
+                break
+            members.append((q, i))
+            inits.append(init)
+            rngs.append(fold_rng(master_seed, q, i))
+    if members:
+        target = bayes_log_posterior_stack(
+            [folds[i] for _, i in members],
+            [candidates[q][0] for q, _ in members],
+            [candidates[q][1] for q, _ in members],
+            nugget,
+        )
+        chains = dict(zip(members, am_sample_lockstep(target, inits, init_covs, am_settings, rngs)))
+    else:
+        chains = {}
+
+    scores = np.full(Q, math.inf)
+    n_kept = am_settings.n_retained - int(math.floor(burn_in * am_settings.n_retained))
+    fold_losses = np.full((Q, n), np.nan)
+    for q in range(Q):
+        per_draw = np.zeros(n_kept)  # L_qj accumulated over folds
+        for i, fold in enumerate(folds):
+            chain = chains.get((q, i))
+            if chain is None or isinstance(chain, Exception):
+                break
+            try:
+                chain = remove_burn_in(chain, burn_in)
                 z_j = np.empty(chain.rows)
                 for j in range(chain.rows):
-                    model = KrigingModel(reduced, chain.draws[j], scale=scale, nugget=nugget)
+                    model = KrigingModel(fold, chain.draws[j], scale=scale, nugget=nugget)
                     z, _, _, _ = model.predict_batch(
                         design.S[i][None, :], design.X[i][None, :]
                     )
                     z_j[j] = z[0]
             except Exception:
-                failed = True
                 break
             losses = (design.Z[i] - z_j) ** 2
             per_draw += losses
             fold_losses[q, i] = float(np.mean(losses))
-        scores[q] = math.inf if failed else float(np.mean(per_draw))
+        else:
+            scores[q] = float(np.mean(per_draw))
     return CvReport(
         candidates=candidates, scores=scores, winner=_pick_winner(scores), fold_losses=fold_losses
     )

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reliagp.cli import EXIT_CONFIG, EXIT_OK, main
+from reliagp import cli
+from reliagp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from reliagp.gp import GpFit
 
 
 def write_config(tmp_path: Path, manifest: Path, out_dir: Path, **overrides) -> Path:
@@ -151,3 +153,40 @@ def test_synth_determinism(tmp_path):
     main(["synth", "--out", str(b), "--seed", "9", "--n", "6", "--n-obs", "6"])
     for name in ("observations.csv", "design.csv", "outputs.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_fit_gp_rejects_negative_prior_variance(tmp_path, monkeypatch, capsys):
+    # a REML optimum on a saddle: the pseudo-inverse of this Hessian gives a
+    # negative nu_sq_hat, which no later stage can use
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "6", "--n-obs", "6"]) == EXIT_OK
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, data_dir / "manifest.json", out)
+    saddle = GpFit(
+        theta=np.full(4, -1.57),
+        beta_hat=np.array([0.0]),
+        alpha_reml=1.0,
+        alpha_profile=1.0,
+        objective=0.0,
+        hessian=np.diag([-2e-4, 8.0, 8.0, 8.0]),
+        nugget=1e-8,
+        lam=2.0,
+        at_bounds=False,
+    )
+    monkeypatch.setattr(cli, "fit_reml", lambda *args, **kwargs: saddle)
+    with pytest.warns(RuntimeWarning):
+        assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    assert "nu_sq_hat" in capsys.readouterr().err
+    assert not (out / "gp_fit.json").exists()
+
+
+def test_tune_prior_exits_when_every_candidate_fails(tmp_path, capsys):
+    # tau = 50 lies outside the theta box, so no CV chain can start
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "8", "--n-obs", "8"]) == EXIT_OK
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, data_dir / "manifest.json", out, tau_candidates=[50.0])
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["tune-prior", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    assert "failed cross-validation" in capsys.readouterr().err
+    assert not (out / "cv_prior.json").exists()

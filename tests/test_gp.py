@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg
 
+from reliagp import gp
 from reliagp.gp import (
+    FactorizationError,
     GpDesign,
+    GpStack,
     GpWork,
+    bayes_log_posterior,
+    bayes_log_posterior_stack,
     covariance_matrix,
     fit_reml,
     gls_beta,
@@ -16,6 +21,7 @@ from reliagp.gp import (
     nll_reml,
     nll_reml_regularized,
 )
+from reliagp.ingest import synth_study
 
 
 def random_design(rng, n=6, K=2, q=1):
@@ -336,6 +342,70 @@ def test_cholesky_logdet_matches_direct():
         w = GpWork(d, theta, nugget=0.0)
         V = covariance_matrix(d.S, theta, w.nugget)
         assert w.logdet_V == pytest.approx(np.linalg.slogdet(V)[1], abs=1e-9)
+
+
+# ------------------------------------------------------------ batched core
+
+
+def fixture_folds():
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    return [design.drop_row(i) for i in range(design.n)]
+
+
+def test_stack_equals_lone_evaluations_bit_for_bit():
+    # B fold/theta pairs in one stack against B lone calls: one theta outside
+    # the box, one whose factorization needs a nugget (the stack's Cholesky
+    # then fails and every member takes the per-member escalation)
+    folds = fixture_folds()
+    rng = np.random.default_rng(20)
+    thetas = rng.normal(3.0, 0.6, size=(12, 4))
+    thetas[4] = [10.5, 3.0, 3.0, 3.0]
+    thetas[7] = 7.0
+    members = [folds[(5 * b) % len(folds)] for b in range(len(thetas))]
+    taus = np.linspace(2.7, 4.7, len(thetas))
+    lp = bayes_log_posterior_stack(members, taus, np.full(len(thetas), 0.26), nugget=0.0)(thetas)
+    lone = [bayes_log_posterior(f, t, 0.26, 0.0)(th) for f, t, th in zip(members, taus, thetas)]
+    assert lp.tolist() == lone
+    assert lp[4] == -math.inf and np.isfinite(np.delete(lp, 4)).all()
+
+    inside = np.delete(np.arange(len(thetas)), 4)
+    stack = GpStack(
+        np.stack([members[b].coords for b in inside]),
+        np.stack([members[b].X for b in inside]),
+        np.stack([members[b].Z for b in inside]),
+        thetas[inside],
+        nugget=0.0,
+    )
+    for k, b in enumerate(inside):
+        w = GpWork(members[b], thetas[b], nugget=0.0)
+        assert stack.nugget[k] == w.nugget == (1e-8 if b == 7 else 0.0)
+        assert stack.logdet_V[k] == w.logdet_V
+        assert stack.logdet_xtvx[k] == w.logdet_xtvx
+        assert stack.G_sq[k] == w.G_sq
+        assert np.array_equal(stack.beta_hat[k], w.beta_hat)
+        assert np.array_equal(stack.L[k], w.L)
+
+
+def test_stack_failed_member_fails_alone(monkeypatch):
+    # a member that no nugget can factorize is -inf; its neighbours are not
+    folds = fixture_folds()[:3]
+    thetas = np.array([[3.0] * 4, [7.0] * 4, [3.5] * 4])
+    ladder = gp.cholesky_with_nugget
+
+    def failing_ladder(S, theta, nugget=gp.NUGGET_START):
+        if theta[0] == 7.0:
+            raise FactorizationError("forced")
+        return ladder(S, theta, nugget)
+
+    monkeypatch.setattr(gp, "cholesky_with_nugget", failing_ladder)
+    lp = bayes_log_posterior_stack(folds, [3.0] * 3, [0.26] * 3, nugget=0.0)(thetas)
+    assert lp[1] == -math.inf
+    assert lp[[0, 2]].tolist() == [
+        bayes_log_posterior(folds[b], 3.0, 0.26, 0.0)(thetas[b]) for b in (0, 2)
+    ]
+    with pytest.raises(FactorizationError):
+        GpWork(folds[1], thetas[1], nugget=0.0)
 
 
 # ---------------------------------------------------------------------- fit

@@ -16,6 +16,7 @@ from reliagp.mcmc import (
     AmSettings,
     PosteriorChain,
     am_sample,
+    am_sample_lockstep,
     default_init_cov,
     geweke,
     load_chain,
@@ -71,6 +72,35 @@ def test_determinism():
     b = am_sample(target, np.zeros(2), np.eye(2), settings, np.random.default_rng(9))
     assert np.array_equal(a.draws, b.draws)
     assert a.acceptance_rate == b.acceptance_rate
+
+
+def far_target(x):
+    # mass at 1e8 with spread 1e-3: the history's moments lose every digit
+    # of the spread to cancellation, and adaptation meets a covariance that
+    # is not positive definite
+    return -0.5 * float(np.sum((x - 1e8) ** 2)) / 1e-6
+
+
+def test_lockstep_chains_equal_lone_chains():
+    settings = AmSettings(d=2, t=2000, t0=100, t1=7, t2=10)
+    targets = [std_normal_target, far_target, lambda x: -0.5 * float((x - 1.0) @ (x - 1.0)) / 4.0]
+    inits = [np.zeros(2), np.full(2, 1e8), np.ones(2)]
+    covs = [np.eye(2), 1e-6 * np.eye(2), 2.0 * np.eye(2)]
+    chains = am_sample_lockstep(
+        lambda X: [f(x) for f, x in zip(targets, X)],
+        inits,
+        covs,
+        settings,
+        [np.random.default_rng(s) for s in (1, 2, 3)],
+    )
+    # the chain whose adaptation fails stops alone
+    assert isinstance(chains[1], RuntimeError)
+    with pytest.raises(RuntimeError):
+        am_sample(far_target, inits[1], covs[1], settings, np.random.default_rng(2))
+    for b in (0, 2):
+        lone = am_sample(targets[b], inits[b], covs[b], settings, np.random.default_rng(b + 1))
+        assert np.array_equal(chains[b].draws, lone.draws)
+        assert chains[b].acceptance_rate == lone.acceptance_rate
 
 
 def test_conjugate_posterior_mean_recovery():

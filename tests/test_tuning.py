@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from reliagp import tuning
 from reliagp.gp import GpDesign, bayes_log_posterior, fit_reml
+from reliagp.ingest import synth_study
 from reliagp.kriging import KrigingModel
 from reliagp.mcmc import AmSettings, am_sample, default_init_cov, remove_burn_in
 from reliagp.tuning import CvReport, cv_hyperparams, cv_lambda, fold_rng
@@ -160,3 +162,80 @@ def test_fold_losses_recorded():
     report = cv_lambda(d, [2.0], restarts=2, master_seed=1)
     assert report.fold_losses.shape == (1, 4)
     assert report.scores[0] == pytest.approx(float(np.nansum(report.fold_losses[0])))
+
+
+def sequential_cv_hyperparams(d, candidates, settings, burn, seed, failed=()):
+    """cv_hyperparams as one chain after another, folds in order; a
+    candidate stops at its first failed fold, and (q, i) in ``failed``
+    fails as a sampler error would."""
+    n_kept = settings.n_retained - int(math.floor(burn * settings.n_retained))
+    scores = np.full(len(candidates), math.inf)
+    fold_losses = np.full((len(candidates), d.n), np.nan)
+    for q, (tau, nu_sq) in enumerate(candidates):
+        per_draw = np.zeros(n_kept)
+        for i in range(d.n):
+            reduced = d.drop_row(i)
+            target = bayes_log_posterior(reduced, tau, nu_sq, 0.0)
+            init = np.full(d.K, tau)
+            if not math.isfinite(target(init)) or (q, i) in failed:
+                break
+            stream = fold_rng(seed, q, i)
+            chain = remove_burn_in(
+                am_sample(target, init, default_init_cov(target, init), settings, stream), burn
+            )
+            z = np.array(
+                [
+                    KrigingModel(reduced, theta, nugget=0.0).predict_batch(d.S[i][None, :], d.X[i][None, :])[0][0]
+                    for theta in chain.draws
+                ]
+            )
+            losses = (d.Z[i] - z) ** 2
+            per_draw += losses
+            fold_losses[q, i] = float(np.mean(losses))
+        else:
+            scores[q] = float(np.mean(per_draw))
+    return scores, fold_losses
+
+
+@pytest.fixture(scope="module")
+def fixture_design():
+    ds = synth_study(seed=8000)
+    return GpDesign(S=ds.design[:10], Z=ds.outputs[:10], standardize=True)
+
+
+def test_lockstep_cv_equals_sequential_chains(fixture_design):
+    # all chains of all candidates in one lockstep run against one chain at a
+    # time, at K=4; tau=50 cannot start its chains and must fail alone
+    d = fixture_design
+    settings = AmSettings(d=4, t=300, t0=50, t2=10)
+    candidates = [(3.0, 0.26), (50.0, 0.26), (2.5, 0.5)]
+    report = cv_hyperparams(d, candidates, settings, burn_in=0.2, master_seed=17)
+    scores, fold_losses = sequential_cv_hyperparams(d, candidates, settings, 0.2, 17)
+    assert report.scores.tolist() == scores.tolist()
+    assert np.array_equal(report.fold_losses, fold_losses, equal_nan=True)
+    assert report.scores[1] == math.inf and np.isnan(report.fold_losses[1]).all()
+    assert np.isfinite(report.scores[[0, 2]]).all()
+
+
+def test_failed_chain_fails_only_its_candidate(fixture_design, monkeypatch):
+    # a chain whose sampler fails mid-candidate ends that candidate at its
+    # fold: earlier folds keep their losses, the rest are NaN, and the other
+    # candidate's score is untouched
+    d = fixture_design
+    settings = AmSettings(d=4, t=200, t0=50, t2=10)
+    candidates = [(3.0, 0.26), (2.5, 0.5)]
+    lockstep = tuning.am_sample_lockstep
+
+    def fail_one_chain(log_target, inits, init_covs, settings, rngs):
+        chains = lockstep(log_target, inits, init_covs, settings, rngs)
+        chains[d.n + 4] = RuntimeError("proposal covariance lost positive definiteness")
+        return chains
+
+    monkeypatch.setattr(tuning, "am_sample_lockstep", fail_one_chain)
+    report = cv_hyperparams(d, candidates, settings, master_seed=5)
+    scores, fold_losses = sequential_cv_hyperparams(d, candidates, settings, 0.2, 5, failed={(1, 4)})
+    assert report.scores.tolist() == scores.tolist()
+    assert np.array_equal(report.fold_losses, fold_losses, equal_nan=True)
+    assert report.scores[1] == math.inf
+    assert np.isfinite(report.fold_losses[1, :4]).all() and np.isnan(report.fold_losses[1, 4:]).all()
+    assert report.winner == 0
