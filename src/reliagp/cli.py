@@ -11,7 +11,7 @@ fans out to all stage seeds via SeedSequence with a spawn key derived from
 the stage name and loop indices, so identical configs produce byte-identical
 numeric artifacts.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config or data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ class PipelineConfig:
     am_inputs: dict = field(default_factory=dict)
     am_theta: dict = field(default_factory=dict)
     am_cv: dict = field(default_factory=lambda: {"t": 10_000, "t0": 1_000})
-    jobs: int = 1
 
     @staticmethod
     def from_file(path, overrides: dict | None = None) -> "PipelineConfig":
@@ -555,7 +554,11 @@ def stage_report(cfg: PipelineConfig, dataset) -> Path:
 
 
 def run_stage(stage: str, cfg: PipelineConfig):
-    dataset = ingest.load_dataset(cfg.manifest)
+    try:
+        dataset = ingest.load_dataset(cfg.manifest)
+    except (OSError, KeyError, ValueError) as e:
+        # a missing file, manifest key or schema error is bad data, not numerics
+        raise ConfigError(f"cannot load dataset {cfg.manifest}: {e}") from e
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     if stage == "fit-inputs":
         return stage_fit_inputs(cfg, dataset)
@@ -601,7 +604,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON pipeline config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=None, help="worker cap for in-stage parallelism")
         p.add_argument("--setting", choices=["A", "B"], default=None)
 
     args = parser.parse_args(argv)
@@ -609,7 +611,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(args)
         cfg = PipelineConfig.from_file(
-            args.config, {"seed": args.seed, "jobs": args.jobs, "setting": args.setting}
+            args.config, {"seed": args.seed, "setting": args.setting}
         )
         if args.command == "all":
             run_all(cfg)

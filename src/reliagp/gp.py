@@ -10,10 +10,12 @@ model X beta (constant by default).  Four negative log likelihoods over
 theta are provided: profile, REML, ridge-regularized REML, and the Bayesian
 integrated likelihood with a Normal prior on the theta_k.
 
-All linear algebra goes through Cholesky factors; explicit inverses are
-never formed.  One core, GpStack, computes the GLS quantities for a stack of
-(design, theta) pairs; every likelihood and the kriging predictor use its
-one-member case, and sampling many chains at once uses the whole stack.
+All linear algebra goes through Cholesky factors; the likelihoods never
+form an explicit inverse (only the REML gradient needs the projection P,
+which it builds from the inverse Cholesky factor).  One core, GpStack,
+computes the GLS quantities for a stack of (design, theta) pairs; every
+likelihood and the kriging predictor use its one-member case, and sampling
+many chains at once uses the whole stack.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "nll_profile",
     "nll_reml",
     "nll_reml_regularized",
+    "nll_reml_regularized_grad",
     "nll_bayes",
     "bayes_log_posterior",
     "bayes_log_posterior_stack",
@@ -125,6 +128,13 @@ class GpDesign:
     def logdet_xtx(self) -> float:
         """log|X^T X|, a constant of the REML likelihood."""
         return np.linalg.slogdet(self.X.T @ self.X)[1]
+
+    @cached_property
+    def sq_diffs(self) -> np.ndarray:
+        """(n*n, K) squared coordinate differences D_k[i, j] = (c_ik - c_jk)^2,
+        row i*n + j, for the derivative of V in theta_k."""
+        c = self.coords
+        return ((c[:, None, :] - c[None, :, :]) ** 2).reshape(-1, self.K)
 
     def transform(self, pts: np.ndarray) -> np.ndarray:
         """Map new input points into the training distance coordinates."""
@@ -330,6 +340,39 @@ def nll_reml_regularized(
     return nll_reml(design, theta, nugget) + penalty
 
 
+def nll_reml_regularized_grad(
+    design: GpDesign, theta, lam: float, nugget: float = NUGGET_START
+) -> tuple[float, np.ndarray]:
+    """nll_reml_regularized and its exact gradient in theta from one
+    factorization; the value equals nll_reml_regularized's bit for bit.
+
+    With P = V^-1 - V^-1 X (X^T V^-1 X)^-1 X^T V^-1, Pz = P Z and
+    dV_k = 2 exp(-2 theta_k) V o D_k (Rasmussen & Williams 2006, 5.4.1),
+
+        d/dtheta_k = 1/2 tr(P dV_k) - 1/2 (n - q) Pz^T dV_k Pz / G^2
+                     + 2 lam (theta_k - mean(theta)).
+
+    The gradient is that of the objective at the nugget the factorization
+    settled on; the nugget itself is constant in theta.
+    """
+    if lam < 0:
+        raise ValueError("penalty lam must be >= 0")
+    theta = np.asarray(theta, dtype=float).ravel()
+    w = GpWork(design, theta, nugget)
+    value = _nll_reml_from_work(w) + lam * float(np.sum((theta - theta.mean()) ** 2))
+
+    n, q = design.n, design.q
+    L_inv = dtrtrs(w.L, np.eye(n), lower=1)[0]
+    # V^-1 X (X^T V^-1 X)^-1 X^T V^-1 = A A^T with A = L^-T Xw L_xtvx^-T
+    A = L_inv.T @ dtrtrs(w.L_xtvx, w.Xw.T, lower=1)[0].T
+    P = L_inv.T @ L_inv - A @ A.T
+    Pz = L_inv.T @ (w.Zw - w.Xw @ w.beta_hat)
+    V = w.L @ w.L.T  # the diagonal does not matter: D_k vanishes there
+    terms = np.stack([P * V, np.outer(Pz, Pz) * V]).reshape(2, n * n) @ design.sq_diffs
+    grad = np.exp(-2.0 * theta) * (terms[0] - (n - q) * terms[1] / w.G_sq)
+    return value, grad + 2.0 * lam * (theta - theta.mean())
+
+
 def nll_bayes(
     design: GpDesign, theta, tau: float, nu_sq: float, nugget: float = NUGGET_START
 ) -> float:
@@ -444,9 +487,15 @@ def fit_reml(
 ) -> GpFit:
     """Minimize the regularized REML objective over theta in [-10, 10]^K.
 
-    Multi-start quasi-Newton (L-BFGS-B with finite-difference gradients)
-    with a Nelder-Mead fallback per start; ties across starts break by
-    lowest objective, then lexicographically smallest theta.
+    Multi-start L-BFGS-B on the exact gradient (nll_reml_regularized_grad)
+    from ``restarts`` starts drawn from N(0, 2^2) per coordinate.  A start's
+    finite result is kept whether L-BFGS-B reports convergence or an
+    abnormal line search (with an exact gradient that is round-off, often
+    from a nugget escalation); only a start that never reaches a finite
+    value falls back to a bounded Nelder-Mead.  Ties across starts break by
+    lowest objective, then lexicographically smallest theta.  ``objective``
+    is nll_reml_regularized at ``theta``, and ``hessian`` is its central
+    finite-difference Hessian with relative step 0.2.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -479,20 +528,27 @@ def fit_reml(
         except (FactorizationError, ValueError):
             return 1e300
 
+    def objective_and_grad(theta):
+        try:
+            return nll_reml_regularized_grad(design, theta, lam, nugget)
+        except (FactorizationError, ValueError):
+            return 1e300, np.zeros(K)
+
     bounds = [THETA_BOUNDS] * K
     results = []
     for _ in range(restarts):
         x0 = np.clip(rng.normal(0.0, 2.0, size=K), *THETA_BOUNDS)
-        res = optimize.minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
-        if not res.success or res.fun >= 1e299:
+        res = optimize.minimize(objective_and_grad, x0, method="L-BFGS-B", jac=True, bounds=bounds)
+        if res.fun >= 1e299:
             res = optimize.minimize(
                 objective,
                 x0,
                 method="Nelder-Mead",
+                bounds=bounds,
                 options={"maxiter": 4000, "xatol": 1e-8, "fatol": 1e-10},
             )
-        if math.isfinite(res.fun) and res.fun < 1e299:
-            results.append((float(res.fun), np.clip(res.x, *THETA_BOUNDS)))
+        if res.fun < 1e299:
+            results.append((float(res.fun), res.x))
     if not results:
         raise RuntimeError("all optimizer starts failed")
     results.sort(key=lambda r: (r[0], tuple(r[1])))

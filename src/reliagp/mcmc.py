@@ -150,6 +150,14 @@ def cholesky_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return L, ok
 
 
+def _proposal_factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cholesky_stack of proposal covariances, where a non-finite factor also
+    fails: NumPy returns a NaN factor for a NaN matrix (moments that
+    overflowed) instead of raising."""
+    chol, ok = cholesky_stack(cov)
+    return chol, ok & np.isfinite(chol).all(axis=(1, 2))
+
+
 def am_sample(
     log_target,
     init,
@@ -191,8 +199,8 @@ def am_sample_lockstep(
     its accept test, moments and adaptation use its own state only, so it
     follows bit for bit the path am_sample gives it alone.  Returns one
     PosteriorChain per chain, or the exception am_sample would raise for a
-    chain whose proposal covariance is not positive definite; such a chain
-    stops moving and the others run on.
+    chain whose proposal covariance is not finite and positive definite;
+    such a chain stops moving and the others run on.
     """
     B, d = len(rngs), settings.d
     t0, t1, t2 = settings.t0, settings.t1, settings.t2
@@ -202,7 +210,7 @@ def am_sample_lockstep(
     lp = np.asarray(log_target(x.copy()), dtype=float).tolist()
     if not all(map(math.isfinite, lp)):
         raise ValueError("log_target(init) must be finite")
-    chol, alive = cholesky_stack(settings.s_d * np.asarray(init_covs, dtype=float))
+    chol, alive = _proposal_factor(settings.s_d * np.asarray(init_covs, dtype=float))
     errors = [
         None if ok else np.linalg.LinAlgError("initial proposal covariance is not positive definite")
         for ok in alive
@@ -251,7 +259,7 @@ def am_sample_lockstep(
                 count = step + 1
                 s1, s2 = hist[0], outer[0]
                 cov = (s2 - s1[:, :, None] * s1[:, None, :] / count) / (count - 1)
-                chol, ok = cholesky_stack(settings.s_d * (cov + eps_eye))
+                chol, ok = _proposal_factor(settings.s_d * (cov + eps_eye))
                 if stopped or not ok.all():
                     for b in np.flatnonzero(alive & ~ok):
                         errors[b] = RuntimeError(

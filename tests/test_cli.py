@@ -190,3 +190,22 @@ def test_tune_prior_exits_when_every_candidate_fails(tmp_path, capsys):
     assert main(["tune-prior", "--config", str(cfg_path)]) == EXIT_NUMERICAL
     assert "failed cross-validation" in capsys.readouterr().err
     assert not (out / "cv_prior.json").exists()
+
+
+def test_missing_design_file_exits_config(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "6", "--n-obs", "6"]) == EXIT_OK
+    (data_dir / "design.csv").unlink()
+    cfg_path = write_config(tmp_path, data_dir / "manifest.json", tmp_path / "out")
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "design.csv" in capsys.readouterr().err
+
+
+def test_bad_outputs_header_exits_config(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "6", "--n-obs", "6"]) == EXIT_OK
+    outputs = data_dir / "outputs.csv"
+    outputs.write_text(outputs.read_text().replace("peak_accel_g", "peak_g", 1))
+    cfg_path = write_config(tmp_path, data_dir / "manifest.json", tmp_path / "out")
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "peak_accel_g" in capsys.readouterr().err

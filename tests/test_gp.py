@@ -20,6 +20,7 @@ from reliagp.gp import (
     nll_profile,
     nll_reml,
     nll_reml_regularized,
+    nll_reml_regularized_grad,
 )
 from reliagp.ingest import synth_study
 
@@ -408,6 +409,54 @@ def test_stack_failed_member_fails_alone(monkeypatch):
         GpWork(folds[1], thetas[1], nugget=0.0)
 
 
+# ------------------------------------------------------------ REML gradient
+
+
+def central_grad(f, theta, h=1e-5):
+    return np.array([(f(theta + h * e) - f(theta - h * e)) / (2 * h) for e in np.eye(theta.size)])
+
+
+def assert_grad_matches_central_differences(design, theta, lam):
+    value, grad = nll_reml_regularized_grad(design, theta, lam)
+    assert value == nll_reml_regularized(design, theta, lam)
+    fd = central_grad(lambda t: nll_reml_regularized(design, t, lam), theta)
+    assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize(
+    "q,lam,theta",
+    [
+        (1, 0.0, [-2.5]),
+        (2, 1.5, [-2.2]),
+        (1, 1.5, [-0.6, -0.1, 0.3, 0.5]),
+        (2, 0.0, [0.4, -0.5, 0.0, 0.2]),
+    ],
+)
+def test_reml_gradient_matches_central_differences(q, lam, theta):
+    theta = np.array(theta)
+    d = random_design(np.random.default_rng(7), n=9, K=theta.size, q=q)
+    assert_grad_matches_central_differences(d, theta, lam)
+
+
+def test_reml_gradient_at_escalated_nugget(monkeypatch):
+    # a Cholesky that refuses every nugget short of the ladder's top: each
+    # evaluation climbs the whole ladder, and value and gradient are those of
+    # V + 1e-4 I
+    rng = np.random.default_rng(44)
+    d = random_design(rng, n=9, K=4, q=2)
+    theta = rng.uniform(-1.5, -0.5, size=4)
+    cholesky = np.linalg.cholesky
+
+    def refusing(a):
+        if a.shape[-1] == d.n and np.min(np.diagonal(a, axis1=-2, axis2=-1)) < 1.0 + 0.5 * gp.NUGGET_MAX:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refusing)
+    assert GpWork(d, theta).nugget == pytest.approx(gp.NUGGET_MAX)
+    assert_grad_matches_central_differences(d, theta, 0.7)
+
+
 # ---------------------------------------------------------------------- fit
 
 
@@ -418,6 +467,24 @@ def test_fit_reml_local_optimality_probes():
     probes = np.random.default_rng(2).uniform(-10, 10, size=(100, 2))
     for theta in probes:
         assert fit.objective <= nll_reml_regularized(d, theta, 1.0) + 1e-9
+
+
+def test_fit_reml_objective_is_the_value_at_theta(monkeypatch):
+    # pure noise drives theta to the box; a start whose L-BFGS-B never sees a
+    # finite value falls back to a Nelder-Mead that must stay in the box, so
+    # the reported objective is the objective at the reported theta
+    rng = np.random.default_rng(19)
+    d = GpDesign(S=rng.uniform(0, 1, (15, 2)), Z=rng.normal(size=15))
+    fit = fit_reml(d, lam=0.0, restarts=2, rng=np.random.default_rng(3))
+    assert fit.objective == nll_reml_regularized(d, fit.theta, 0.0)
+
+    def no_gradient(*args, **kwargs):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(gp, "nll_reml_regularized_grad", no_gradient)
+    fit = fit_reml(d, lam=0.0, restarts=2, rng=np.random.default_rng(3))
+    assert np.all(np.abs(fit.theta) <= 10.0)
+    assert fit.objective == nll_reml_regularized(d, fit.theta, 0.0)
 
 
 def test_fit_reml_white_noise_flagged():

@@ -103,6 +103,20 @@ def test_lockstep_chains_equal_lone_chains():
         assert chains[b].acceptance_rate == lone.acceptance_rate
 
 
+def test_overflowing_moments_fail_adaptation():
+    # a flat target under a 1e306 proposal: the history's moments overflow,
+    # NumPy factorizes the NaN covariance into NaNs without raising, and the
+    # chain must fail rather than run on with NaN proposals
+    settings = AmSettings(d=2, t=2000, t0=100)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        RuntimeError, match="positive definiteness"
+    ):
+        am_sample(lambda x: 0.0, np.zeros(2), 1e306 * np.eye(2), settings, np.random.default_rng(0))
+    # the same NaN factor from a NaN initial covariance
+    with pytest.raises(np.linalg.LinAlgError, match="initial proposal"):
+        am_sample(lambda x: 0.0, np.zeros(2), np.full((2, 2), np.nan), settings, np.random.default_rng(0))
+
+
 def test_conjugate_posterior_mean_recovery():
     rng = np.random.default_rng(2)
     obs = rng.normal(2.0, 1.0, size=15)
