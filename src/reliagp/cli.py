@@ -1,10 +1,14 @@
 """Pipeline orchestration.
 
 Stages (in `all` order): fit-inputs -> tune-lambda -> fit-gp -> tune-prior
--> simulate-pf -> report.  Each stage writes its artifacts under the
-configured output directory together with a provenance record (content
-hashes of the config subset and upstream artifacts); re-running a stage
-whose inputs are unchanged is a no-op.
+-> simulate-pf -> report.  `STAGE_TABLE` declares each stage once: the
+config fields and the files it reads, and a body that writes its outputs.
+One runner skips a stage whose provenance record (hashes of those fields,
+of the dataset and the files read, and of the outputs) still matches, so a
+stage re-runs when any file it reads changes (`report` after a new
+`simulate-pf`, say).  Otherwise the body writes into a temporary directory
+under the output directory, and its outputs appear only when it succeeds:
+a failed stage leaves its previous outputs and record as they were.
 
 Config file is JSON; see PipelineConfig for the fields.  One master seed
 fans out to all stage seeds via SeedSequence with a spawn key derived from
@@ -21,9 +25,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +43,7 @@ from reliagp.gp import GpDesign, bayes_log_posterior, fit_reml, hessian_nu_estim
 from reliagp.kriging import loo_diagnostics, loo_predictions
 from reliagp.mcmc import (
     AmSettings,
+    PosteriorChain,
     am_sample,
     default_init_cov,
     geweke,
@@ -51,7 +59,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-STAGES = ["fit-inputs", "tune-lambda", "fit-gp", "tune-prior", "simulate-pf", "report"]
+PARAM_NAMES = {Family.NORMAL: ["mu", "sigma2"], Family.WEIBULL: ["alpha", "beta"]}
 
 
 class ConfigError(Exception):
@@ -139,46 +147,35 @@ def _file_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+    path.write_text(text)
 
 
-class StageContext:
-    """Provenance bookkeeping: skip a stage whose config subset, upstream
-    hashes, and outputs all match the recorded state."""
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
-    def __init__(self, cfg: PipelineConfig, stage: str, config_keys, upstream: list[Path]):
-        self.cfg = cfg
-        self.stage = stage
-        self.out = Path(cfg.out_dir)
-        self.record_path = self.out / "provenance" / f"{stage}.json"
-        for p in upstream:
-            if not p.exists():
-                raise ConfigError(f"stage {stage}: missing upstream artifact {p}")
-        self.state = {
-            "config_hash": cfg.hash_subset(config_keys),
-            "upstream": {str(p): _file_hash(p) for p in upstream},
-        }
 
-    def up_to_date(self) -> bool:
-        if not self.record_path.exists():
-            return False
-        rec = json.loads(self.record_path.read_text())
-        if rec.get("config_hash") != self.state["config_hash"]:
-            return False
-        if rec.get("upstream") != self.state["upstream"]:
-            return False
-        for p, h in rec.get("outputs", {}).items():
-            path = Path(p)
-            if not path.exists() or _file_hash(path) != h:
-                return False
-        return True
+def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    def finish(self, outputs: list[Path]) -> None:
-        rec = dict(self.state)
-        rec["outputs"] = {str(p): _file_hash(p) for p in outputs}
-        _write_json(self.record_path, rec)
+
+def _save_checked_chain(chain: PosteriorChain, path: Path, names) -> None:
+    """Write a chain with its Geweke z (NaN when the chain is too short for
+    it).  A chain that never accepted a proposal sits at its start and
+    carries none of the posterior's spread, so it fails the stage."""
+    if chain.acceptance_rate == 0:
+        raise NumericalError(f"chain {path.stem} is frozen: no proposal was accepted")
+    try:
+        z = geweke(chain)
+    except ValueError:
+        z = np.full(chain.d, np.nan)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_chain(replace(chain, geweke_z=z), path, names=names)
 
 
 def _prior_for(cfg: PipelineConfig, spec: InputVariableSpec) -> PriorSpec:
@@ -193,102 +190,76 @@ def _build_design(cfg: PipelineConfig, dataset: ingest.StudyDataset) -> GpDesign
     return GpDesign(S=dataset.design, Z=dataset.outputs, standardize=cfg.standardize)
 
 
-def _input_chain_paths(cfg: PipelineConfig, dataset) -> list[Path]:
-    return [Path(cfg.out_dir) / "inputs" / f"{v.name}.csv" for v in dataset.variables]
+def _input_chain_files(dataset) -> list[str]:
+    return [f"inputs/{v.name}.csv" for v in dataset.variables]
 
 
-def stage_fit_inputs(cfg: PipelineConfig, dataset) -> list[Path]:
-    ctx = StageContext(
-        cfg,
-        "fit-inputs",
-        ["seed", "input_prior", "jeffreys_normal_variant", "am_inputs", "burn_in"],
-        [Path(cfg.manifest)],
-    )
-    chain_paths = _input_chain_paths(cfg, dataset)
-    if ctx.up_to_date():
-        print("fit-inputs: up to date")
-        return chain_paths
-    outputs = []
-    for idx, spec in enumerate(dataset.variables):
+def _read_json(cfg: PipelineConfig, rel: str):
+    return json.loads((Path(cfg.out_dir) / rel).read_text())
+
+
+def _draws(cfg: PipelineConfig, rel: str) -> np.ndarray:
+    """Retained draws of the chain at ``rel`` under ``out_dir``, after burn-in."""
+    return remove_burn_in(load_chain(Path(cfg.out_dir) / rel), cfg.burn_in).draws
+
+
+def _mean_ci(col: np.ndarray) -> list[str]:
+    """Mean and 95% interval of one column of draws, as CSV fields."""
+    lo, hi = np.quantile(col, [0.025, 0.975])
+    return [repr(float(v)) for v in (col.mean(), lo, hi)]
+
+
+# Stage bodies.  Each reads its inputs under cfg.out_dir and writes its
+# outputs under `work`, at the paths they take under cfg.out_dir.
+
+
+def _fit_inputs(cfg: PipelineConfig, dataset, work: Path) -> None:
+    for idx, (spec, rel) in enumerate(zip(dataset.variables, _input_chain_files(dataset))):
         prior = _prior_for(cfg, spec)
-        mle = mle_fit(spec)
-        init = mle.as_array()
+        init = mle_fit(spec).as_array()
         target = lambda psi, s=spec, pr=prior: dists.log_posterior_unnorm(
             dists.params_from_array(s.family, psi), s, pr
         )
         settings = cfg.am_settings(2, "inputs")
         rng = stage_rng(cfg.seed, "fit-inputs", idx)
-        init_cov = default_init_cov(target, init)
-        chain = am_sample(target, init, init_cov, settings, rng)
-        try:
-            z = geweke(chain)
-        except ValueError:
-            z = np.full(2, np.nan)
-        chain = replace(chain, geweke_z=z)
-        path = chain_paths[idx]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        names = ["mu", "sigma2"] if spec.family == Family.NORMAL else ["alpha", "beta"]
-        save_chain(chain, path, names=names)
-        outputs.extend([path, path.with_suffix(".json")])
-    ctx.finish(outputs)
+        chain = am_sample(target, init, default_init_cov(target, init), settings, rng)
+        _save_checked_chain(chain, work / rel, PARAM_NAMES[spec.family])
     print(f"fit-inputs: wrote {len(dataset.variables)} chains")
-    return chain_paths
 
 
-def stage_tune_lambda(cfg: PipelineConfig, dataset) -> Path:
-    ctx = StageContext(
-        cfg,
-        "tune-lambda",
-        ["seed", "lambda_grid", "cv_restarts", "scale", "standardize"],
-        [Path(cfg.manifest)],
-    )
-    out_json = Path(cfg.out_dir) / "cv_lambda.json"
-    out_csv = Path(cfg.out_dir) / "cv_lambda_folds.csv"
-    if ctx.up_to_date():
-        print("tune-lambda: up to date")
-        return out_json
+def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:
     design = _build_design(cfg, dataset)
     rng_seed = int(stage_rng(cfg.seed, "tune-lambda").integers(2**63))
     report = cv_lambda(
         design, cfg.lambda_grid, restarts=cfg.cv_restarts, master_seed=rng_seed, scale=cfg.scale
     )
+    winner = report.candidates[report.winner]
     _write_json(
-        out_json,
+        work / "cv_lambda.json",
         {
             "candidates": list(report.candidates),
             "scores": [float(s) for s in report.scores],
             "winner_index": report.winner,
-            "winner": report.candidates[report.winner],
+            "winner": winner,
         },
     )
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "fold", "squared_error"])
-        for q, lam in enumerate(report.candidates):
-            for i in range(design.n):
-                writer.writerow([repr(float(lam)), i, repr(float(report.fold_losses[q, i]))])
-    ctx.finish([out_json, out_csv])
-    print(f"tune-lambda: winner lambda={report.candidates[report.winner]}")
-    return out_json
-
-
-def stage_fit_gp(cfg: PipelineConfig, dataset) -> Path:
-    lam_path = Path(cfg.out_dir) / "cv_lambda.json"
-    lam = cfg.lam
-    upstream = [Path(cfg.manifest)]
-    if lam_path.exists():
-        lam = float(json.loads(lam_path.read_text())["winner"])
-        upstream.append(lam_path)
-    ctx = StageContext(
-        cfg, "fit-gp", ["seed", "lam", "restarts", "scale", "standardize"], upstream
+    _write_csv(
+        work / "cv_lambda_folds.csv",
+        ["lambda", "fold", "squared_error"],
+        (
+            [repr(float(lam)), i, repr(float(report.fold_losses[q, i]))]
+            for q, lam in enumerate(report.candidates)
+            for i in range(design.n)
+        ),
     )
-    out_json = Path(cfg.out_dir) / "gp_fit.json"
-    if ctx.up_to_date():
-        print("fit-gp: up to date")
-        return out_json
+    print(f"tune-lambda: winner lambda={winner}")
+
+
+def _fit_gp(cfg: PipelineConfig, dataset, work: Path) -> None:
+    has_cv = (Path(cfg.out_dir) / "cv_lambda.json").exists()
+    lam = float(_read_json(cfg, "cv_lambda.json")["winner"]) if has_cv else cfg.lam
     design = _build_design(cfg, dataset)
-    rng = stage_rng(cfg.seed, "fit-gp")
-    fit = fit_reml(design, lam=lam, restarts=cfg.restarts, rng=rng)
+    fit = fit_reml(design, lam=lam, restarts=cfg.restarts, rng=stage_rng(cfg.seed, "fit-gp"))
     tau_hat, nu_sq_hat = hessian_nu_estimate(fit)
     if not (math.isfinite(nu_sq_hat) and nu_sq_hat > 0):
         raise NumericalError(
@@ -296,7 +267,7 @@ def stage_fit_gp(cfg: PipelineConfig, dataset) -> Path:
             f"the REML Hessian at theta={list(fit.theta)} is not positive definite"
         )
     _write_json(
-        out_json,
+        work / "gp_fit.json",
         {
             "theta": [float(t) for t in fit.theta],
             "beta_mean": [float(b) for b in fit.beta_hat],
@@ -311,25 +282,11 @@ def stage_fit_gp(cfg: PipelineConfig, dataset) -> Path:
             "nu_sq_hat": nu_sq_hat,
         },
     )
-    ctx.finish([out_json])
     print(f"fit-gp: objective {fit.objective:.4f}, tau_hat {tau_hat:.3f}, nu_sq_hat {nu_sq_hat:.4f}")
-    return out_json
 
 
-def stage_tune_prior(cfg: PipelineConfig, dataset) -> Path:
-    gp_path = Path(cfg.out_dir) / "gp_fit.json"
-    ctx = StageContext(
-        cfg,
-        "tune-prior",
-        ["seed", "tau_candidates", "nu_sq", "am_cv", "am_theta", "burn_in", "scale", "standardize"],
-        [Path(cfg.manifest), gp_path],
-    )
-    out_json = Path(cfg.out_dir) / "cv_prior.json"
-    theta_csv = Path(cfg.out_dir) / "theta_chain.csv"
-    if ctx.up_to_date():
-        print("tune-prior: up to date")
-        return out_json
-    gp_info = json.loads(gp_path.read_text())
+def _tune_prior(cfg: PipelineConfig, dataset, work: Path) -> None:
+    gp_info = _read_json(cfg, "gp_fit.json")
     nu_sq = cfg.nu_sq if cfg.nu_sq is not None else gp_info["nu_sq_hat"]
     if cfg.tau_candidates is not None:
         taus = list(cfg.tau_candidates)
@@ -348,7 +305,7 @@ def stage_tune_prior(cfg: PipelineConfig, dataset) -> Path:
         raise NumericalError(f"tune-prior: every prior candidate {candidates} failed cross-validation")
     tau_star, nu_sq_star = report.candidates[report.winner]
     _write_json(
-        out_json,
+        work / "cv_prior.json",
         {
             "candidates": [[t, v] for t, v in report.candidates],
             "scores": [float(s) for s in report.scores],
@@ -366,50 +323,20 @@ def stage_tune_prior(cfg: PipelineConfig, dataset) -> Path:
     settings = cfg.am_settings(design.K, "theta")
     rng = stage_rng(cfg.seed, "tune-prior-chain")
     chain = am_sample(target, init, default_init_cov(target, init), settings, rng)
-    try:
-        z = geweke(chain)
-    except ValueError:
-        z = np.full(design.K, np.nan)
-    chain = replace(chain, geweke_z=z)
-    save_chain(chain, theta_csv, names=[f"theta_{k}" for k in range(design.K)])
-    ctx.finish([out_json, theta_csv, theta_csv.with_suffix(".json")])
+    _save_checked_chain(chain, work / "theta_chain.csv", [f"theta_{k}" for k in range(design.K)])
     print(f"tune-prior: winner tau={tau_star}, nu_sq={nu_sq_star:.4f}")
-    return out_json
 
 
-def _load_input_chains(cfg: PipelineConfig, dataset):
-    chains = []
-    for spec, path in zip(dataset.variables, _input_chain_paths(cfg, dataset)):
-        chain = remove_burn_in(load_chain(path), cfg.burn_in)
-        chains.append((spec.family, chain.draws))
-    return chains
-
-
-def stage_simulate_pf(cfg: PipelineConfig, dataset) -> Path:
-    gp_path = Path(cfg.out_dir) / "gp_fit.json"
-    upstream = [Path(cfg.manifest), gp_path] + _input_chain_paths(cfg, dataset)
-    theta_csv = Path(cfg.out_dir) / "theta_chain.csv"
-    if cfg.setting == "B":
-        upstream.append(theta_csv)
-    ctx = StageContext(
-        cfg,
-        "simulate-pf",
-        ["seed", "setting", "z_crit", "N", "M", "scale", "burn_in", "standardize"],
-        upstream,
-    )
-    out_csv = Path(cfg.out_dir) / f"pf_setting_{cfg.setting}.csv"
-    out_json = Path(cfg.out_dir) / f"pf_setting_{cfg.setting}_summary.json"
-    if ctx.up_to_date():
-        print("simulate-pf: up to date")
-        return out_csv
+def _simulate_pf(cfg: PipelineConfig, dataset, work: Path) -> None:
     design = _build_design(cfg, dataset)
-    input_chains = _load_input_chains(cfg, dataset)
-    gp_info = json.loads(gp_path.read_text())
+    input_chains = [
+        (spec.family, _draws(cfg, rel))
+        for spec, rel in zip(dataset.variables, _input_chain_files(dataset))
+    ]
     if cfg.setting == "A":
-        theta_source = np.asarray(gp_info["theta"], dtype=float)
+        theta_source = np.asarray(_read_json(cfg, "gp_fit.json")["theta"], dtype=float)
     else:
-        theta_source = remove_burn_in(load_chain(theta_csv), cfg.burn_in).draws
-    rng = stage_rng(cfg.seed, "simulate-pf")
+        theta_source = _draws(cfg, "theta_chain.csv")
     posterior = simulate_pf(
         input_chains,
         theta_source,
@@ -417,162 +344,182 @@ def stage_simulate_pf(cfg: PipelineConfig, dataset) -> Path:
         z_crit=cfg.z_crit,
         N=cfg.N,
         M=cfg.M,
-        rng=rng,
+        rng=stage_rng(cfg.seed, "simulate-pf"),
         scale=cfg.scale,
     )
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p_crit"])
-        for v in posterior.p:
-            writer.writerow([repr(float(v))])
-    _write_json(out_json, summarize(posterior))
-    ctx.finish([out_csv, out_json])
+    rows = ([repr(float(v))] for v in posterior.p)
+    _write_csv(work / f"pf_setting_{cfg.setting}.csv", ["p_crit"], rows)
     s = summarize(posterior)
+    _write_json(work / f"pf_setting_{cfg.setting}_summary.json", s)
     print(
         f"simulate-pf ({cfg.setting}): median {s['median_per_target']:.3f}, "
         f"mean {s['mean_per_target']:.3f} (x target)"
     )
-    return out_csv
 
 
-def stage_report(cfg: PipelineConfig, dataset) -> Path:
+def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
     out = Path(cfg.out_dir)
-    gp_path = out / "gp_fit.json"
-    upstream = [Path(cfg.manifest), gp_path] + _input_chain_paths(cfg, dataset)
-    ctx = StageContext(cfg, "report", ["seed", "burn_in", "scale", "standardize", "setting"], upstream)
-    report_dir = out / "report"
-    done_marker = report_dir / "report_index.json"
-    if ctx.up_to_date():
-        print("report: up to date")
-        return done_marker
-    report_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    report_dir = work / "report"
 
     # per-variable posterior mean with 95% CI
-    ci_path = report_dir / "input_posterior_ci.csv"
-    with open(ci_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "parameter", "mean", "ci_lower", "ci_upper"])
-        for spec, path in zip(dataset.variables, _input_chain_paths(cfg, dataset)):
-            chain = remove_burn_in(load_chain(path), cfg.burn_in)
-            names = ["mu", "sigma2"] if spec.family == Family.NORMAL else ["alpha", "beta"]
-            for j, pname in enumerate(names):
-                col = chain.draws[:, j]
-                lo, hi = np.quantile(col, [0.025, 0.975])
-                writer.writerow(
-                    [spec.name, pname, repr(float(col.mean())), repr(float(lo)), repr(float(hi))]
-                )
-    outputs.append(ci_path)
+    rows = []
+    for spec, rel in zip(dataset.variables, _input_chain_files(dataset)):
+        draws = _draws(cfg, rel)
+        for j, pname in enumerate(PARAM_NAMES[spec.family]):
+            rows.append([spec.name, pname, *_mean_ci(draws[:, j])])
+    header = ["variable", "parameter", "mean", "ci_lower", "ci_upper"]
+    _write_csv(report_dir / "input_posterior_ci.csv", header, rows)
 
     # CV curves, when the tuning stages ran
-    for name in ("cv_lambda.json", "cv_prior.json"):
-        src = out / name
-        if src.exists():
-            data = json.loads(src.read_text())
-            dst = report_dir / name.replace(".json", "_curve.csv")
-            with open(dst, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["candidate", "score"])
-                for cand, score in zip(data["candidates"], data["scores"]):
-                    writer.writerow([json.dumps(cand), repr(float(score))])
-            outputs.append(dst)
+    for name in ("cv_lambda", "cv_prior"):
+        if (out / f"{name}.json").exists():
+            data = _read_json(cfg, f"{name}.json")
+            _write_csv(
+                report_dir / f"{name}_curve.csv",
+                ["candidate", "score"],
+                ([json.dumps(c), repr(float(s))] for c, s in zip(data["candidates"], data["scores"])),
+            )
 
     # observed vs expected at the REML theta
     design = _build_design(cfg, dataset)
-    gp_info = json.loads(gp_path.read_text())
+    gp_info = _read_json(cfg, "gp_fit.json")
     theta = np.asarray(gp_info["theta"], dtype=float)
     z_hat, s0 = loo_predictions(design, theta, scale=cfg.scale)
-    diag = loo_diagnostics(design.Z, z_hat)
-    oe_path = report_dir / "observed_vs_expected.csv"
-    with open(oe_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["observed", "expected", "rmspe"])
-        for o, e, s in zip(design.Z, z_hat, s0):
-            writer.writerow([repr(float(o)), repr(float(e)), repr(float(s))])
-    outputs.append(oe_path)
-    _write_json(report_dir / "observed_vs_expected_stats.json", diag)
-    outputs.append(report_dir / "observed_vs_expected_stats.json")
+    _write_csv(
+        report_dir / "observed_vs_expected.csv",
+        ["observed", "expected", "rmspe"],
+        ([repr(float(o)), repr(float(e)), repr(float(s))] for o, e, s in zip(design.Z, z_hat, s0)),
+    )
+    _write_json(report_dir / "observed_vs_expected_stats.json", loo_diagnostics(design.Z, z_hat))
 
     # REML vs Bayesian range-parameter comparison, when the chain exists
-    theta_csv = out / "theta_chain.csv"
-    if theta_csv.exists():
-        chain = remove_burn_in(load_chain(theta_csv), cfg.burn_in)
-        cmp_path = report_dir / "theta_comparison.csv"
+    if (out / "theta_chain.csv").exists():
+        draws = _draws(cfg, "theta_chain.csv")
         try:
             hess_inv = np.linalg.inv(np.asarray(gp_info["hessian"]))
-            reml_se = np.sqrt(np.clip(np.diag(hess_inv), 0.0, None))
+            half = 1.96 * np.sqrt(np.clip(np.diag(hess_inv), 0.0, None))
         except np.linalg.LinAlgError:
-            reml_se = np.full(design.K, np.nan)
-        with open(cmp_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["k", "reml", "reml_ci_lower", "reml_ci_upper", "bayes_mean", "bayes_ci_lower", "bayes_ci_upper"]
-            )
-            for k in range(design.K):
-                col = chain.draws[:, k]
-                lo, hi = np.quantile(col, [0.025, 0.975])
-                writer.writerow(
-                    [
-                        k,
-                        repr(float(theta[k])),
-                        repr(float(theta[k] - 1.96 * reml_se[k])),
-                        repr(float(theta[k] + 1.96 * reml_se[k])),
-                        repr(float(col.mean())),
-                        repr(float(lo)),
-                        repr(float(hi)),
-                    ]
-                )
-        outputs.append(cmp_path)
+            half = np.full(design.K, np.nan)
+        rows = []
+        for k in range(design.K):
+            reml = (theta[k], theta[k] - half[k], theta[k] + half[k])
+            rows.append([k, *(repr(float(v)) for v in reml), *_mean_ci(draws[:, k])])
+        _write_csv(
+            report_dir / "theta_comparison.csv",
+            ["k", "reml", "reml_ci_lower", "reml_ci_upper", "bayes_mean", "bayes_ci_lower", "bayes_ci_upper"],
+            rows,
+        )
 
     # P_f histogram data and summary echo
     for setting in ("A", "B"):
         src = out / f"pf_setting_{setting}.csv"
         if src.exists():
             with open(src, newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                p = np.array([float(row[0]) for row in reader])
-            hist_path = report_dir / f"pf_setting_{setting}_hist.csv"
+                p = np.array([float(row[0]) for row in list(csv.reader(fh))[1:]])
             counts, edges = np.histogram(p, bins=40)
-            with open(hist_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin_left", "bin_right", "count"])
-                for c, lft, rgt in zip(counts, edges[:-1], edges[1:]):
-                    writer.writerow([repr(float(lft)), repr(float(rgt)), int(c)])
-            outputs.append(hist_path)
+            rows = zip(map(repr, edges[:-1].tolist()), map(repr, edges[1:].tolist()), counts.tolist())
+            _write_csv(report_dir / f"pf_setting_{setting}_hist.csv", ["bin_left", "bin_right", "count"], rows)
             summary_src = out / f"pf_setting_{setting}_summary.json"
             if summary_src.exists():
-                echo = report_dir / f"pf_setting_{setting}_summary.json"
-                echo.write_text(summary_src.read_text())
-                outputs.append(echo)
+                _write_text(report_dir / summary_src.name, summary_src.read_text())
 
-    _write_json(done_marker, {"files": sorted(str(p.relative_to(out)) for p in outputs)})
-    outputs.append(done_marker)
-    ctx.finish(outputs)
-    print(f"report: wrote {len(outputs)} files")
-    return done_marker
+    files = sorted(str(p.relative_to(work)) for p in work.rglob("*") if p.is_file())
+    _write_json(report_dir / "report_index.json", {"files": files})
+    print(f"report: wrote {len(files) + 1} files")
 
 
-def run_stage(stage: str, cfg: PipelineConfig):
+def _simulate_pf_reads(cfg: PipelineConfig, dataset):
+    theta = ["theta_chain.csv"] if cfg.setting == "B" else []
+    return ["gp_fit.json", *_input_chain_files(dataset), *theta], []
+
+
+def _report_reads(cfg: PipelineConfig, dataset):
+    pf = [f"pf_setting_{s}{ext}" for s in "AB" for ext in (".csv", "_summary.json")]
+    optional = ["theta_chain.csv", "cv_lambda.json", "cv_prior.json", *pf]
+    return ["gp_fit.json", *_input_chain_files(dataset)], optional
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: its name, the config fields its body reads, and
+    its body.  ``reads(cfg, dataset)`` names the files under ``out_dir``
+    that the body reads, as (required, optional) lists; every stage also
+    reads the dataset (its manifest and data files)."""
+
+    name: str
+    config_keys: str  # space-separated PipelineConfig field names
+    body: Callable[[PipelineConfig, ingest.StudyDataset, Path], None]
+    reads: Callable[[PipelineConfig, ingest.StudyDataset], tuple[list[str], list[str]]] = (
+        lambda cfg, dataset: ([], [])
+    )
+
+
+STAGE_TABLE = {
+    s.name: s
+    for s in (
+        Stage("fit-inputs", "seed input_prior jeffreys_normal_variant am_inputs", _fit_inputs),
+        Stage("tune-lambda", "seed lambda_grid cv_restarts scale standardize", _tune_lambda),
+        Stage(
+            "fit-gp", "seed lam restarts standardize", _fit_gp, lambda cfg, ds: ([], ["cv_lambda.json"])
+        ),
+        Stage(
+            "tune-prior",
+            "seed tau_candidates nu_sq am_cv am_theta burn_in scale standardize",
+            _tune_prior,
+            lambda cfg, ds: (["gp_fit.json"], []),
+        ),
+        Stage(
+            "simulate-pf",
+            "seed setting z_crit N M scale burn_in standardize",
+            _simulate_pf,
+            _simulate_pf_reads,
+        ),
+        Stage("report", "burn_in scale standardize", _report, _report_reads),
+    )
+}
+STAGES = list(STAGE_TABLE)
+
+
+def run_stage(stage: str, cfg: PipelineConfig) -> None:
+    """Run one stage unless it is up to date; see the module docstring."""
+    if stage not in STAGE_TABLE:
+        raise ConfigError(f"unknown stage {stage!r}")
+    spec = STAGE_TABLE[stage]
     try:
         dataset = ingest.load_dataset(cfg.manifest)
     except (OSError, KeyError, ValueError) as e:
         # a missing file, manifest key or schema error is bad data, not numerics
         raise ConfigError(f"cannot load dataset {cfg.manifest}: {e}") from e
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    if stage == "fit-inputs":
-        return stage_fit_inputs(cfg, dataset)
-    if stage == "tune-lambda":
-        return stage_tune_lambda(cfg, dataset)
-    if stage == "fit-gp":
-        return stage_fit_gp(cfg, dataset)
-    if stage == "tune-prior":
-        return stage_tune_prior(cfg, dataset)
-    if stage == "simulate-pf":
-        return stage_simulate_pf(cfg, dataset)
-    if stage == "report":
-        return stage_report(cfg, dataset)
-    raise ConfigError(f"unknown stage {stage!r}")
+    out = Path(cfg.out_dir)
+    required, optional = ([out / rel for rel in rels] for rels in spec.reads(cfg, dataset))
+    for p in required:
+        if not p.exists():
+            raise ConfigError(f"stage {stage}: missing upstream artifact {p}")
+    reads = [*dataset.files, *required, *(p for p in optional if p.exists())]
+    state = {
+        "config_hash": cfg.hash_subset(spec.config_keys.split()),
+        "upstream": {str(p): _file_hash(p) for p in reads},
+    }
+    record_path = out / "provenance" / f"{stage}.json"
+    record = json.loads(record_path.read_text()) if record_path.exists() else {}
+    if all(record.get(k) == v for k, v in state.items()) and all(
+        Path(p).exists() and _file_hash(Path(p)) == h for p, h in record["outputs"].items()
+    ):
+        print(f"{stage}: up to date")
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{stage}-", dir=out) as tmp:
+        work = Path(tmp)
+        spec.body(cfg, dataset, work)
+        outputs = {}
+        for p in sorted(p for p in work.rglob("*") if p.is_file()):
+            dst = out / p.relative_to(work)
+            outputs[str(dst)] = _file_hash(p)
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(p, dst)
+        _write_json(work / "record.json", {**state, "outputs": outputs})
+        record_path.parent.mkdir(exist_ok=True)
+        os.replace(work / "record.json", record_path)
 
 
 def run_all(cfg: PipelineConfig):

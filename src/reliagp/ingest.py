@@ -56,6 +56,7 @@ class StudyDataset:
     design: np.ndarray  # (n, K)
     outputs_raw: np.ndarray  # (n,), raw units
     rescale_factor: float = 1000.0
+    files: tuple = ()  # the manifest and the data files it was loaded from
 
     def __post_init__(self):
         design = np.atleast_2d(np.asarray(self.design, dtype=float))
@@ -314,4 +315,5 @@ def load_dataset(manifest_path) -> StudyDataset:
         design=design,
         outputs_raw=outputs,
         rescale_factor=float(manifest.get("rescale_factor", 1000.0)),
+        files=(manifest_path, *(base / manifest[k] for k in ("observations", "design", "outputs"))),
     )

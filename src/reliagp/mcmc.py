@@ -27,8 +27,6 @@ __all__ = [
     "am_sample_lockstep",
     "remove_burn_in",
     "geweke",
-    "running_average",
-    "trace_export",
     "default_init_cov",
     "save_chain",
     "load_chain",
@@ -328,20 +326,6 @@ def geweke(
             raise ValueError(f"coordinate {j}: zero variance, Geweke z undefined")
         z[j] = (a.mean() - b.mean()) / math.sqrt(var)
     return z
-
-
-def running_average(chain: PosteriorChain) -> np.ndarray:
-    """Cumulative means per coordinate, for running-average plots."""
-    csum = np.cumsum(chain.draws, axis=0)
-    return csum / np.arange(1, chain.rows + 1)[:, None]
-
-
-def trace_export(chain: PosteriorChain) -> list[dict]:
-    """Thinned states with their output index, as plot-ready records."""
-    return [
-        {"index": i, **{f"coord_{j}": float(v) for j, v in enumerate(row)}}
-        for i, row in enumerate(chain.draws)
-    ]
 
 
 def save_chain(chain: PosteriorChain, csv_path, json_path=None, names=None) -> None:

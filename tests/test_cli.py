@@ -209,3 +209,75 @@ def test_bad_outputs_header_exits_config(tmp_path, capsys):
     cfg_path = write_config(tmp_path, data_dir / "manifest.json", tmp_path / "out")
     assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert "peak_accel_g" in capsys.readouterr().err
+
+
+def _study(tmp_path: Path, **overrides) -> tuple[Path, Path]:
+    """A synthetic study and its config; returns (config path, out_dir)."""
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "8", "--n-obs", "8"]) == EXIT_OK
+    out = tmp_path / "out"
+    return write_config(tmp_path, data_dir / "manifest.json", out, **overrides), out
+
+
+@pytest.mark.parametrize(
+    "change, reruns",
+    [
+        ({"z_crit": 2.7}, {"simulate-pf", "report"}),
+        ({"tau_candidates": [0.0, 1.0]}, {"tune-prior", "simulate-pf", "report"}),
+    ],
+    ids=["z_crit", "tau_candidates"],
+)
+def test_changed_input_reruns_the_stages_that_read_it(tmp_path, capsys, change, reruns):
+    cfg_path, out = _study(tmp_path)
+    assert main(["all", "--config", str(cfg_path)]) == EXIT_OK
+    write_config(tmp_path, tmp_path / "data" / "manifest.json", out, **change)
+    capsys.readouterr()
+    assert main(["all", "--config", str(cfg_path)]) == EXIT_OK
+    log = capsys.readouterr().out
+    for stage in cli.STAGES:
+        assert (f"{stage}: up to date" not in log) == (stage in reruns), stage
+    echo = out / "report" / "pf_setting_B_summary.json"
+    assert echo.read_bytes() == (out / "pf_setting_B_summary.json").read_bytes()
+
+
+def test_failed_stage_commits_nothing(tmp_path, monkeypatch, capsys):
+    cfg_path, out = _study(tmp_path)
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["tune-prior", "--config", str(cfg_path)]) == EXIT_OK
+    kept = ["cv_prior.json", "theta_chain.csv", "provenance/tune-prior.json"]
+    before = {rel: (out / rel).read_bytes() for rel in kept}
+    entries = sorted(out.iterdir())
+
+    # new candidates make the stage re-run; its cross-validation succeeds,
+    # then the final theta chain fails
+    write_config(tmp_path, tmp_path / "data" / "manifest.json", out, tau_candidates=[0.0, 1.0])
+
+    def failing_chain(*args, **kwargs):
+        raise RuntimeError("chain failed")
+
+    monkeypatch.setattr(cli, "am_sample", failing_chain)
+    assert main(["tune-prior", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    assert "chain failed" in capsys.readouterr().err
+    assert {rel: (out / rel).read_bytes() for rel in kept} == before
+    assert sorted(out.iterdir()) == entries
+
+
+def test_frozen_input_chain_exits_numerical(tmp_path, capsys):
+    # the conjugate Weibull prior fixes the shape, so the 2-D sampler never
+    # accepts a move off it
+    cfg_path, out = _study(tmp_path, input_prior="conjugate")
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    assert "X0003" in capsys.readouterr().err
+    assert not (out / "inputs").exists()
+
+
+def test_changed_data_file_reruns_stage(tmp_path, capsys):
+    cfg_path, out = _study(tmp_path)
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    # the manifest is unchanged, but the outputs no longer match the design
+    outputs = tmp_path / "data" / "outputs.csv"
+    header, *rows = outputs.read_text().splitlines(keepends=True)
+    outputs.write_text(header + "".join(reversed(rows)))
+    capsys.readouterr()
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    assert "up to date" not in capsys.readouterr().out

@@ -21,9 +21,7 @@ from reliagp.mcmc import (
     geweke,
     load_chain,
     remove_burn_in,
-    running_average,
     save_chain,
-    trace_export,
 )
 
 
@@ -187,20 +185,6 @@ def test_geweke_spectral_variant_runs():
     z = geweke(chain, variance="spectral")
     assert z.shape == (2,)
     assert np.all(np.isfinite(z))
-
-
-def test_running_average():
-    chain = PosteriorChain(draws=np.array([[1.0], [2.0], [3.0]]), acceptance_rate=0.3)
-    assert np.allclose(running_average(chain).ravel(), [1.0, 1.5, 2.0])
-    single = PosteriorChain(draws=np.array([[4.0]]), acceptance_rate=0.3)
-    assert np.allclose(running_average(single), [[4.0]])
-
-
-def test_trace_export_row_count():
-    chain = PosteriorChain(draws=np.random.default_rng(1).normal(size=(17, 2)), acceptance_rate=0.3)
-    rows = trace_export(chain)
-    assert len(rows) == 17
-    assert rows[0]["index"] == 0
 
 
 def test_chain_roundtrip(tmp_path):
