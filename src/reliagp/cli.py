@@ -230,9 +230,7 @@ def _fit_inputs(cfg: PipelineConfig, dataset, work: Path) -> None:
 def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:
     design = _build_design(cfg, dataset)
     rng_seed = int(stage_rng(cfg.seed, "tune-lambda").integers(2**63))
-    report = cv_lambda(
-        design, cfg.lambda_grid, restarts=cfg.cv_restarts, master_seed=rng_seed, scale=cfg.scale
-    )
+    report = cv_lambda(design, cfg.lambda_grid, restarts=cfg.cv_restarts, master_seed=rng_seed)
     winner = report.candidates[report.winner]
     _write_json(
         work / "cv_lambda.json",
@@ -298,9 +296,7 @@ def _tune_prior(cfg: PipelineConfig, dataset, work: Path) -> None:
     design = _build_design(cfg, dataset)
     cv_settings = cfg.am_settings(design.K, "cv")
     cv_seed = int(stage_rng(cfg.seed, "tune-prior-cv").integers(2**63))
-    report = cv_hyperparams(
-        design, candidates, cv_settings, burn_in=cfg.burn_in, master_seed=cv_seed, scale=cfg.scale
-    )
+    report = cv_hyperparams(design, candidates, cv_settings, burn_in=cfg.burn_in, master_seed=cv_seed)
     if not np.any(np.isfinite(report.scores)):
         raise NumericalError(f"tune-prior: every prior candidate {candidates} failed cross-validation")
     tau_star, nu_sq_star = report.candidates[report.winner]
@@ -458,13 +454,13 @@ STAGE_TABLE = {
     s.name: s
     for s in (
         Stage("fit-inputs", "seed input_prior jeffreys_normal_variant am_inputs", _fit_inputs),
-        Stage("tune-lambda", "seed lambda_grid cv_restarts scale standardize", _tune_lambda),
+        Stage("tune-lambda", "seed lambda_grid cv_restarts standardize", _tune_lambda),
         Stage(
             "fit-gp", "seed lam restarts standardize", _fit_gp, lambda cfg, ds: ([], ["cv_lambda.json"])
         ),
         Stage(
             "tune-prior",
-            "seed tau_candidates nu_sq am_cv am_theta burn_in scale standardize",
+            "seed tau_candidates nu_sq am_cv am_theta burn_in standardize",
             _tune_prior,
             lambda cfg, ds: (["gp_fit.json"], []),
         ),

@@ -4,7 +4,9 @@ The end product is a posterior sample of the failure probability: the outer
 loop draws one joint realization of the input-distribution parameters (and,
 in Setting B, of the GP range parameters) from their posterior chains; the
 inner loop simulates trial inputs, kriges them, and averages the per-trial
-exceedance probabilities 1 - Phi((z_crit - z_hat0) / S0).
+exceedance probabilities 1 - Phi((z_crit - z_hat0) / S0).  Both settings run
+the same loop over one (R, K) matrix of theta rows (R = 1 for Setting A's
+fixed REML theta), and each distinct row's kriging predictor is built once.
 
 The Phi complement is computed through erfc so that probabilities at the
 1e-6 scale and far below do not cancel to zero in double precision.
@@ -108,12 +110,15 @@ def simulate_pf(
     ``input_chains`` holds, per input variable, its family and a matrix of
     retained posterior parameter draws (burn-in already removed).
     ``theta_source`` is either a fixed K-vector of range parameters
-    (Setting A) or a matrix of posterior theta draws (Setting B); a
-    single-row matrix behaves identically to the fixed vector.
+    (Setting A) or an (R, K) matrix of posterior theta draws (Setting B);
+    both are one (R, K) matrix here, so a single-row matrix behaves
+    identically to the fixed vector.
 
-    Each outer iteration draws one uniformly random retained row per chain,
-    independently across chains, builds one kriging model for that theta,
-    and averages M inner-loop exceedance probabilities.
+    Each outer iteration draws one uniformly random retained row per chain
+    and of the theta matrix, independently; a matrix with one row is used
+    without a draw.  It kriges M inner-loop trial points with the predictor
+    of that theta row, built once per distinct row on first use, and
+    averages their exceedance probabilities.
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
@@ -129,33 +134,26 @@ def simulate_pf(
         families.append(Family(fam))
         draw_mats.append(draws)
 
-    theta_source = np.asarray(theta_source, dtype=float)
-    theta_fixed = theta_source.ndim == 1
-    if not theta_fixed and theta_source.shape[0] == 0:
+    theta = np.atleast_2d(np.asarray(theta_source, dtype=float))
+    if theta.shape[0] == 0:
         raise ValueError("empty theta chain")
-    if (theta_fixed and theta_source.size != K) or (
-        not theta_fixed and theta_source.shape[1] != K
-    ):
+    if theta.shape[1] != K:
         raise ValueError("theta dimension does not match the design")
 
-    fixed_model = None
-    if theta_fixed or theta_source.shape[0] == 1:
-        theta0 = theta_source if theta_fixed else theta_source[0]
-        fixed_model = KrigingModel(design, theta0, scale=scale, nugget=nugget)
+    def pick(draws):
+        # a uniformly random row; a one-row matrix consumes no randomness
+        return draws[rng.integers(draws.shape[0])] if draws.shape[0] > 1 else draws[0]
 
+    models = {}  # one predictor per distinct theta row, built on first use
     p = np.empty(N)
     for i in range(N):
-        marginals = []
-        for fam, draws in zip(families, draw_mats):
-            row = rng.integers(draws.shape[0]) if draws.shape[0] > 1 else 0
-            marginals.append(params_from_array(fam, draws[row]))
-        if fixed_model is not None:
-            model = fixed_model
-        else:
-            row = rng.integers(theta_source.shape[0])
-            model = KrigingModel(design, theta_source[row], scale=scale, nugget=nugget)
+        marginals = [params_from_array(fam, pick(draws)) for fam, draws in zip(families, draw_mats)]
+        row = pick(theta)
+        key = row.tobytes()
+        if key not in models:
+            models[key] = KrigingModel(design, row, scale=scale, nugget=nugget)
         s0 = np.column_stack([sample(marginals[k], rng, size=M) for k in range(K)])
-        z_hat, s0_rmspe, _, _ = model.predict_batch(s0)
+        z_hat, s0_rmspe, _, _ = models[key].predict_batch(s0)
         p[i] = float(np.mean(exceedance_probability(z_hat, s0_rmspe, z_crit)))
     return FailurePosterior(p=p, z_crit=z_crit, N=N, M=M)
 

@@ -273,24 +273,35 @@ class GpStack:
 
 
 class GpWork:
-    """Shared GLS quantities at a fixed theta: the one-member GpStack."""
+    """Shared GLS quantities at a fixed theta: the one-member GpStack, or
+    with ``GpWork.member`` one member of a larger stack."""
 
     def __init__(self, design: GpDesign, theta, nugget: float = NUGGET_START):
         theta = np.asarray(theta, dtype=float).ravel()
         stack = GpStack(design.coords[None], design.X[None], design.Z[None], theta[None], nugget)
-        if stack.error[0] is not None:
-            raise stack.error[0]
+        self._take(design, theta, stack, 0)
+
+    @classmethod
+    def member(cls, design: GpDesign, theta, stack: GpStack, b: int) -> "GpWork":
+        """Member b of ``stack``, factorized at ``theta`` over ``design``."""
+        work = cls.__new__(cls)
+        work._take(design, theta, stack, b)
+        return work
+
+    def _take(self, design, theta, stack, b):
+        if stack.error[b] is not None:
+            raise stack.error[b]
         self.design = design
         self.theta = theta
-        self.nugget = float(stack.nugget[0])
-        self.L = stack.L[0]
-        self.logdet_V = float(stack.logdet_V[0])
-        self.Xw = stack.Xw[0]
-        self.Zw = stack.Zw[0]
-        self.L_xtvx = stack.L_xtvx[0]
-        self.logdet_xtvx = float(stack.logdet_xtvx[0])
-        self.beta_hat = stack.beta_hat[0]
-        self.G_sq = float(stack.G_sq[0])
+        self.nugget = float(stack.nugget[b])
+        self.L = stack.L[b]
+        self.logdet_V = float(stack.logdet_V[b])
+        self.Xw = stack.Xw[b]
+        self.Zw = stack.Zw[b]
+        self.L_xtvx = stack.L_xtvx[b]
+        self.logdet_xtvx = float(stack.logdet_xtvx[b])
+        self.beta_hat = stack.beta_hat[b]
+        self.G_sq = float(stack.G_sq[b])
 
 
 def gls_beta(design: GpDesign, theta, nugget: float = NUGGET_START):
@@ -409,22 +420,12 @@ def _nll_bayes_stack(S, X, Z, theta, tau, nu_sq, nugget):
     return values, errors
 
 
-def bayes_log_posterior(
-    design: GpDesign, tau: float, nu_sq: float, nugget: float = NUGGET_START
-):
+def bayes_log_posterior(design: GpDesign, tau: float, nu_sq: float, nugget: float = NUGGET_START):
     """Log-target callable over theta for MCMC sampling of the range
-    parameters; returns -inf where the likelihood cannot be evaluated."""
-
-    def log_target(theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float).ravel()
-        if np.any(theta < THETA_BOUNDS[0]) or np.any(theta > THETA_BOUNDS[1]):
-            return -math.inf
-        try:
-            return -nll_bayes(design, theta, tau, nu_sq, nugget)
-        except (FactorizationError, ValueError):
-            return -math.inf
-
-    return log_target
+    parameters; returns -inf outside THETA_BOUNDS and where the likelihood
+    cannot be evaluated.  It is the one-chain bayes_log_posterior_stack."""
+    target = bayes_log_posterior_stack([design], [tau], [nu_sq], nugget)
+    return lambda theta: float(target(np.asarray(theta, dtype=float).reshape(1, -1))[0])
 
 
 def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START):
@@ -432,8 +433,8 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
 
     The callable maps a (B, K) stack of theta rows to B log targets, row b
     under ``designs[b]``, ``tau[b]`` and ``nu_sq[b]``; the designs share one
-    size.  Each value equals bayes_log_posterior's bit for bit, and one call
-    factorizes every in-box row through one GpStack.
+    size.  One call factorizes every in-box row through one GpStack, and
+    each row's value equals -nll_bayes at it bit for bit.
     """
     S = np.stack([d.coords for d in designs])
     X = np.stack([d.X for d in designs])

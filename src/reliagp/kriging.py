@@ -12,19 +12,27 @@ with phi the cross-covariance vector to the training outputs and
 sigma0^2 = alpha * (1 + nugget).  The fitted scale alpha cancels from the
 predictor and factors out of the MSPE, so all solves run on the correlation
 matrix and reuse a single Cholesky factorization per theta.
+
+Predictors are built one way: KrigingStack factorizes a stack of theta rows
+over one design through one GpStack, and KrigingModel is its one-row case.
+held_out_predictions kriges a design row from the design without it at many
+theta rows; leave-one-out diagnostics and both cross-validation drivers use it.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
-from reliagp.gp import GpDesign, GpFit, GpWork, cross_covariance
+from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, cross_covariance
 
-__all__ = ["KrigingPrediction", "KrigingModel", "predict", "loo_predictions", "loo_diagnostics"]
+__all__ = [
+    "KrigingPrediction", "KrigingStack", "KrigingModel", "predict",
+    "held_out_predictions", "loo_predictions", "loo_diagnostics",
+]
 
 MSPE_WARN_FLOOR = -1e-8
 
@@ -40,92 +48,101 @@ class KrigingPrediction:
     mspe_raw: float  # before clamping at zero
 
 
-class KrigingModel:
-    """Predictor at a fixed theta; one Cholesky factorization, O(n^2) per point."""
+class KrigingStack:
+    """Predictors at the B rows of ``thetas`` over one design.
 
-    def __init__(
-        self,
-        design: GpDesign,
-        theta,
-        alpha: float | None = None,
-        scale: str = "reml",
-        nugget: float | None = None,
-    ):
-        w = GpWork(design, theta, nugget if nugget is not None else 0.0)
+    One GpStack factorizes every row, and member b predicts from its GpWork
+    view with the operations of a lone predictor, so its numbers do not
+    depend on B or on the other rows.  ``error[b]`` is the exception a lone
+    KrigingModel at row b raises, else None; a failed member predicts NaN.
+    """
+
+    def __init__(self, design: GpDesign, thetas, alpha=None, scale: str = "reml", nugget: float = 0.0):
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        B, (n, K), q = len(thetas), design.S.shape, design.q
+        if alpha is None and scale == "reml" and n <= q:
+            raise ValueError("cannot estimate the scale with n <= q; pass alpha")
+        X, Z = np.broadcast_to(design.X, (B, n, q)), np.broadcast_to(design.Z, (B, n))
+        stack = GpStack(np.broadcast_to(design.coords, (B, n, K)), X, Z, thetas, nugget)
         self.design = design
-        self.theta = w.theta
-        self.work = w
-        self.nugget = w.nugget
-        if alpha is not None:
-            self.alpha = float(alpha)
+        self.error = stack.error
+        # b -> (GLS quantities, alpha, Sigma^-1 (Z - X beta_hat) in correlation units)
+        self.members = {}
+        for b in [b for b, error in enumerate(stack.error) if error is None]:
+            w = GpWork.member(design, thetas[b], stack, b)
+            a = float(alpha) if alpha is not None else w.G_sq / (n - q if scale == "reml" else n)
+            resid_w = w.Zw - w.Xw @ w.beta_hat
+            self.members[b] = w, a, linalg.solve_triangular(w.L, resid_w, lower=True, trans="T")
+
+    def predict_batch(self, pts, x0=None):
+        """Predict at many points at once with every member.
+
+        Returns (z_hat, S0, mspe_raw) as (B, m) arrays over the members and
+        the rows of ``pts``, and min_dist as an (m,) array.  ``x0`` is the
+        mean-model covariate vector of the new points (all-ones for the
+        default constant mean).
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        m = pts.shape[0]
+        design = self.design
+        if x0 is None:
+            if not np.allclose(design.X, 1.0):
+                raise ValueError("x0 required for a non-constant mean design")
+            x0 = np.ones((m, design.q))
         else:
-            n, q = design.n, design.q
-            if scale == "reml":
-                if n <= q:
-                    raise ValueError("cannot estimate the scale with n <= q; pass alpha")
-                self.alpha = w.G_sq / (n - q)
-            else:
-                self.alpha = w.G_sq / n
-        resid_w = w.Zw - w.Xw @ w.beta_hat
-        # Sigma^-1 (Z - X beta_hat), in correlation units
-        self._c_inv_resid = linalg.solve_triangular(w.L, resid_w, lower=True, trans="T")
-        self._coords = design.coords
+            x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+            if x0.shape != (m, design.q):
+                raise ValueError(f"x0 has shape {x0.shape}, expected ({m}, {design.q})")
+
+        coords, coords_new = design.coords, design.transform(pts)
+        z_hat, mspe = np.full((2, len(self.error), m), np.nan)
+        for b, (w, alpha, c_inv_resid) in self.members.items():
+            v0 = cross_covariance(coords, coords_new, w.theta)  # (n, m)
+            z_hat[b] = x0 @ w.beta_hat + v0.T @ c_inv_resid
+            v0w = linalg.solve_triangular(w.L, v0, lower=True)  # (n, m)
+            quad_v = np.sum(v0w**2, axis=0)
+            u0 = x0.T - w.Xw.T @ v0w  # (q, m)
+            t = linalg.solve_triangular(w.L_xtvx, u0, lower=True)
+            quad_u = np.sum(t**2, axis=0)
+            mspe[b] = alpha * ((1.0 + w.nugget) - quad_v + quad_u)
+
+        # minimum distance to the design, for extrapolation diagnostics
+        diff2 = (
+            np.sum(coords**2, axis=1)[:, None]
+            + np.sum(coords_new**2, axis=1)[None, :]
+            - 2.0 * coords @ coords_new.T
+        )
+        min_dist = np.sqrt(np.maximum(diff2.min(axis=0), 0.0))
+        return z_hat, np.sqrt(np.maximum(mspe, 0.0)), mspe, min_dist
+
+
+class KrigingModel:
+    """Predictor at a fixed theta: the one-row KrigingStack."""
+
+    def __init__(self, design: GpDesign, theta, alpha=None, scale: str = "reml", nugget: float | None = None):
+        self.stack = KrigingStack(design, np.reshape(theta, (1, -1)), alpha, scale, nugget or 0.0)
+        if self.stack.error[0] is not None:
+            raise self.stack.error[0]
+        self.design = design
+        self.work, self.alpha, _ = self.stack.members[0]
+        self.theta, self.nugget = self.work.theta, self.work.nugget
 
     @classmethod
     def from_fit(cls, fit: GpFit, design: GpDesign, scale: str = "reml") -> "KrigingModel":
         return cls(design, fit.theta, alpha=fit.scale(scale), nugget=fit.nugget)
 
     def predict_batch(self, pts, x0=None):
-        """Predict at many points at once.
-
-        Returns (z_hat, S0, mspe_raw, min_dist) as arrays over the rows of
-        ``pts``.  ``x0`` is the mean-model covariate vector of the new points
-        (all-ones for the default constant mean).
-        """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m = pts.shape[0]
-        w = self.work
-        q = self.design.q
-        if x0 is None:
-            if not np.allclose(self.design.X, 1.0):
-                raise ValueError("x0 required for a non-constant mean design")
-            x0 = np.ones((m, q))
-        else:
-            x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-            if x0.shape != (m, q):
-                raise ValueError(f"x0 has shape {x0.shape}, expected ({m}, {q})")
-
-        coords_new = self.design.transform(pts)
-        v0 = cross_covariance(self._coords, coords_new, self.theta)  # (n, m)
-        z_hat = x0 @ w.beta_hat + v0.T @ self._c_inv_resid
-
-        v0w = linalg.solve_triangular(w.L, v0, lower=True)  # (n, m)
-        quad_v = np.sum(v0w**2, axis=0)
-        u0 = x0.T - w.Xw.T @ v0w  # (q, m)
-        t = linalg.solve_triangular(w.L_xtvx, u0, lower=True)
-        quad_u = np.sum(t**2, axis=0)
-        mspe = self.alpha * ((1.0 + self.nugget) - quad_v + quad_u)
-
-        # minimum distance to the design, for extrapolation diagnostics
-        diff2 = (
-            np.sum(self._coords**2, axis=1)[:, None]
-            + np.sum(coords_new**2, axis=1)[None, :]
-            - 2.0 * self._coords @ coords_new.T
-        )
-        min_dist = np.sqrt(np.maximum(diff2.min(axis=0), 0.0))
-
-        s0 = np.sqrt(np.maximum(mspe, 0.0))
-        return z_hat, s0, mspe, min_dist
+        """KrigingStack.predict_batch of the one row: (z_hat, S0, mspe_raw,
+        min_dist) as arrays over the rows of ``pts``."""
+        z_hat, s0, mspe, min_dist = self.stack.predict_batch(pts, x0)
+        return z_hat[0], s0[0], mspe[0], min_dist
 
     def predict(self, s0, x0=None) -> KrigingPrediction:
         s0 = np.asarray(s0, dtype=float).ravel()
         if s0.size != self.design.K:
             raise ValueError(f"s0 has {s0.size} coordinates, design has {self.design.K}")
-        x0_arr = None if x0 is None else np.atleast_2d(np.asarray(x0, dtype=float))
-        z, s, mspe, dist = self.predict_batch(s0[None, :], x0_arr)
+        z, s, mspe, dist = self.predict_batch(s0[None, :], x0)
         if mspe[0] < MSPE_WARN_FLOOR:
-            import warnings
-
             warnings.warn(
                 f"MSPE clamped from {mspe[0]:.3e}; numerical health suspect", RuntimeWarning
             )
@@ -143,6 +160,19 @@ def predict(fit: GpFit, design: GpDesign, s0, x0=None, scale: str = "reml") -> K
     return KrigingModel.from_fit(fit, design, scale=scale).predict(s0, x0)
 
 
+def held_out_predictions(design: GpDesign, i: int, thetas, scale: str = "reml", nugget: float = 0.0):
+    """Krige row ``i`` of ``design`` from ``design.drop_row(i)`` at each row
+    of the (T, K) matrix ``thetas``, as T lone KrigingModels would; returns
+    (z_hat, s0), each of shape (T,).  A row whose predictor cannot be built
+    fails the fold: its exception is raised."""
+    stack = KrigingStack(design.drop_row(i), thetas, scale=scale, nugget=nugget)
+    for error in stack.error:
+        if error is not None:
+            raise error
+    z_hat, s0, _, _ = stack.predict_batch(design.S[i][None, :], design.X[i][None, :])
+    return z_hat[:, 0], s0[:, 0]
+
+
 def loo_predictions(design: GpDesign, theta_source, scale: str = "reml", nugget: float = 0.0):
     """Leave-one-out predictions at fixed theta or over posterior theta draws.
 
@@ -153,22 +183,10 @@ def loo_predictions(design: GpDesign, theta_source, scale: str = "reml", nugget:
     if design.n < 3:
         raise ValueError("need n >= 3 for leave-one-out")
     theta_source = np.asarray(theta_source, dtype=float)
-    fixed = theta_source.ndim == 1
-    draws = theta_source[None, :] if fixed else theta_source
-    T = draws.shape[0]
-    n = design.n
-    z_hat = np.empty((n, T))
-    s0 = np.empty((n, T))
-    for i in range(n):
-        reduced = design.drop_row(i)
-        x0 = design.X[i][None, :]
-        pt = design.S[i][None, :]
-        for j in range(T):
-            model = KrigingModel(reduced, draws[j], scale=scale, nugget=nugget)
-            z, s, _, _ = model.predict_batch(pt, x0)
-            z_hat[i, j] = z[0]
-            s0[i, j] = s[0]
-    if fixed:
+    draws = np.atleast_2d(theta_source)
+    folds = [held_out_predictions(design, i, draws, scale, nugget) for i in range(design.n)]
+    z_hat, s0 = np.stack(folds, axis=1)  # (2, n, T)
+    if theta_source.ndim == 1:
         return z_hat[:, 0], s0[:, 0]
     return z_hat, s0
 

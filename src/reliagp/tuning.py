@@ -10,6 +10,11 @@ Two protocols, both with squared-error loss:
   held-out point once per retained draw, and average the per-draw summed
   losses.  All candidates' and folds' chains run in lockstep.
 
+Both krige through ``kriging.held_out_predictions`` (one factorization stack
+per fold), and both score only the kriged means, which do not depend on the
+GP scale.  A fold that fails numerically (RuntimeError or ValueError) ends
+its candidate with score inf; any other exception propagates.
+
 Per-fold seeds derive deterministically from (master seed, candidate index,
 fold index) so candidates are compared on common random numbers.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from reliagp.gp import GpDesign, bayes_log_posterior, bayes_log_posterior_stack, fit_reml
-from reliagp.kriging import KrigingModel
+from reliagp.kriging import held_out_predictions
 # am_sample stays importable from here: perfbench/spans.py wraps tuning.am_sample
 from reliagp.mcmc import (  # noqa: F401
     AmSettings,
@@ -63,13 +68,7 @@ def _pick_winner(scores: np.ndarray) -> int:
     return int(np.argmin(scores))
 
 
-def cv_lambda(
-    design: GpDesign,
-    lambdas,
-    restarts: int = 8,
-    master_seed: int = 0,
-    scale: str = "reml",
-) -> CvReport:
+def cv_lambda(design: GpDesign, lambdas, restarts: int = 8, master_seed: int = 0) -> CvReport:
     """Leave-one-out CV over the regularized-REML penalty candidates."""
     lambdas = list(lambdas)
     if not lambdas:
@@ -78,25 +77,20 @@ def cv_lambda(
         raise ValueError("need n >= 3 for leave-one-out")
     n = design.n
     Q = len(lambdas)
-    scores = np.empty(Q)
+    scores = np.full(Q, math.inf)
     fold_losses = np.full((Q, n), np.nan)
     for q, lam in enumerate(lambdas):
         total = 0.0
-        failed = False
         for i in range(n):
-            rng = fold_rng(master_seed, q, i)
-            reduced = design.drop_row(i)
             try:
-                fit = fit_reml(reduced, lam=lam, restarts=restarts, rng=rng)
-                model = KrigingModel.from_fit(fit, reduced, scale=scale)
-                z, _, _, _ = model.predict_batch(design.S[i][None, :], design.X[i][None, :])
-            except Exception:
-                failed = True
+                fit = fit_reml(design.drop_row(i), lam=lam, restarts=restarts, rng=fold_rng(master_seed, q, i))
+                z, _ = held_out_predictions(design, i, fit.theta[None], nugget=fit.nugget)
+            except (RuntimeError, ValueError):
                 break
-            loss = (design.Z[i] - float(z[0])) ** 2
-            fold_losses[q, i] = loss
-            total += loss
-        scores[q] = math.inf if failed else total
+            fold_losses[q, i] = (design.Z[i] - z[0]) ** 2
+            total += fold_losses[q, i]
+        else:
+            scores[q] = total
     return CvReport(candidates=lambdas, scores=scores, winner=_pick_winner(scores), fold_losses=fold_losses)
 
 
@@ -106,7 +100,6 @@ def cv_hyperparams(
     am_settings: AmSettings,
     burn_in: float = 0.2,
     master_seed: int = 0,
-    scale: str = "reml",
     nugget: float = 0.0,
 ) -> CvReport:
     """Leave-one-out CV over (tau, nu^2) prior candidates.
@@ -138,10 +131,7 @@ def cv_hyperparams(
             target = bayes_log_posterior(fold, tau, nu_sq, nugget)
             if not math.isfinite(target(init)):
                 break
-            try:
-                init_covs.append(default_init_cov(target, init))
-            except Exception:
-                break
+            init_covs.append(default_init_cov(target, init))
             members.append((q, i))
             inits.append(init)
             rngs.append(fold_rng(master_seed, q, i))
@@ -161,20 +151,13 @@ def cv_hyperparams(
     fold_losses = np.full((Q, n), np.nan)
     for q in range(Q):
         per_draw = np.zeros(n_kept)  # L_qj accumulated over folds
-        for i, fold in enumerate(folds):
+        for i in range(n):
             chain = chains.get((q, i))
             if chain is None or isinstance(chain, Exception):
                 break
             try:
-                chain = remove_burn_in(chain, burn_in)
-                z_j = np.empty(chain.rows)
-                for j in range(chain.rows):
-                    model = KrigingModel(fold, chain.draws[j], scale=scale, nugget=nugget)
-                    z, _, _, _ = model.predict_batch(
-                        design.S[i][None, :], design.X[i][None, :]
-                    )
-                    z_j[j] = z[0]
-            except Exception:
+                z_j, _ = held_out_predictions(design, i, remove_burn_in(chain, burn_in).draws, nugget=nugget)
+            except (RuntimeError, ValueError):
                 break
             losses = (design.Z[i] - z_j) ** 2
             per_draw += losses

@@ -224,8 +224,9 @@ def _study(tmp_path: Path, **overrides) -> tuple[Path, Path]:
     [
         ({"z_crit": 2.7}, {"simulate-pf", "report"}),
         ({"tau_candidates": [0.0, 1.0]}, {"tune-prior", "simulate-pf", "report"}),
+        ({"scale": "profile"}, {"simulate-pf", "report"}),
     ],
-    ids=["z_crit", "tau_candidates"],
+    ids=["z_crit", "tau_candidates", "scale"],
 )
 def test_changed_input_reruns_the_stages_that_read_it(tmp_path, capsys, change, reruns):
     cfg_path, out = _study(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from reliagp import failure
 from reliagp.distributions import Family, NormalParams, WeibullParams
 from reliagp.failure import (
     FailurePosterior,
@@ -139,6 +140,35 @@ def test_simulate_pf_single_row_theta_matches_fixed():
         chains, np.array([[0.3]]), design, 1.2, N=50, M=50, rng=np.random.default_rng(4)
     )
     assert np.array_equal(a.p, b.p)
+
+
+def test_simulate_pf_builds_one_predictor_per_distinct_theta_row(monkeypatch):
+    # a theta chain repeats rows wherever the sampler rejected a proposal;
+    # each distinct row gets one predictor however often it is drawn, and
+    # the draws match predictors rebuilt at every outer iteration
+    design = tiny_design()
+    chains = [(Family.NORMAL, np.array([[1.0, 0.25], [1.1, 0.2]]))]
+    draws = np.array([[0.0], [0.5], [0.5], [1.0], [0.0], [0.5]])
+    built = []
+
+    class CountingModel(KrigingModel):
+        def __init__(self, design, theta, **kwargs):
+            built.append(np.asarray(theta).tolist())
+            super().__init__(design, theta, **kwargs)
+
+    monkeypatch.setattr(failure, "KrigingModel", CountingModel)
+    post = simulate_pf(chains, draws, design, 1.2, N=60, M=20, rng=np.random.default_rng(5))
+    assert len(built) == len({tuple(row) for row in built}) <= 3
+
+    # the same stream by hand, one model per outer iteration
+    rng = np.random.default_rng(5)
+    expected = []
+    for _ in range(60):
+        mu, var = chains[0][1][rng.integers(2)]
+        model = KrigingModel(design, draws[rng.integers(len(draws))], nugget=0.0)
+        z_hat, s0, _, _ = model.predict_batch(rng.normal(mu, np.sqrt(var), size=20)[:, None])
+        expected.append(float(np.mean(exceedance_probability(z_hat, s0, 1.2))))
+    assert post.p.tolist() == expected
 
 
 def test_simulate_pf_monotone_in_z_crit():

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from reliagp.gp import GpDesign, covariance_matrix, cross_covariance, fit_reml
-from reliagp.kriging import KrigingModel, loo_diagnostics, loo_predictions, predict
+from reliagp import gp
+from reliagp.gp import FactorizationError, GpDesign, covariance_matrix, cross_covariance, fit_reml
+from reliagp.ingest import synth_study
+from reliagp.kriging import (
+    KrigingModel,
+    KrigingStack,
+    held_out_predictions,
+    loo_diagnostics,
+    loo_predictions,
+    predict,
+)
 
 
 def random_design(rng, n=6, K=2):
@@ -209,6 +218,48 @@ def test_loo_draws_shape():
     # first column equals the fixed-theta path with the first draw
     z_fixed, _ = loo_predictions(d, draws[0], scale="profile", nugget=0.0)
     assert np.allclose(z_hat[:, 0], z_fixed)
+
+
+def test_held_out_stack_equals_lone_models_bit_for_bit(monkeypatch):
+    # T theta rows per fold in one stack against T lone models: theta = 7
+    # needs a nugget (the stack's Cholesky then fails and every member takes
+    # the per-member escalation), and theta = 8 cannot be factorized on
+    # fold 2 only; that fold fails, every other fold and member is exact
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    rng = np.random.default_rng(3)
+    thetas = np.vstack([rng.normal(3.0, 0.6, size=(4, 4)), np.full((1, 4), 7.0), np.full((1, 4), 8.0)])
+    failing = design.drop_row(2)
+    ladder = gp.cholesky_with_nugget
+
+    def failing_ladder(S, theta, nugget=gp.NUGGET_START):
+        if theta[0] == 8.0 and np.array_equal(S, failing.coords):
+            raise FactorizationError("forced")
+        return ladder(S, theta, nugget)
+
+    monkeypatch.setattr(gp, "cholesky_with_nugget", failing_ladder)
+    for i in range(design.n):
+        fold = design.drop_row(i)
+        pt, x0 = design.S[i][None, :], design.X[i][None, :]
+        if i == 2:
+            with pytest.raises(FactorizationError):
+                held_out_predictions(design, i, thetas)
+            stack = KrigingStack(fold, thetas)
+            assert [type(e) for e in stack.error] == [type(None)] * 5 + [FactorizationError]
+            with pytest.raises(FactorizationError):
+                KrigingModel(fold, thetas[5], nugget=0.0)
+            z, s0, _, _ = stack.predict_batch(pt, x0)
+            assert np.isnan(z[5]).all() and np.isnan(s0[5]).all()
+            members = range(5)
+        else:
+            z, s0 = held_out_predictions(design, i, thetas)
+            z, s0 = z[:, None], s0[:, None]
+            members = range(6)
+        for j in members:
+            lone = KrigingModel(fold, thetas[j], nugget=0.0)
+            assert lone.nugget > 0.0 or j != 4
+            z_j, s_j, _, _ = lone.predict_batch(pt, x0)
+            assert z[j].tolist() == z_j.tolist() and s0[j].tolist() == s_j.tolist()
 
 
 def test_loo_requires_three_points():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reliagp import tuning
-from reliagp.gp import GpDesign, bayes_log_posterior, fit_reml
+from reliagp.gp import FactorizationError, GpDesign, bayes_log_posterior, fit_reml
 from reliagp.ingest import synth_study
 from reliagp.kriging import KrigingModel
 from reliagp.mcmc import AmSettings, am_sample, default_init_cov, remove_burn_in
@@ -239,3 +239,39 @@ def test_failed_chain_fails_only_its_candidate(fixture_design, monkeypatch):
     assert report.scores[1] == math.inf
     assert np.isfinite(report.fold_losses[1, :4]).all() and np.isnan(report.fold_losses[1, 4:]).all()
     assert report.winner == 0
+
+
+def test_cv_lambda_lets_programming_errors_escape(monkeypatch):
+    # only numerical failures end a candidate with score inf; a TypeError is
+    # a bug and must not turn into an "every candidate failed" report
+    def broken_fit(*args, **kwargs):
+        raise TypeError("unexpected keyword")
+
+    monkeypatch.setattr(tuning, "fit_reml", broken_fit)
+    d = smooth_design(np.random.default_rng(9), n=4)
+    with pytest.raises(TypeError):
+        cv_lambda(d, [1.0], restarts=1, master_seed=1)
+
+
+def test_failed_kriging_fold_fails_only_its_candidate(fixture_design, monkeypatch):
+    # a fold whose held-out predictor cannot be built ends its candidate at
+    # that fold, as a failed chain does; the other candidate is untouched
+    d = fixture_design
+    settings = AmSettings(d=4, t=200, t0=50, t2=10)
+    candidates = [(3.0, 0.26), (2.5, 0.5)]
+    held_out = tuning.held_out_predictions
+    calls = []
+
+    def fail_candidate_1_fold_4(design, i, thetas, **kwargs):
+        calls.append(i)
+        if len(calls) == d.n + 5:  # candidate 0 ran all its folds first
+            raise FactorizationError("forced")
+        return held_out(design, i, thetas, **kwargs)
+
+    monkeypatch.setattr(tuning, "held_out_predictions", fail_candidate_1_fold_4)
+    report = cv_hyperparams(d, candidates, settings, master_seed=5)
+    scores, fold_losses = sequential_cv_hyperparams(d, candidates, settings, 0.2, 5, failed={(1, 4)})
+    assert calls[d.n + 4] == 4
+    assert report.scores.tolist() == scores.tolist()
+    assert np.array_equal(report.fold_losses, fold_losses, equal_nan=True)
+    assert report.scores[1] == math.inf and report.winner == 0
