@@ -102,6 +102,8 @@ class PipelineConfig:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
         try:
@@ -112,14 +114,22 @@ class PipelineConfig:
         return cfg
 
     def validate(self):
-        if self.seed is None:
-            raise ConfigError("seed is mandatory (no wall-clock seeding)")
+        # seed is mandatory: no wall-clock seeding
+        for key, low in (("seed", 0), ("N", 1), ("M", 1), ("restarts", 1), ("cv_restarts", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
         if self.setting not in ("A", "B"):
             raise ConfigError(f"setting must be 'A' or 'B', got {self.setting!r}")
         if self.input_prior not in ("flat", "jeffreys", "conjugate"):
             raise ConfigError(f"unknown input_prior {self.input_prior!r}")
-        if not (0 <= self.burn_in < 1):
+        if not isinstance(self.burn_in, (int, float)) or not (0 <= self.burn_in < 1):
             raise ConfigError("burn_in must be in [0, 1)")
+        for which in ("inputs", "theta", "cv"):
+            try:
+                self.am_settings(1, which)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"am_{which}: {e}") from e
         if self.scale not in ("reml", "profile"):
             raise ConfigError("scale must be 'reml' or 'profile'")
         if not Path(self.manifest).exists():

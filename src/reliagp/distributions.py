@@ -12,7 +12,7 @@ density f(x) = (beta/alpha) (x/alpha)^(beta-1) exp(-(x/alpha)^beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -36,8 +36,7 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-# sqrt(det Fisher) constants, evaluated once
-_EULER = np.euler_gamma
+# sqrt(det Fisher) constant, evaluated once
 _WEIBULL_JEFFREYS_CONST = 0.5 * math.log(math.pi**2 / 6.0)
 
 
@@ -248,15 +247,6 @@ def mle_fit(spec: InputVariableSpec) -> ParamVector:
     if abs(_weibull_profile_score(beta, logs)) > 1e-8:
         raise RuntimeError(f"{spec.name}: Weibull MLE did not converge")
     return WeibullParams(alpha=alpha, beta=float(beta))
-
-
-def _weibull_fisher(alpha: float, beta: float) -> np.ndarray:
-    """Per-observation Fisher information of the (scale, shape) Weibull."""
-    g = _EULER
-    i_aa = (beta / alpha) ** 2
-    i_ab = -(1.0 - g) / alpha
-    i_bb = ((1.0 - g) ** 2 + math.pi**2 / 6.0) / beta**2
-    return np.array([[i_aa, i_ab], [i_ab, i_bb]])
 
 
 def log_prior(params: ParamVector, prior: PriorSpec) -> float:

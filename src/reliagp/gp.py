@@ -580,14 +580,12 @@ def fit_reml(
 
 def hessian_nu_estimate(fit: GpFit) -> tuple[float, float]:
     """Empirical-Bayes prior hyperparameters from a REML fit:
-    tau_hat = mean(theta), nu_sq_hat = mean of diag(H^-1)."""
-    theta = fit.theta
-    tau_hat = float(np.mean(theta))
+    tau_hat = mean(theta), nu_sq_hat = mean of diag(H^-1).  nu_sq_hat is
+    NaN, with a RuntimeWarning, when H is not positive definite."""
+    tau_hat = float(np.mean(fit.theta))
     try:
         np.linalg.cholesky(fit.hessian)
-        h_inv = np.linalg.inv(fit.hessian)
     except np.linalg.LinAlgError:
-        warnings.warn("objective Hessian is not SPD; using pseudo-inverse", RuntimeWarning)
-        h_inv = np.linalg.pinv(fit.hessian)
-    nu_sq_hat = float(np.mean(np.diag(h_inv)))
-    return tau_hat, nu_sq_hat
+        warnings.warn("objective Hessian is not SPD; nu_sq_hat is undefined", RuntimeWarning)
+        return tau_hat, math.nan
+    return tau_hat, float(np.mean(np.diag(np.linalg.inv(fit.hessian))))

@@ -12,6 +12,7 @@ many independent chains side by side with one target call per step, and
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -87,44 +88,54 @@ class PosteriorChain:
 def default_init_cov(log_target, init: np.ndarray, step: float = 1e-4) -> np.ndarray:
     """Inverse finite-difference Hessian of -log_target at init, if SPD.
 
-    Falls back to 0.1*I when the Hessian is not positive definite or the
-    target is not finite in the probed neighborhood.
+    Works over the last axis of ``init`` as fd_hessian does, so a (B, d)
+    stack of starts gives B covariances.  A member falls back to 0.1*I on
+    its own when its Hessian is not finite (the target is not finite in the
+    probed neighborhood) or its inverse is not positive definite.
     """
     init = np.asarray(init, dtype=float)
-    d = init.size
-    fallback = 0.1 * np.eye(d)
-    try:
-        hess = fd_hessian(lambda x: -log_target(x), init, step)
-        if not np.all(np.isfinite(hess)):
-            return fallback
-        cov = np.linalg.inv(hess)
-        np.linalg.cholesky(cov)
-        return cov
-    except np.linalg.LinAlgError:
-        return fallback
+    d = init.shape[-1]
+    hess = fd_hessian(lambda x: -log_target(x), init, step)
+    covs = []
+    for h in hess.reshape(-1, d, d):
+        cov = 0.1 * np.eye(d)
+        if np.all(np.isfinite(h)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv = np.linalg.inv(h)
+                np.linalg.cholesky(inv)
+                cov = inv
+        covs.append(cov)
+    return np.reshape(covs, hess.shape)
 
 
 def fd_hessian(f, x: np.ndarray, step: float) -> np.ndarray:
     """Central finite-difference Hessian of f at x with step
-    step * max(1, |x_k|) in coordinate k."""
-    d = x.size
+    step * max(1, |x_k|) in coordinate k, over the last axis of x: f maps a
+    (d,) x to a value, or a (B, d) stack to B values, and each of the B
+    Hessians equals its lone call bit for bit."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
     h = step * np.maximum(1.0, np.abs(x))
-    hess = np.empty((d, d))
+    # C pow per entry, as ** on a NumPy or Python scalar gives it; the array
+    # square (h * h) differs from it in the last bit for about 1 in 1000 h
+    h_sq = np.reshape([v**2 for v in h.ravel().tolist()], h.shape)
+    hess = np.empty(x.shape + (d,))
     f0 = f(x)
     for i in range(d):
         for j in range(i, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            if i == j:
-                val = (f(x + ei) - 2 * f0 + f(x - ei)) / h[i] ** 2
-            else:
-                val = (
-                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4 * h[i] * h[j])
-            hess[i, j] = val
-            hess[j, i] = val
+            ei = np.zeros_like(x)
+            ej = np.zeros_like(x)
+            ei[..., i] = h[..., i]
+            ej[..., j] = h[..., j]
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+                if i == j:
+                    val = (f(x + ei) - 2 * f0 + f(x - ei)) / h_sq[..., i]
+                else:
+                    val = (
+                        f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+                    ) / (4 * h[..., i] * h[..., j])
+            hess[..., i, j] = val
+            hess[..., j, i] = val
     return hess
 
 

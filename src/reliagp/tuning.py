@@ -8,12 +8,15 @@ Two protocols, both with squared-error loss:
 * ``cv_hyperparams``: for each candidate (tau, nu^2) prior, run the adaptive
   Metropolis sampler on the integrated-likelihood target per fold, krige the
   held-out point once per retained draw, and average the per-draw summed
-  losses.  All candidates' and folds' chains run in lockstep.
+  losses.  Every (candidate, fold) chain is started, run and scored on one
+  likelihood stack: one target call checks all starts, one default_init_cov
+  call gives all initial covariances, and one lockstep run samples them.
 
-Both krige through ``kriging.held_out_predictions`` (one factorization stack
-per fold), and both score only the kriged means, which do not depend on the
-GP scale.  A fold that fails numerically (RuntimeError or ValueError) ends
-its candidate with score inf; any other exception propagates.
+Both krige through ``kriging.held_out_predictions`` (one factorization
+stack per fold) and score the kriged means, which do not depend on the GP
+scale, in one fold-scoring loop.  A fold that fails numerically
+(RuntimeError or ValueError) ends its candidate with score inf; any other
+exception propagates.
 
 Per-fold seeds derive deterministically from (master seed, candidate index,
 fold index) so candidates are compared on common random numbers.
@@ -26,16 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reliagp.gp import GpDesign, bayes_log_posterior, bayes_log_posterior_stack, fit_reml
+from reliagp.gp import GpDesign, bayes_log_posterior_stack, fit_reml
 from reliagp.kriging import held_out_predictions
-# am_sample stays importable from here: perfbench/spans.py wraps tuning.am_sample
-from reliagp.mcmc import (  # noqa: F401
-    AmSettings,
-    am_sample,
-    am_sample_lockstep,
-    default_init_cov,
-    remove_burn_in,
-)
+from reliagp.mcmc import AmSettings, am_sample_lockstep, default_init_cov, remove_burn_in
+from reliagp.mcmc import am_sample  # noqa: F401 -- perfbench/spans.py wraps tuning.am_sample
 
 __all__ = ["CvReport", "cv_lambda", "cv_hyperparams", "fold_rng"]
 
@@ -63,35 +60,46 @@ def fold_rng(master_seed: int, candidate: int, fold: int) -> np.random.Generator
     return np.random.default_rng(ss)
 
 
-def _pick_winner(scores: np.ndarray) -> int:
-    # first occurrence of the minimum
-    return int(np.argmin(scores))
+def _score_folds(design: GpDesign, candidates: list, fold_predictions) -> CvReport:
+    """Leave-one-out report over the candidates.
+
+    ``fold_predictions(q, i)`` gives candidate q's kriged mean of held-out
+    point i, one per draw (a scalar for one draw).  The squared-error
+    losses are summed over folds per draw, and the score is their mean over
+    draws.  A candidate stops, with score inf, at its first fold that raises
+    RuntimeError or ValueError; its fold losses are NaN from there.  The
+    winner is the first candidate with the lowest score.
+    """
+    scores = np.full(len(candidates), math.inf)
+    fold_losses = np.full((len(candidates), design.n), np.nan)
+    for q in range(len(candidates)):
+        per_draw = 0.0  # L_qj accumulated over folds
+        try:
+            for i in range(design.n):
+                losses = (design.Z[i] - fold_predictions(q, i)) ** 2
+                per_draw = per_draw + losses
+                fold_losses[q, i] = float(np.mean(losses))
+        except (RuntimeError, ValueError):
+            continue
+        scores[q] = float(np.mean(per_draw))
+    return CvReport(candidates, scores, int(np.argmin(scores)), fold_losses)
 
 
 def cv_lambda(design: GpDesign, lambdas, restarts: int = 8, master_seed: int = 0) -> CvReport:
-    """Leave-one-out CV over the regularized-REML penalty candidates."""
+    """Leave-one-out CV over the regularized-REML penalty candidates: each
+    fold refits theta by fit_reml and kriges the held-out point at it."""
     lambdas = list(lambdas)
-    if not lambdas:
-        raise ValueError("need at least one penalty candidate")
-    if design.n < 3:
-        raise ValueError("need n >= 3 for leave-one-out")
-    n = design.n
-    Q = len(lambdas)
-    scores = np.full(Q, math.inf)
-    fold_losses = np.full((Q, n), np.nan)
-    for q, lam in enumerate(lambdas):
-        total = 0.0
-        for i in range(n):
-            try:
-                fit = fit_reml(design.drop_row(i), lam=lam, restarts=restarts, rng=fold_rng(master_seed, q, i))
-                z, _ = held_out_predictions(design, i, fit.theta[None], nugget=fit.nugget)
-            except (RuntimeError, ValueError):
-                break
-            fold_losses[q, i] = (design.Z[i] - z[0]) ** 2
-            total += fold_losses[q, i]
-        else:
-            scores[q] = total
-    return CvReport(candidates=lambdas, scores=scores, winner=_pick_winner(scores), fold_losses=fold_losses)
+    if not lambdas or design.n < 3:
+        raise ValueError("need at least one penalty candidate and n >= 3 for leave-one-out")
+
+    def fold_prediction(q, i):
+        fit = fit_reml(design.drop_row(i), lam=lambdas[q], restarts=restarts, rng=fold_rng(master_seed, q, i))
+        z, _ = held_out_predictions(design, i, fit.theta[None], nugget=fit.nugget)
+        # a scalar, so that its loss is the scalar arithmetic of a plain
+        # Python loop over folds, bit for bit
+        return z[0]
+
+    return _score_folds(design, lambdas, fold_prediction)
 
 
 def cv_hyperparams(
@@ -100,70 +108,50 @@ def cv_hyperparams(
     am_settings: AmSettings,
     burn_in: float = 0.2,
     master_seed: int = 0,
-    nugget: float = 0.0,
 ) -> CvReport:
     """Leave-one-out CV over (tau, nu^2) prior candidates.
 
     Per candidate and fold, the theta posterior is sampled on the reduced
-    data, burn-in is removed, and the held-out point is kriged once per
-    retained draw j; L_qj sums squared errors over folds at draw j and the
-    candidate's score is the mean of L_qj over j.
+    data from theta = tau in every coordinate, burn-in is removed, and the
+    held-out point is kriged once per retained draw j at nugget 0; L_qj sums
+    squared errors over folds at draw j and the candidate's score is the
+    mean of L_qj over j.
 
-    All (candidate, fold) chains run in lockstep on one batched likelihood,
-    and each follows its own fold_rng stream, so the report equals that of
-    running the chains one after another, folds in order, and stopping a
-    candidate at its first failed fold.
+    One bayes_log_posterior_stack target over every (candidate, fold) pair
+    scores all starts in one call; a candidate's chains stop at its first
+    fold with no finite start.  One default_init_cov call gives the kept
+    chains' initial covariances, and they run in lockstep, each on its own
+    fold_rng stream.  The report therefore equals that of running the
+    chains one after another, folds in order, and stopping a candidate at
+    its first failed fold.
     """
     candidates = [tuple(c) for c in candidates]
-    if not candidates:
-        raise ValueError("need at least one (tau, nu_sq) candidate")
-    if design.n < 3:
-        raise ValueError("need n >= 3 for leave-one-out")
+    if not candidates or design.n < 3:
+        raise ValueError("need at least one (tau, nu_sq) candidate and n >= 3 for leave-one-out")
     n = design.n
-    Q = len(candidates)
-    folds = [design.drop_row(i) for i in range(n)]
+    pairs = [(q, i) for q in range(len(candidates)) for i in range(n)]
+    tau, nu_sq = np.array([candidates[q] for q, _ in pairs], dtype=float).T
+    target = bayes_log_posterior_stack([design.drop_row(i) for _, i in pairs], tau, nu_sq, 0.0)
+    starts = np.repeat(tau[:, None], design.K, axis=1)
+    kept = np.flatnonzero(np.cumprod(np.isfinite(target(starts)).reshape(-1, n), axis=1))
 
-    # a candidate's chains stop at its first fold with no finite start
-    members, inits, init_covs, rngs = [], [], [], []
-    for q, (tau, nu_sq) in enumerate(candidates):
-        init = np.full(design.K, tau, dtype=float)
-        for i, fold in enumerate(folds):
-            target = bayes_log_posterior(fold, tau, nu_sq, nugget)
-            if not math.isfinite(target(init)):
-                break
-            init_covs.append(default_init_cov(target, init))
-            members.append((q, i))
-            inits.append(init)
-            rngs.append(fold_rng(master_seed, q, i))
-    if members:
-        target = bayes_log_posterior_stack(
-            [folds[i] for _, i in members],
-            [candidates[q][0] for q, _ in members],
-            [candidates[q][1] for q, _ in members],
-            nugget,
-        )
-        chains = dict(zip(members, am_sample_lockstep(target, inits, init_covs, am_settings, rngs)))
-    else:
-        chains = {}
+    def kept_target(theta):
+        # the other rows are NaN, outside THETA_BOUNDS, which the target
+        # scores -inf without factorizing them
+        full = np.full_like(starts, np.nan)
+        full[kept] = theta
+        return target(full)[kept]
 
-    scores = np.full(Q, math.inf)
-    n_kept = am_settings.n_retained - int(math.floor(burn_in * am_settings.n_retained))
-    fold_losses = np.full((Q, n), np.nan)
-    for q in range(Q):
-        per_draw = np.zeros(n_kept)  # L_qj accumulated over folds
-        for i in range(n):
-            chain = chains.get((q, i))
-            if chain is None or isinstance(chain, Exception):
-                break
-            try:
-                z_j, _ = held_out_predictions(design, i, remove_burn_in(chain, burn_in).draws, nugget=nugget)
-            except (RuntimeError, ValueError):
-                break
-            losses = (design.Z[i] - z_j) ** 2
-            per_draw += losses
-            fold_losses[q, i] = float(np.mean(losses))
-        else:
-            scores[q] = float(np.mean(per_draw))
-    return CvReport(
-        candidates=candidates, scores=scores, winner=_pick_winner(scores), fold_losses=fold_losses
-    )
+    inits = starts[kept]
+    rngs = [fold_rng(master_seed, *pairs[k]) for k in kept]
+    runs = am_sample_lockstep(kept_target, inits, default_init_cov(kept_target, inits), am_settings, rngs)
+    chains = dict.fromkeys(pairs, ValueError("no finite start"))
+    chains.update(zip([pairs[k] for k in kept], runs))
+
+    def fold_predictions(q, i):
+        chain = chains[q, i]
+        if isinstance(chain, Exception):
+            raise chain
+        return held_out_predictions(design, i, remove_burn_in(chain, burn_in).draws, nugget=0.0)[0]
+
+    return _score_folds(design, candidates, fold_predictions)

@@ -135,6 +135,30 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "stage, fields",
+    [
+        ("fit-gp", None),
+        ("fit-gp", {"seed": "abc"}),
+        ("fit-gp", {"burn_in": "x"}),
+        ("fit-gp", {"am_inputs": {"foo": 1}}),
+        ("fit-inputs", {"seed": -1}),
+        ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t2": 7}}),
+        ("fit-gp", {"restarts": 0}),
+    ],
+    ids=["not_an_object", "seed_str", "burn_in_str", "am_unknown_key", "seed_negative", "am_t2", "restarts_zero"],
+)
+def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "6", "--n-obs", "6"]) == EXIT_OK
+    cfg_path = write_config(tmp_path, data_dir / "manifest.json", tmp_path / "out", **(fields or {}))
+    if fields is None:
+        cfg_path.write_text("[1, 2]")
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_seed_override_changes_artifacts(tmp_path):
     data_dir = tmp_path / "data"
     assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "6", "--n-obs", "6"]) == EXIT_OK

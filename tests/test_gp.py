@@ -540,6 +540,15 @@ def test_hessian_nu_non_spd_fallback():
         hessian_nu_estimate(fit)
 
 
+def test_hessian_nu_non_spd_is_nan():
+    # the pseudo-inverse of diag(1, -1) has mean diagonal 0: no usable variance
+    fit = _fake_fit(theta=np.array([1.0, 2.0]), hessian=np.diag([1.0, -1.0]))
+    with pytest.warns(RuntimeWarning):
+        tau, nu_sq = hessian_nu_estimate(fit)
+    assert tau == 1.5
+    assert math.isnan(nu_sq)
+
+
 def _fake_fit(theta, hessian):
     from reliagp.gp import GpFit
 

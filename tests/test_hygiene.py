@@ -1,0 +1,87 @@
+"""Dead-code checks on the library modules, with the standard library's ast.
+
+An imported name that its module never reads is dead, unless the import
+line says why it stays (``# noqa: F401 -- reason``), as for a name another
+module patches.  A module-level ``_private`` name that nothing reads is
+dead: not its module, another library module, a test, a demo or the
+benchmark.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "reliagp").glob("*.py") if p.name != "__init__.py")
+READERS = [
+    *(ROOT / "src" / "reliagp").glob("*.py"),
+    *(ROOT / "tests").glob("*.py"),
+    *(ROOT / "demos").glob("*.py"),
+    *(ROOT / "perfbench").glob("*.py"),
+]
+KEPT_IMPORT = re.compile(r"#\s*noqa:\s*F401\b\W*\w")
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names a module reads: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imports(tree: ast.AST):
+    """(bound name, import node) for every import but ``__future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node
+
+
+def _module_privates(tree: ast.Module):
+    """Module-level names that start with one underscore, with their lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    reads = _reads(tree)
+    unused = [
+        f"{path.name}:{node.lineno}: {name}"
+        for name, node in _imports(tree)
+        if name not in reads
+        and not any(KEPT_IMPORT.search(line) for line in lines[node.lineno - 1 : node.end_lineno])
+    ]
+    assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_no_unread_private_names():
+    reads = set().union(*(_reads(ast.parse(p.read_text())) for p in READERS))
+    unread = [
+        f"{path.name}:{line}: {name}"
+        for path in MODULES
+        for name, line in _module_privates(ast.parse(path.read_text()))
+        if name not in reads
+    ]
+    assert not unread, "defined but never read: " + ", ".join(unread)

@@ -18,6 +18,7 @@ from reliagp.mcmc import (
     am_sample,
     am_sample_lockstep,
     default_init_cov,
+    fd_hessian,
     geweke,
     load_chain,
     remove_burn_in,
@@ -99,6 +100,57 @@ def test_lockstep_chains_equal_lone_chains():
         lone = am_sample(targets[b], inits[b], covs[b], settings, np.random.default_rng(b + 1))
         assert np.array_equal(chains[b].draws, lone.draws)
         assert chains[b].acceptance_rate == lone.acceptance_rate
+
+
+def scalar_fd_hessian(f, x, step):
+    """fd_hessian on Python scalars, one entry at a time."""
+    d = len(x)
+    h = [step * max(1.0, abs(float(v))) for v in x]
+    hess = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            ei, ej = np.zeros(d), np.zeros(d)
+            ei[i], ej[j] = h[i], h[j]
+            if i == j:
+                val = (f(x + ei) - 2 * f(x) + f(x - ei)) / h[i] ** 2
+            else:
+                val = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (4 * h[i] * h[j])
+            hess[i, j] = hess[j, i] = val
+    return hess
+
+
+def test_stacked_hessian_and_init_cov_equal_lone_calls():
+    # one call over a (B, d) stack of starts against B lone calls, and each
+    # lone call against the scalar formula; the members sit at |x| > 1 and
+    # < 1, so the steps differ per member, and at x = 1.2 the step 1.2e-4
+    # squares to different last bits by pow and by h * h
+    A = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+    targets = [
+        lambda x: -0.5 * float(x @ A @ x),
+        lambda x: -float(np.sum(np.cosh(x - 2.0))) - 0.1 * float(x[0] * x[1] * x[2]),
+        # -inf past x_0 = 3: the probes around a start at 3 leave the support
+        lambda x: -0.5 * float(x @ x) if x[0] <= 3.0 else -math.inf,
+        # a saddle: a finite Hessian whose inverse is not positive definite
+        lambda x: -float(x[0] ** 2 - x[1] ** 2 + x[2] ** 2),
+        lambda x: -0.5 * float(np.sum((x - 40.0) ** 2 / np.array([1.0, 9.0, 1e4]))),
+    ]
+    starts = np.array(
+        [[1.2, -0.2, 0.3], [2.5, 1.0, -3.0], [3.0, 0.5, 0.0], [0.4, -0.3, 0.2], [41.0, 35.0, -60.0]]
+    )
+    stack = lambda X: np.array([f(x) for f, x in zip(targets, X)])
+
+    hess = fd_hessian(lambda X: -stack(X), starts, 1e-4)
+    covs = default_init_cov(stack, starts)
+    assert hess.shape == covs.shape == (5, 3, 3)
+    for b, (f, x) in enumerate(zip(targets, starts)):
+        lone = fd_hessian(lambda y: -f(y), x, 1e-4)
+        assert np.array_equal(hess[b], lone, equal_nan=True)
+        assert np.array_equal(lone, scalar_fd_hessian(lambda y: -f(y), x, 1e-4), equal_nan=True)
+        assert np.array_equal(covs[b], default_init_cov(f, x))
+    assert not np.all(np.isfinite(hess[2]))
+    assert np.all(np.isfinite(hess[3]))
+    for b in range(5):
+        assert np.array_equal(covs[b], 0.1 * np.eye(3)) == (b in (2, 3))
 
 
 def test_overflowing_moments_fail_adaptation():

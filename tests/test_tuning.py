@@ -275,3 +275,23 @@ def test_failed_kriging_fold_fails_only_its_candidate(fixture_design, monkeypatc
     assert report.scores.tolist() == scores.tolist()
     assert np.array_equal(report.fold_losses, fold_losses, equal_nan=True)
     assert report.scores[1] == math.inf and report.winner == 0
+
+
+@pytest.mark.parametrize(
+    "candidates, kept", [([(0.0, 1.0)], 5), ([(0.0, 1.0), (0.5, 2.0), (50.0, 1.0)], 10)]
+)
+def test_cv_hyperparams_makes_one_init_cov_call(candidates, kept, monkeypatch):
+    # every kept (candidate, fold) chain gets its initial covariance from one
+    # stacked call, whatever Q * n is; the tau=50 candidate keeps no chain
+    calls = []
+    stacked = tuning.default_init_cov
+
+    def counting(log_target, inits):
+        calls.append(np.shape(inits))
+        return stacked(log_target, inits)
+
+    monkeypatch.setattr(tuning, "default_init_cov", counting)
+    d = smooth_design(np.random.default_rng(10), n=5)
+    report = cv_hyperparams(d, candidates, AmSettings(d=1, t=200, t0=50, t2=10), master_seed=4)
+    assert calls == [(kept, 1)]
+    assert np.isfinite(report.scores[:2]).all()
