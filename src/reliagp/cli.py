@@ -70,6 +70,11 @@ class NumericalError(Exception):
     pass
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance for a JSON value, with booleans never counted as numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class PipelineConfig:
     manifest: str
@@ -117,8 +122,13 @@ class PipelineConfig:
         # seed is mandatory: no wall-clock seeding
         for key, low in (("seed", 0), ("N", 1), ("M", 1), ("restarts", 1), ("cv_restarts", 1)):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if not _is_a(value, int) or value < low:
                 raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+        if not _is_a(self.lam, (int, float)):
+            raise ConfigError(f"lam must be a number, got {self.lam!r}")
+        grid = self.lambda_grid
+        if not isinstance(grid, list) or not grid or not all(_is_a(v, (int, float)) for v in grid):
+            raise ConfigError(f"lambda_grid must be a non-empty list of numbers, got {grid!r}")
         if self.setting not in ("A", "B"):
             raise ConfigError(f"setting must be 'A' or 'B', got {self.setting!r}")
         if self.input_prior not in ("flat", "jeffreys", "conjugate"):
@@ -126,6 +136,13 @@ class PipelineConfig:
         if not isinstance(self.burn_in, (int, float)) or not (0 <= self.burn_in < 1):
             raise ConfigError("burn_in must be in [0, 1)")
         for which in ("inputs", "theta", "cv"):
+            block = getattr(self, f"am_{which}")
+            # the stage sets the dimension d from its target
+            if not isinstance(block, dict) or "d" in block:
+                raise ConfigError(f"am_{which} must be an object without a 'd' key, got {block!r}")
+            for key in ("t", "t0", "t1", "t2"):
+                if key in block and not _is_a(block[key], int):
+                    raise ConfigError(f"am_{which}: {key} must be an integer, got {block[key]!r}")
             try:
                 self.am_settings(1, which)
             except (TypeError, ValueError) as e:

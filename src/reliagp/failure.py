@@ -7,6 +7,8 @@ inner loop simulates trial inputs, kriges them, and averages the per-trial
 exceedance probabilities 1 - Phi((z_crit - z_hat0) / S0).  Both settings run
 the same loop over one (R, K) matrix of theta rows (R = 1 for Setting A's
 fixed REML theta), and each distinct row's kriging predictor is built once.
+The trial points go through the predictor's lean ``krige`` body, which
+computes no distances to the design.
 
 The Phi complement is computed through erfc so that probabilities at the
 1e-6 scale and far below do not cancel to zero in double precision.
@@ -153,7 +155,7 @@ def simulate_pf(
         if key not in models:
             models[key] = KrigingModel(design, row, scale=scale, nugget=nugget)
         s0 = np.column_stack([sample(marginals[k], rng, size=M) for k in range(K)])
-        z_hat, s0_rmspe, _, _ = models[key].predict_batch(s0)
+        z_hat, s0_rmspe, _ = models[key].krige(s0)
         p[i] = float(np.mean(exceedance_probability(z_hat, s0_rmspe, z_crit)))
     return FailurePosterior(p=p, z_crit=z_crit, N=N, M=M)
 

@@ -17,6 +17,15 @@ Predictors are built one way: KrigingStack factorizes a stack of theta rows
 over one design through one GpStack, and KrigingModel is its one-row case.
 held_out_predictions kriges a design row from the design without it at many
 theta rows; leave-one-out diagnostics and both cross-validation drivers use it.
+
+One kriging body, ``krige``, returns (z_hat, S0, mspe_raw) and does only that
+work: its triangular solves call LAPACK trtrs directly, as SciPy's
+solve_triangular calls it for a C-ordered factor, so the numbers are the
+same bits without SciPy's order conversions and finiteness scans, and a
+non-finite right-hand side raises SciPy's ValueError from an explicit check.
+Only ``predict_batch`` and ``predict`` add the minimum distance to the
+design, for extrapolation diagnostics; the failure-probability simulation
+and the held-out predictions call ``krige`` and never build it.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg.lapack import dtrtrs
 
 from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, cross_covariance
 
@@ -35,6 +44,15 @@ __all__ = [
 ]
 
 MSPE_WARN_FLOOR = -1e-8
+
+
+def _solve_lower(L, b, trans: int = 0):
+    """x with L x = b (trans=0) or L^T x = b (trans=1) for a C-ordered lower
+    factor L: the LAPACK call ``scipy.linalg.solve_triangular(L, b,
+    lower=True, trans=trans)`` makes, with its check of b's finiteness."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return dtrtrs(L.T, b, lower=0, trans=1 - trans)[0]
 
 
 @dataclass(frozen=True)
@@ -65,6 +83,7 @@ class KrigingStack:
         X, Z = np.broadcast_to(design.X, (B, n, q)), np.broadcast_to(design.Z, (B, n))
         stack = GpStack(np.broadcast_to(design.coords, (B, n, K)), X, Z, thetas, nugget)
         self.design = design
+        self.constant_mean = np.allclose(design.X, 1.0)
         self.error = stack.error
         # b -> (GLS quantities, alpha, Sigma^-1 (Z - X beta_hat) in correlation units)
         self.members = {}
@@ -72,21 +91,21 @@ class KrigingStack:
             w = GpWork.member(design, thetas[b], stack, b)
             a = float(alpha) if alpha is not None else w.G_sq / (n - q if scale == "reml" else n)
             resid_w = w.Zw - w.Xw @ w.beta_hat
-            self.members[b] = w, a, linalg.solve_triangular(w.L, resid_w, lower=True, trans="T")
+            self.members[b] = w, a, _solve_lower(w.L, resid_w, trans=1)
 
-    def predict_batch(self, pts, x0=None):
+    def krige(self, pts, x0=None):
         """Predict at many points at once with every member.
 
         Returns (z_hat, S0, mspe_raw) as (B, m) arrays over the members and
-        the rows of ``pts``, and min_dist as an (m,) array.  ``x0`` is the
+        the rows of ``pts``; a failed member's rows are NaN.  ``x0`` is the
         mean-model covariate vector of the new points (all-ones for the
-        default constant mean).
+        default constant mean).  A non-finite point raises ValueError.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m = pts.shape[0]
         design = self.design
         if x0 is None:
-            if not np.allclose(design.X, 1.0):
+            if not self.constant_mean:
                 raise ValueError("x0 required for a non-constant mean design")
             x0 = np.ones((m, design.q))
         else:
@@ -99,21 +118,27 @@ class KrigingStack:
         for b, (w, alpha, c_inv_resid) in self.members.items():
             v0 = cross_covariance(coords, coords_new, w.theta)  # (n, m)
             z_hat[b] = x0 @ w.beta_hat + v0.T @ c_inv_resid
-            v0w = linalg.solve_triangular(w.L, v0, lower=True)  # (n, m)
+            v0w = _solve_lower(w.L, v0)  # (n, m)
             quad_v = np.sum(v0w**2, axis=0)
             u0 = x0.T - w.Xw.T @ v0w  # (q, m)
-            t = linalg.solve_triangular(w.L_xtvx, u0, lower=True)
+            t = _solve_lower(w.L_xtvx, u0)
             quad_u = np.sum(t**2, axis=0)
             mspe[b] = alpha * ((1.0 + w.nugget) - quad_v + quad_u)
+        return z_hat, np.sqrt(np.maximum(mspe, 0.0)), mspe
 
-        # minimum distance to the design, for extrapolation diagnostics
+    def predict_batch(self, pts, x0=None):
+        """``krige`` plus the minimum distance from each point to the design
+        in the distance coordinates, an (m,) array, for extrapolation
+        diagnostics: (z_hat, S0, mspe_raw, min_dist)."""
+        z_hat, s0, mspe = self.krige(pts, x0)
+        coords, coords_new = self.design.coords, self.design.transform(pts)
         diff2 = (
             np.sum(coords**2, axis=1)[:, None]
             + np.sum(coords_new**2, axis=1)[None, :]
             - 2.0 * coords @ coords_new.T
         )
         min_dist = np.sqrt(np.maximum(diff2.min(axis=0), 0.0))
-        return z_hat, np.sqrt(np.maximum(mspe, 0.0)), mspe, min_dist
+        return z_hat, s0, mspe, min_dist
 
 
 class KrigingModel:
@@ -130,6 +155,12 @@ class KrigingModel:
     @classmethod
     def from_fit(cls, fit: GpFit, design: GpDesign, scale: str = "reml") -> "KrigingModel":
         return cls(design, fit.theta, alpha=fit.scale(scale), nugget=fit.nugget)
+
+    def krige(self, pts, x0=None):
+        """KrigingStack.krige of the one row: (z_hat, S0, mspe_raw) as arrays
+        over the rows of ``pts``."""
+        z_hat, s0, mspe = self.stack.krige(pts, x0)
+        return z_hat[0], s0[0], mspe[0]
 
     def predict_batch(self, pts, x0=None):
         """KrigingStack.predict_batch of the one row: (z_hat, S0, mspe_raw,
@@ -169,7 +200,7 @@ def held_out_predictions(design: GpDesign, i: int, thetas, scale: str = "reml", 
     for error in stack.error:
         if error is not None:
             raise error
-    z_hat, s0, _, _ = stack.predict_batch(design.S[i][None, :], design.X[i][None, :])
+    z_hat, s0, _ = stack.krige(design.S[i][None, :], design.X[i][None, :])
     return z_hat[:, 0], s0[:, 0]
 
 

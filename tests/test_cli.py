@@ -145,8 +145,18 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("fit-inputs", {"seed": -1}),
         ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t2": 7}}),
         ("fit-gp", {"restarts": 0}),
+        ("fit-inputs", {"am_inputs": {"t": 1000.0, "t0": 100, "t2": 100}}),
+        ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t1": True, "t2": 100}}),
+        ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t2": 100, "d": 1}}),
+        ("fit-gp", {"lam": "x"}),
+        ("tune-lambda", {"lambda_grid": "ab"}),
+        ("tune-lambda", {"lambda_grid": []}),
     ],
-    ids=["not_an_object", "seed_str", "burn_in_str", "am_unknown_key", "seed_negative", "am_t2", "restarts_zero"],
+    ids=[
+        "not_an_object", "seed_str", "burn_in_str", "am_unknown_key", "seed_negative", "am_t2",
+        "restarts_zero", "am_t_float", "am_t1_bool", "am_d_key", "lam_str", "lambda_grid_str",
+        "lambda_grid_empty",
+    ],
 )
 def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
     data_dir = tmp_path / "data"

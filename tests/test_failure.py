@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from reliagp import failure
-from reliagp.distributions import Family, NormalParams, WeibullParams
+from reliagp.distributions import Family, NormalParams, WeibullParams, mle_fit, params_from_array, sample
 from reliagp.failure import (
     FailurePosterior,
     exceedance_probability,
@@ -14,6 +14,7 @@ from reliagp.failure import (
     summarize,
 )
 from reliagp.gp import GpDesign
+from reliagp.ingest import synth_study
 from reliagp.kriging import KrigingModel
 
 
@@ -169,6 +170,40 @@ def test_simulate_pf_builds_one_predictor_per_distinct_theta_row(monkeypatch):
         z_hat, s0, _, _ = model.predict_batch(rng.normal(mu, np.sqrt(var), size=20)[:, None])
         expected.append(float(np.mean(exceedance_probability(z_hat, s0, 1.2))))
     assert post.p.tolist() == expected
+
+
+FIXTURE_THETA = np.array([0.8, 1.0, 1.2, 0.9])
+REPEATED_ROWS = FIXTURE_THETA + np.array([[0.0], [0.3], [0.0], [0.3], [-0.2]])
+
+
+@pytest.mark.parametrize("theta", [FIXTURE_THETA, REPEATED_ROWS], ids=["fixed", "repeated_rows"])
+def test_simulate_pf_on_fixture_matches_predict_batch_loop_bit_for_bit(theta):
+    # the K=4 fixture study, two retained rows per input chain: the draws
+    # equal a hand loop through predict_batch with the same random stream
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    chains = []
+    for spec in ds.variables:
+        mle = mle_fit(spec).as_array()
+        chains.append((spec.family, np.vstack([mle, mle * [1.02, 0.97]])))
+    N, M, z_crit = 30, 200, 0.5
+    post = simulate_pf(chains, theta, design, z_crit, N=N, M=M, rng=np.random.default_rng(21))
+
+    rng = np.random.default_rng(21)
+    rows = np.atleast_2d(theta)
+
+    def pick(draws):
+        return draws[rng.integers(len(draws))] if len(draws) > 1 else draws[0]
+
+    expected = []
+    for _ in range(N):
+        marginals = [params_from_array(fam, pick(draws)) for fam, draws in chains]
+        model = KrigingModel(design, pick(rows), nugget=0.0)
+        pts = np.column_stack([sample(m, rng, size=M) for m in marginals])
+        z_hat, s0, _, _ = model.predict_batch(pts)
+        expected.append(float(np.mean(exceedance_probability(z_hat, s0, z_crit))))
+    assert post.p.tolist() == expected
+    assert 0.0 < min(expected)
 
 
 def test_simulate_pf_monotone_in_z_crit():

@@ -184,6 +184,39 @@ def test_batch_matches_pointwise():
         assert sb[i] == pytest.approx(p.S0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_point_raises_value_error(bad):
+    rng = np.random.default_rng(10)
+    d = random_design(rng, n=6, K=2)
+    thetas = np.array([[0.2, -0.1], [0.5, 0.0]])
+    model = KrigingModel(d, thetas[0], alpha=1.0, nugget=0.0)
+    stack = KrigingStack(d, thetas, alpha=1.0)
+    pts = rng.uniform(0, 2, (4, 2))
+    pts[2, 1] = bad
+    for call in (model.predict_batch, model.krige, stack.predict_batch, stack.krige):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            call(pts)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        model.predict(pts[2])
+
+
+def test_min_dist_is_brute_force_distance_in_standardized_coordinates():
+    rng = np.random.default_rng(11)
+    spread = np.array([1.0, 10.0, 100.0])
+    S = rng.uniform(0, 1, (8, 3)) * spread
+    d = GpDesign(S=S, Z=rng.normal(size=8), standardize=True)
+    pts = rng.uniform(0, 1, (20, 3)) * spread
+    pts[0] = S[4]
+    *_, min_dist = KrigingModel(d, np.zeros(3), alpha=1.0).predict_batch(pts)
+    coords, new = (S - S.mean(axis=0)) / S.std(axis=0), (pts - S.mean(axis=0)) / S.std(axis=0)
+    brute = np.sqrt(np.sum((new[:, None, :] - coords[None, :, :]) ** 2, axis=2)).min(axis=1)
+    assert min_dist == pytest.approx(brute, rel=1e-9, abs=1e-6)
+    assert brute[1:].min() > 1e-3
+    *_, stack_dist = KrigingStack(d, np.zeros((2, 3)), alpha=1.0).predict_batch(pts)
+    assert stack_dist.tolist() == min_dist.tolist()
+
+
 # ------------------------------------------------------------ leave-one-out
 
 
