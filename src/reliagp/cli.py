@@ -21,7 +21,6 @@ Exit codes: 0 success, 2 config or data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -51,6 +50,7 @@ from reliagp.mcmc import (
     remove_burn_in,
     save_chain,
 )
+from reliagp.tables import read_table, write_table
 from reliagp.tuning import cv_hyperparams, cv_lambda
 
 __all__ = ["PipelineConfig", "main", "run_stage"]
@@ -73,6 +73,11 @@ class NumericalError(Exception):
 def _is_a(value, kind) -> bool:
     """isinstance for a JSON value, with booleans never counted as numbers."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _finite(value, low=-math.inf, high=math.inf) -> bool:
+    """A finite JSON number in [low, high)."""
+    return _is_a(value, (int, float)) and -math.inf < value < high and value >= low
 
 
 @dataclass
@@ -119,27 +124,40 @@ class PipelineConfig:
         return cfg
 
     def validate(self):
+        def fail(key, valid):
+            raise ConfigError(f"{key} must be {valid}, got {getattr(self, key)!r}")
+
+        for key, kind in (("manifest", str), ("out_dir", str), ("standardize", bool)):
+            if not isinstance(getattr(self, key), kind):
+                fail(key, f"a {kind.__name__}")
         # seed is mandatory: no wall-clock seeding
         for key, low in (("seed", 0), ("N", 1), ("M", 1), ("restarts", 1), ("cv_restarts", 1)):
-            value = getattr(self, key)
-            if not _is_a(value, int) or value < low:
-                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-        if not _is_a(self.lam, (int, float)):
-            raise ConfigError(f"lam must be a number, got {self.lam!r}")
+            if not (_is_a(getattr(self, key), int) and getattr(self, key) >= low):
+                fail(key, f"an integer >= {low}")
+        for key, low, high in (("z_crit", -math.inf, math.inf), ("lam", 0, math.inf), ("burn_in", 0, 1)):
+            if not _finite(getattr(self, key), low, high):
+                fail(key, f"a finite number in [{low}, {high})")
+        for key, allowed in (
+            ("setting", ("A", "B")),
+            ("input_prior", ("flat", "jeffreys", "conjugate")),
+            ("jeffreys_normal_variant", ("joint", "independence")),
+            ("scale", ("reml", "profile")),
+        ):
+            if getattr(self, key) not in allowed:
+                fail(key, f"one of {allowed}")
         grid = self.lambda_grid
-        if not isinstance(grid, list) or not grid or not all(_is_a(v, (int, float)) for v in grid):
-            raise ConfigError(f"lambda_grid must be a non-empty list of numbers, got {grid!r}")
-        if self.setting not in ("A", "B"):
-            raise ConfigError(f"setting must be 'A' or 'B', got {self.setting!r}")
-        if self.input_prior not in ("flat", "jeffreys", "conjugate"):
-            raise ConfigError(f"unknown input_prior {self.input_prior!r}")
-        if not isinstance(self.burn_in, (int, float)) or not (0 <= self.burn_in < 1):
-            raise ConfigError("burn_in must be in [0, 1)")
+        if not (isinstance(grid, list) and grid and all(_finite(v, 0) for v in grid)):
+            fail("lambda_grid", "a non-empty list of finite numbers >= 0")
+        taus = self.tau_candidates
+        if not (taus is None or (isinstance(taus, list) and taus and all(map(_finite, taus)))):
+            fail("tau_candidates", "null or a non-empty list of finite numbers")
+        if not (self.nu_sq is None or (_finite(self.nu_sq) and self.nu_sq > 0)):
+            fail("nu_sq", "null or a finite number > 0")
         for which in ("inputs", "theta", "cv"):
             block = getattr(self, f"am_{which}")
             # the stage sets the dimension d from its target
             if not isinstance(block, dict) or "d" in block:
-                raise ConfigError(f"am_{which} must be an object without a 'd' key, got {block!r}")
+                fail(f"am_{which}", "an object without a 'd' key")
             for key in ("t", "t0", "t1", "t2"):
                 if key in block and not _is_a(block[key], int):
                     raise ConfigError(f"am_{which}: {key} must be an integer, got {block[key]!r}")
@@ -147,8 +165,6 @@ class PipelineConfig:
                 self.am_settings(1, which)
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"am_{which}: {e}") from e
-        if self.scale not in ("reml", "profile"):
-            raise ConfigError("scale must be 'reml' or 'profile'")
         if not Path(self.manifest).exists():
             raise ConfigError(f"dataset manifest not found: {self.manifest}")
 
@@ -183,14 +199,6 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _save_checked_chain(chain: PosteriorChain, path: Path, names) -> None:
     """Write a chain with its Geweke z (NaN when the chain is too short for
     it).  A chain that never accepted a proposal sits at its start and
@@ -201,7 +209,6 @@ def _save_checked_chain(chain: PosteriorChain, path: Path, names) -> None:
         z = geweke(chain)
     except ValueError:
         z = np.full(chain.d, np.nan)
-    path.parent.mkdir(parents=True, exist_ok=True)
     save_chain(replace(chain, geweke_z=z), path, names=names)
 
 
@@ -230,10 +237,9 @@ def _draws(cfg: PipelineConfig, rel: str) -> np.ndarray:
     return remove_burn_in(load_chain(Path(cfg.out_dir) / rel), cfg.burn_in).draws
 
 
-def _mean_ci(col: np.ndarray) -> list[str]:
-    """Mean and 95% interval of one column of draws, as CSV fields."""
-    lo, hi = np.quantile(col, [0.025, 0.975])
-    return [repr(float(v)) for v in (col.mean(), lo, hi)]
+def _mean_ci(col: np.ndarray) -> list[float]:
+    """Mean and 95% interval of one column of draws."""
+    return [col.mean(), *np.quantile(col, [0.025, 0.975])]
 
 
 # Stage bodies.  Each reads its inputs under cfg.out_dir and writes its
@@ -258,6 +264,8 @@ def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:
     design = _build_design(cfg, dataset)
     rng_seed = int(stage_rng(cfg.seed, "tune-lambda").integers(2**63))
     report = cv_lambda(design, cfg.lambda_grid, restarts=cfg.cv_restarts, master_seed=rng_seed)
+    if not np.any(np.isfinite(report.scores)):
+        raise NumericalError(f"tune-lambda: every lambda candidate {cfg.lambda_grid} failed cross-validation")
     winner = report.candidates[report.winner]
     _write_json(
         work / "cv_lambda.json",
@@ -268,11 +276,11 @@ def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:
             "winner": winner,
         },
     )
-    _write_csv(
+    write_table(
         work / "cv_lambda_folds.csv",
         ["lambda", "fold", "squared_error"],
         (
-            [repr(float(lam)), i, repr(float(report.fold_losses[q, i]))]
+            [float(lam), i, report.fold_losses[q, i]]
             for q, lam in enumerate(report.candidates)
             for i in range(design.n)
         ),
@@ -370,8 +378,7 @@ def _simulate_pf(cfg: PipelineConfig, dataset, work: Path) -> None:
         rng=stage_rng(cfg.seed, "simulate-pf"),
         scale=cfg.scale,
     )
-    rows = ([repr(float(v))] for v in posterior.p)
-    _write_csv(work / f"pf_setting_{cfg.setting}.csv", ["p_crit"], rows)
+    write_table(work / f"pf_setting_{cfg.setting}.csv", ["p_crit"], posterior.p[:, None])
     s = summarize(posterior)
     _write_json(work / f"pf_setting_{cfg.setting}_summary.json", s)
     print(
@@ -391,16 +398,16 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
         for j, pname in enumerate(PARAM_NAMES[spec.family]):
             rows.append([spec.name, pname, *_mean_ci(draws[:, j])])
     header = ["variable", "parameter", "mean", "ci_lower", "ci_upper"]
-    _write_csv(report_dir / "input_posterior_ci.csv", header, rows)
+    write_table(report_dir / "input_posterior_ci.csv", header, rows)
 
     # CV curves, when the tuning stages ran
     for name in ("cv_lambda", "cv_prior"):
         if (out / f"{name}.json").exists():
             data = _read_json(cfg, f"{name}.json")
-            _write_csv(
+            write_table(
                 report_dir / f"{name}_curve.csv",
                 ["candidate", "score"],
-                ([json.dumps(c), repr(float(s))] for c, s in zip(data["candidates"], data["scores"])),
+                ([json.dumps(c), float(s)] for c, s in zip(data["candidates"], data["scores"])),
             )
 
     # observed vs expected at the REML theta
@@ -408,10 +415,8 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
     gp_info = _read_json(cfg, "gp_fit.json")
     theta = np.asarray(gp_info["theta"], dtype=float)
     z_hat, s0 = loo_predictions(design, theta, scale=cfg.scale)
-    _write_csv(
-        report_dir / "observed_vs_expected.csv",
-        ["observed", "expected", "rmspe"],
-        ([repr(float(o)), repr(float(e)), repr(float(s))] for o, e, s in zip(design.Z, z_hat, s0)),
+    write_table(
+        report_dir / "observed_vs_expected.csv", ["observed", "expected", "rmspe"], zip(design.Z, z_hat, s0)
     )
     _write_json(report_dir / "observed_vs_expected_stats.json", loo_diagnostics(design.Z, z_hat))
 
@@ -426,8 +431,8 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
         rows = []
         for k in range(design.K):
             reml = (theta[k], theta[k] - half[k], theta[k] + half[k])
-            rows.append([k, *(repr(float(v)) for v in reml), *_mean_ci(draws[:, k])])
-        _write_csv(
+            rows.append([k, *reml, *_mean_ci(draws[:, k])])
+        write_table(
             report_dir / "theta_comparison.csv",
             ["k", "reml", "reml_ci_lower", "reml_ci_upper", "bayes_mean", "bayes_ci_lower", "bayes_ci_upper"],
             rows,
@@ -437,11 +442,9 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
     for setting in ("A", "B"):
         src = out / f"pf_setting_{setting}.csv"
         if src.exists():
-            with open(src, newline="") as fh:
-                p = np.array([float(row[0]) for row in list(csv.reader(fh))[1:]])
-            counts, edges = np.histogram(p, bins=40)
-            rows = zip(map(repr, edges[:-1].tolist()), map(repr, edges[1:].tolist()), counts.tolist())
-            _write_csv(report_dir / f"pf_setting_{setting}_hist.csv", ["bin_left", "bin_right", "count"], rows)
+            counts, edges = np.histogram(read_table(src)[1][:, 0], bins=40)
+            rows = zip(edges[:-1], edges[1:], counts)
+            write_table(report_dir / f"pf_setting_{setting}_hist.csv", ["bin_left", "bin_right", "count"], rows)
             summary_src = out / f"pf_setting_{setting}_summary.json"
             if summary_src.exists():
                 _write_text(report_dir / summary_src.name, summary_src.read_text())

@@ -6,7 +6,8 @@ typical study layout: draw small observation samples per input variable,
 fit the marginals by MLE, build a Latin hypercube design through the fitted
 marginals, run the simulator, and record the outputs.
 
-File schemas (all CSV, UTF-8, '.' decimal, mandatory headers):
+File schemas (all CSV, UTF-8, '.' decimal, mandatory headers; floats in
+the lossless format of ``reliagp.tables``):
 
 * observations: columns ``variable,value`` (long format)
 * design: columns named after the variables (``X0001``, ...)
@@ -36,6 +37,7 @@ from reliagp.distributions import (
     sample,
 )
 from reliagp.failure import lhs_sample
+from reliagp.tables import read_table, write_table
 
 __all__ = [
     "StudyDataset",
@@ -217,37 +219,17 @@ def synth_study(
 
 def save_dataset(dataset: StudyDataset, out_dir) -> Path:
     """Write observations/design/outputs CSVs and the manifest; returns the
-    manifest path.  Floats are written with repr for lossless round-trips."""
+    manifest path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    obs_path = out_dir / "observations.csv"
-    with open(obs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "value"])
-        for var in dataset.variables:
-            for v in var.observations:
-                writer.writerow([var.name, repr(float(v))])
-
-    design_path = out_dir / "design.csv"
-    names = [v.name for v in dataset.variables]
-    with open(design_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in dataset.design:
-            writer.writerow([repr(float(v)) for v in row])
-
-    outputs_path = out_dir / "outputs.csv"
-    with open(outputs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["peak_accel_g"])
-        for v in dataset.outputs_raw:
-            writer.writerow([repr(float(v))])
-
+    write_table(
+        out_dir / "observations.csv",
+        ["variable", "value"],
+        ([v.name, x] for v in dataset.variables for x in v.observations),
+    )
+    write_table(out_dir / "design.csv", [v.name for v in dataset.variables], dataset.design)
+    write_table(out_dir / "outputs.csv", ["peak_accel_g"], dataset.outputs_raw[:, None])
     manifest = {
-        "observations": obs_path.name,
-        "design": design_path.name,
-        "outputs": outputs_path.name,
+        **{key: f"{key}.csv" for key in ("observations", "design", "outputs")},
         "rescale_factor": dataset.rescale_factor,
         "variables": [{"name": v.name, "family": v.family.value} for v in dataset.variables],
     }
@@ -290,26 +272,12 @@ def load_dataset(manifest_path) -> StudyDataset:
             InputVariableSpec(name=name, family=fam, observations=np.array(obs_by_var[name]))
         )
 
-    with open(base / manifest["design"], newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(declared):
-            raise ValueError(
-                f"design columns {header} do not match declared variables {list(declared)}"
-            )
-        design = np.array([[float(v) for v in row] for row in reader])
-
-    with open(base / manifest["outputs"], newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["peak_accel_g"]:
-            raise ValueError(f"outputs column must be 'peak_accel_g', got {header}")
-        outputs = np.array([float(row[0]) for row in reader])
-
-    if design.shape[0] != outputs.size:
-        raise ValueError(
-            f"design has {design.shape[0]} rows but outputs file has {outputs.size} values"
-        )
+    header, design = read_table(base / manifest["design"])
+    if header != list(declared):
+        raise ValueError(f"design columns {header} do not match declared variables {list(declared)}")
+    header, outputs = read_table(base / manifest["outputs"])
+    if header != ["peak_accel_g"]:
+        raise ValueError(f"outputs column must be 'peak_accel_g', got {header}")
     return StudyDataset(
         variables=variables,
         design=design,

@@ -13,13 +13,14 @@ many independent chains side by side with one target call per step, and
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from reliagp.tables import read_table, write_table
 
 __all__ = [
     "AmSettings",
@@ -339,54 +340,30 @@ def geweke(
     return z
 
 
-def save_chain(chain: PosteriorChain, csv_path, json_path=None, names=None) -> None:
+def save_chain(chain: PosteriorChain, csv_path, names=None) -> None:
     """CSV of retained draws plus a JSON sidecar with run metadata."""
     csv_path = Path(csv_path)
-    d = chain.d
-    names = list(names) if names is not None else [f"coord_{j}" for j in range(d)]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in chain.draws:
-            writer.writerow([repr(float(v)) for v in row])
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
+    names = list(names) if names is not None else [f"coord_{j}" for j in range(chain.d)]
+    write_table(csv_path, names, chain.draws)
     meta = {
         "columns": names,
         "rows": chain.rows,
         "acceptance_rate": chain.acceptance_rate,
         "burn_in_fraction": chain.burn_in_fraction,
         "geweke_z": None if chain.geweke_z is None else [float(z) for z in chain.geweke_z],
-        "settings": None
-        if chain.settings is None
-        else {
-            "d": chain.settings.d,
-            "t": chain.settings.t,
-            "epsilon": chain.settings.epsilon,
-            "t0": chain.settings.t0,
-            "t1": chain.settings.t1,
-            "t2": chain.settings.t2,
-        },
+        "settings": None if chain.settings is None else asdict(chain.settings),
     }
-    Path(json_path).write_text(json.dumps(meta, indent=2))
+    csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
 
-def load_chain(csv_path, json_path=None) -> PosteriorChain:
+def load_chain(csv_path) -> PosteriorChain:
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        draws = np.array([[float(v) for v in row] for row in reader])
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    meta = json.loads(Path(json_path).read_text())
-    settings = None
-    if meta.get("settings"):
-        settings = AmSettings(**meta["settings"])
+    _, draws = read_table(csv_path)
+    meta = json.loads(csv_path.with_suffix(".json").read_text())
     return PosteriorChain(
         draws=draws,
         acceptance_rate=meta.get("acceptance_rate", float("nan")),
-        settings=settings,
+        settings=AmSettings(**meta["settings"]) if meta.get("settings") else None,
         burn_in_fraction=meta.get("burn_in_fraction", 0.0),
         geweke_z=None if meta.get("geweke_z") is None else np.asarray(meta["geweke_z"]),
     )

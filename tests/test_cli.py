@@ -1,16 +1,17 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reliagp import cli
+from reliagp import cli, tuning
 from reliagp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from reliagp.gp import GpFit
 
 
-def write_config(tmp_path: Path, manifest: Path, out_dir: Path, **overrides) -> Path:
+def write_config(tmp_path: Path, manifest: Path, out_dir: Path, /, **overrides) -> Path:
     cfg = {
         "manifest": str(manifest),
         "out_dir": str(out_dir),
@@ -151,11 +152,24 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("fit-gp", {"lam": "x"}),
         ("tune-lambda", {"lambda_grid": "ab"}),
         ("tune-lambda", {"lambda_grid": []}),
+        ("fit-gp", {"z_crit": "x"}),
+        ("fit-inputs", {"out_dir": 5}),
+        ("fit-gp", {"z_crit": float("nan")}),
+        ("fit-gp", {"standardize": "no"}),
+        ("fit-inputs", {"jeffreys_normal_variant": "x"}),
+        ("fit-gp", {"nu_sq": "x"}),
+        ("fit-gp", {"nu_sq": -1.0}),
+        ("fit-gp", {"tau_candidates": ["a"]}),
+        ("fit-gp", {"tau_candidates": []}),
+        ("fit-gp", {"lam": -1.0}),
+        ("tune-lambda", {"lambda_grid": [-1.0]}),
     ],
     ids=[
         "not_an_object", "seed_str", "burn_in_str", "am_unknown_key", "seed_negative", "am_t2",
         "restarts_zero", "am_t_float", "am_t1_bool", "am_d_key", "lam_str", "lambda_grid_str",
-        "lambda_grid_empty",
+        "lambda_grid_empty", "z_crit_str", "out_dir_int", "z_crit_nan", "standardize_str",
+        "jeffreys_variant_str", "nu_sq_str", "nu_sq_negative", "tau_candidates_str", "tau_candidates_empty",
+        "lam_negative", "lambda_grid_negative",
     ],
 )
 def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
@@ -167,6 +181,17 @@ def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
     capsys.readouterr()
     assert main([stage, "--config", str(cfg_path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.PipelineConfig)])
+def test_every_config_field_is_checked(tmp_path, capsys, name):
+    # a list holding an object is a wrong value for every field
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "6", "--n-obs", "6"]) == EXIT_OK
+    cfg_path = write_config(tmp_path, data_dir / "manifest.json", tmp_path / "out", **{name: [{}]})
+    capsys.readouterr()
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
 
 
 def test_seed_override_changes_artifacts(tmp_path):
@@ -224,6 +249,18 @@ def test_tune_prior_exits_when_every_candidate_fails(tmp_path, capsys):
     assert main(["tune-prior", "--config", str(cfg_path)]) == EXIT_NUMERICAL
     assert "failed cross-validation" in capsys.readouterr().err
     assert not (out / "cv_prior.json").exists()
+
+
+def test_tune_lambda_exits_when_every_candidate_fails(tmp_path, monkeypatch, capsys):
+    cfg_path, out = _study(tmp_path)
+
+    def failing_fit(*args, **kwargs):
+        raise RuntimeError("fold fit failed")
+
+    monkeypatch.setattr(tuning, "fit_reml", failing_fit)
+    assert main(["tune-lambda", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    assert "failed cross-validation" in capsys.readouterr().err
+    assert not (out / "cv_lambda.json").exists()
 
 
 def test_missing_design_file_exits_config(tmp_path, capsys):

@@ -4,7 +4,8 @@ An imported name that its module never reads is dead, unless the import
 line says why it stays (``# noqa: F401 -- reason``), as for a name another
 module patches.  A module-level ``_private`` name that nothing reads is
 dead: not its module, another library module, a test, a demo or the
-benchmark.
+benchmark.  The CSV table format lives in ``reliagp.tables`` alone: no other
+module calls ``csv.writer`` or formats a cell with ``repr(float(``.
 """
 
 import ast
@@ -85,3 +86,11 @@ def test_no_unread_private_names():
         if name not in reads
     ]
     assert not unread, "defined but never read: " + ", ".join(unread)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tables.py"], ids=lambda p: p.name)
+def test_table_format_lives_in_tables(path):
+    """Only reliagp.tables writes CSV or formats a float cell."""
+    source = path.read_text()
+    found = [token for token in ("csv.writer", "repr(float(") if token in source]
+    assert not found, f"{path.name} uses {found}; write tables with reliagp.tables.write_table"
