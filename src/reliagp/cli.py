@@ -15,7 +15,8 @@ fans out to all stage seeds via SeedSequence with a spawn key derived from
 the stage name and loop indices, so identical configs produce byte-identical
 numeric artifacts.
 
-Exit codes: 0 success, 2 config or data error, 3 numerical failure.
+Exit codes: 0 success, 2 config or data error (a missing or malformed
+upstream artifact included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -228,13 +229,29 @@ def _input_chain_files(dataset) -> list[str]:
     return [f"inputs/{v.name}.csv" for v in dataset.variables]
 
 
-def _read_json(cfg: PipelineConfig, rel: str):
-    return json.loads((Path(cfg.out_dir) / rel).read_text())
+def _with_sidecars(chain_files: list[str]) -> list[str]:
+    """Each chain CSV and the JSON sidecar that load_chain reads beside it."""
+    return [f for rel in chain_files for f in (rel, str(Path(rel).with_suffix(".json")))]
+
+
+def _read_upstream(cfg: PipelineConfig, rel: str, read):
+    """``read(path)`` of the artifact ``rel`` under ``out_dir``; a missing or
+    malformed file, or a missing JSON key, is a ConfigError that names it."""
+    path = Path(cfg.out_dir) / rel
+    try:
+        return read(path)
+    except (OSError, ValueError, KeyError) as e:
+        raise ConfigError(f"cannot read upstream artifact {path}: {type(e).__name__}: {e}") from e
+
+
+def _read_json(cfg: PipelineConfig, rel: str, *keys: str) -> list:
+    """The entries ``keys`` of the JSON object at ``rel`` under ``out_dir``."""
+    return _read_upstream(cfg, rel, lambda path: [json.loads(path.read_text())[k] for k in keys])
 
 
 def _draws(cfg: PipelineConfig, rel: str) -> np.ndarray:
     """Retained draws of the chain at ``rel`` under ``out_dir``, after burn-in."""
-    return remove_burn_in(load_chain(Path(cfg.out_dir) / rel), cfg.burn_in).draws
+    return _read_upstream(cfg, rel, lambda path: remove_burn_in(load_chain(path), cfg.burn_in).draws)
 
 
 def _mean_ci(col: np.ndarray) -> list[float]:
@@ -290,7 +307,7 @@ def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:
 
 def _fit_gp(cfg: PipelineConfig, dataset, work: Path) -> None:
     has_cv = (Path(cfg.out_dir) / "cv_lambda.json").exists()
-    lam = float(_read_json(cfg, "cv_lambda.json")["winner"]) if has_cv else cfg.lam
+    lam = float(_read_json(cfg, "cv_lambda.json", "winner")[0]) if has_cv else cfg.lam
     design = _build_design(cfg, dataset)
     fit = fit_reml(design, lam=lam, restarts=cfg.restarts, rng=stage_rng(cfg.seed, "fit-gp"))
     tau_hat, nu_sq_hat = hessian_nu_estimate(fit)
@@ -319,12 +336,11 @@ def _fit_gp(cfg: PipelineConfig, dataset, work: Path) -> None:
 
 
 def _tune_prior(cfg: PipelineConfig, dataset, work: Path) -> None:
-    gp_info = _read_json(cfg, "gp_fit.json")
-    nu_sq = cfg.nu_sq if cfg.nu_sq is not None else gp_info["nu_sq_hat"]
+    theta_hat, tau_hat, nu_sq_hat = _read_json(cfg, "gp_fit.json", "theta", "tau_hat", "nu_sq_hat")
+    nu_sq = cfg.nu_sq if cfg.nu_sq is not None else nu_sq_hat
     if cfg.tau_candidates is not None:
         taus = list(cfg.tau_candidates)
     else:
-        tau_hat = gp_info["tau_hat"]
         taus = sorted({round(tau_hat * f, 3) for f in (0.67, 0.74, 0.84, 1.0, 1.17)})
     candidates = [(float(t), float(nu_sq)) for t in taus]
 
@@ -348,7 +364,7 @@ def _tune_prior(cfg: PipelineConfig, dataset, work: Path) -> None:
 
     # final theta posterior chain under the winning prior (used by Setting B)
     target = bayes_log_posterior(design, tau_star, nu_sq_star)
-    init = np.asarray(gp_info["theta"], dtype=float)
+    init = np.asarray(theta_hat, dtype=float)
     if not math.isfinite(target(init)):
         init = np.full(design.K, tau_star)
     settings = cfg.am_settings(design.K, "theta")
@@ -365,7 +381,7 @@ def _simulate_pf(cfg: PipelineConfig, dataset, work: Path) -> None:
         for spec, rel in zip(dataset.variables, _input_chain_files(dataset))
     ]
     if cfg.setting == "A":
-        theta_source = np.asarray(_read_json(cfg, "gp_fit.json")["theta"], dtype=float)
+        theta_source = np.asarray(_read_json(cfg, "gp_fit.json", "theta")[0], dtype=float)
     else:
         theta_source = _draws(cfg, "theta_chain.csv")
     posterior = simulate_pf(
@@ -403,17 +419,17 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
     # CV curves, when the tuning stages ran
     for name in ("cv_lambda", "cv_prior"):
         if (out / f"{name}.json").exists():
-            data = _read_json(cfg, f"{name}.json")
+            candidates, scores = _read_json(cfg, f"{name}.json", "candidates", "scores")
             write_table(
                 report_dir / f"{name}_curve.csv",
                 ["candidate", "score"],
-                ([json.dumps(c), float(s)] for c, s in zip(data["candidates"], data["scores"])),
+                ([json.dumps(c), float(s)] for c, s in zip(candidates, scores)),
             )
 
     # observed vs expected at the REML theta
     design = _build_design(cfg, dataset)
-    gp_info = _read_json(cfg, "gp_fit.json")
-    theta = np.asarray(gp_info["theta"], dtype=float)
+    theta, hessian = _read_json(cfg, "gp_fit.json", "theta", "hessian")
+    theta = np.asarray(theta, dtype=float)
     z_hat, s0 = loo_predictions(design, theta, scale=cfg.scale)
     write_table(
         report_dir / "observed_vs_expected.csv", ["observed", "expected", "rmspe"], zip(design.Z, z_hat, s0)
@@ -424,7 +440,7 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
     if (out / "theta_chain.csv").exists():
         draws = _draws(cfg, "theta_chain.csv")
         try:
-            hess_inv = np.linalg.inv(np.asarray(gp_info["hessian"]))
+            hess_inv = np.linalg.inv(np.asarray(hessian))
             half = 1.96 * np.sqrt(np.clip(np.diag(hess_inv), 0.0, None))
         except np.linalg.LinAlgError:
             half = np.full(design.K, np.nan)
@@ -440,9 +456,9 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
 
     # P_f histogram data and summary echo
     for setting in ("A", "B"):
-        src = out / f"pf_setting_{setting}.csv"
-        if src.exists():
-            counts, edges = np.histogram(read_table(src)[1][:, 0], bins=40)
+        if (out / f"pf_setting_{setting}.csv").exists():
+            _, p = _read_upstream(cfg, f"pf_setting_{setting}.csv", read_table)
+            counts, edges = np.histogram(p[:, 0], bins=40)
             rows = zip(edges[:-1], edges[1:], counts)
             write_table(report_dir / f"pf_setting_{setting}_hist.csv", ["bin_left", "bin_right", "count"], rows)
             summary_src = out / f"pf_setting_{setting}_summary.json"
@@ -456,13 +472,13 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
 
 def _simulate_pf_reads(cfg: PipelineConfig, dataset):
     theta = ["theta_chain.csv"] if cfg.setting == "B" else []
-    return ["gp_fit.json", *_input_chain_files(dataset), *theta], []
+    return ["gp_fit.json", *_with_sidecars([*_input_chain_files(dataset), *theta])], []
 
 
 def _report_reads(cfg: PipelineConfig, dataset):
     pf = [f"pf_setting_{s}{ext}" for s in "AB" for ext in (".csv", "_summary.json")]
-    optional = ["theta_chain.csv", "cv_lambda.json", "cv_prior.json", *pf]
-    return ["gp_fit.json", *_input_chain_files(dataset)], optional
+    optional = [*_with_sidecars(["theta_chain.csv"]), "cv_lambda.json", "cv_prior.json", *pf]
+    return ["gp_fit.json", *_with_sidecars(_input_chain_files(dataset))], optional
 
 
 @dataclass(frozen=True)

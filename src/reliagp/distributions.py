@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 from scipy import optimize
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 __all__ = [
     "Family",
@@ -186,27 +186,19 @@ def log_density(x: float, params: ParamVector) -> float:
     """Log density of one observation under the given parameter pair."""
     if not params.valid():
         raise ValueError(f"invalid parameters: {params}")
-    if params.family == Family.NORMAL:
-        z = (x - params.mu) ** 2 / params.sigma2
-        return -0.5 * (math.log(2 * math.pi * params.sigma2) + z)
-    if x <= 0:
+    if params.family == Family.WEIBULL and x <= 0:
         raise ValueError(f"Weibull support is x > 0, got {x}")
-    a, b = params.alpha, params.beta
-    t = x / a
-    return math.log(b / a) + (b - 1) * math.log(t) - t**b
+    return _log_likelihood(np.array([x], dtype=float), params)
 
 
 def _log_likelihood(obs: np.ndarray, params: ParamVector) -> float:
-    """Vectorized sum of log densities; -inf outside support or invalid params."""
-    if not params.valid():
-        return NEG_INF
+    """Vectorized sum of log densities at valid parameters; a Weibull
+    sample must be positive."""
     if params.family == Family.NORMAL:
         mu, s2 = params.mu, params.sigma2
         return float(
             -0.5 * obs.size * math.log(2 * math.pi * s2) - 0.5 * np.sum((obs - mu) ** 2) / s2
         )
-    if np.any(obs <= 0):
-        return NEG_INF
     a, b = params.alpha, params.beta
     lt = np.log(obs) - math.log(a)
     return float(obs.size * math.log(b / a) + (b - 1) * np.sum(lt) - np.sum(np.exp(b * lt)))
@@ -249,6 +241,11 @@ def mle_fit(spec: InputVariableSpec) -> ParamVector:
     return WeibullParams(alpha=alpha, beta=float(beta))
 
 
+def _at_fixed_shape(params: WeibullParams, prior: PriorSpec) -> bool:
+    """Whether the shape sits at the conjugate Weibull prior's fixed beta0."""
+    return math.isclose(params.beta, prior.beta0, rel_tol=1e-12, abs_tol=0.0)
+
+
 def log_prior(params: ParamVector, prior: PriorSpec) -> float:
     """Log prior density, up to an additive constant for improper priors."""
     if not params.valid():
@@ -275,7 +272,7 @@ def log_prior(params: ParamVector, prior: PriorSpec) -> float:
         return lp_s2 + lp_mu
     if prior.ig is None or prior.beta0 is None:
         raise ValueError("conjugate Weibull prior requires IG hyperparameters and beta0")
-    if not math.isclose(params.beta, prior.beta0, rel_tol=1e-12, abs_tol=0.0):
+    if not _at_fixed_shape(params, prior):
         raise ValueError(
             f"conjugate Weibull prior fixes the shape at {prior.beta0}, got {params.beta}"
         )
@@ -296,14 +293,9 @@ def log_posterior_unnorm(
         return NEG_INF
     if prior.kind == PriorKind.CONJUGATE and params.family == Family.WEIBULL:
         # out-of-support rather than an error inside MCMC: the shape is fixed
-        if prior.beta0 is not None and not math.isclose(
-            params.beta, prior.beta0, rel_tol=1e-12, abs_tol=0.0
-        ):
+        if prior.beta0 is not None and not _at_fixed_shape(params, prior):
             return NEG_INF
-    ll = _log_likelihood(spec.observations, params)
-    if ll == NEG_INF:
-        return NEG_INF
-    return log_prior(params, prior) + ll
+    return log_prior(params, prior) + _log_likelihood(spec.observations, params)
 
 
 def sample(params: ParamVector, rng: np.random.Generator, size=None):
@@ -312,16 +304,13 @@ def sample(params: ParamVector, rng: np.random.Generator, size=None):
         raise ValueError(f"invalid parameters: {params}")
     if params.family == Family.NORMAL:
         return rng.normal(params.mu, math.sqrt(params.sigma2), size=size)
-    u = rng.uniform(size=size)
-    return params.alpha * (-np.log1p(-u)) ** (1.0 / params.beta)
+    return ppf(params, rng.uniform(size=size))
 
 
 def ppf(params: ParamVector, u):
     """Quantile function, used by the Latin-hypercube transform."""
     u = np.asarray(u, dtype=float)
     if params.family == Family.NORMAL:
-        from scipy.special import ndtri
-
         return params.mu + math.sqrt(params.sigma2) * ndtri(u)
     return params.alpha * (-np.log1p(-u)) ** (1.0 / params.beta)
 

@@ -87,13 +87,9 @@ def exceedance_probability(z_hat, s0, z_crit: float):
     """
     z_hat = np.asarray(z_hat, dtype=float)
     s0 = np.asarray(s0, dtype=float)
-    out = np.empty(np.broadcast(z_hat, s0).shape)
-    z_hat, s0 = np.broadcast_arrays(z_hat, s0)
-    positive = s0 > 0
-    t = np.divide(z_crit - z_hat, s0, out=np.zeros_like(out), where=positive)
-    out[positive] = 0.5 * erfc(t[positive] / math.sqrt(2.0))
-    out[~positive] = (z_hat[~positive] > z_crit).astype(float)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # where s0 <= 0, the tail is unused
+        tail = 0.5 * erfc((z_crit - z_hat) / s0 / math.sqrt(2.0))
+    return np.where(s0 > 0, tail, z_hat > z_crit)
 
 
 def simulate_pf(
@@ -105,7 +101,6 @@ def simulate_pf(
     M: int,
     rng: np.random.Generator,
     scale: str = "reml",
-    nugget: float = 0.0,
 ) -> FailurePosterior:
     """Nested posterior simulation of the failure probability.
 
@@ -153,7 +148,7 @@ def simulate_pf(
         row = pick(theta)
         key = row.tobytes()
         if key not in models:
-            models[key] = KrigingModel(design, row, scale=scale, nugget=nugget)
+            models[key] = KrigingModel(design, row, scale=scale)
         s0 = np.column_stack([sample(marginals[k], rng, size=M) for k in range(K)])
         z_hat, s0_rmspe, _ = models[key].krige(s0)
         p[i] = float(np.mean(exceedance_probability(z_hat, s0_rmspe, z_crit)))

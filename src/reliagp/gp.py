@@ -174,19 +174,16 @@ def _covariance_stack(S: np.ndarray, theta: np.ndarray, nugget: float) -> np.nda
     return V
 
 
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B, (n, m), clipped at 0."""
+    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def cross_covariance(S: np.ndarray, S_new: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Correlations between training rows and new points, shape (n, m)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    scale = np.exp(theta)
-    W = np.atleast_2d(S) / scale
-    W0 = np.atleast_2d(S_new) / scale
-    d2 = (
-        np.sum(W**2, axis=1)[:, None]
-        + np.sum(W0**2, axis=1)[None, :]
-        - 2.0 * (W @ W0.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2)
+    scale = np.exp(np.asarray(theta, dtype=float).ravel())
+    return np.exp(-sq_distances(np.atleast_2d(S) / scale, np.atleast_2d(S_new) / scale))
 
 
 def cholesky_with_nugget(
@@ -340,20 +337,21 @@ def nll_reml(design: GpDesign, theta, nugget: float = NUGGET_START) -> float:
     return _nll_reml_from_work(GpWork(design, theta, nugget))
 
 
-def nll_reml_regularized(
-    design: GpDesign, theta, lam: float, nugget: float = NUGGET_START
-) -> float:
-    """REML NLL plus the ridge penalty lam * sum_k (theta_k - mean(theta))^2."""
+def _ridge_penalty(theta: np.ndarray, lam: float) -> float:
+    """lam * sum_k (theta_k - mean(theta))^2, for lam >= 0."""
     if lam < 0:
         raise ValueError("penalty lam must be >= 0")
+    return lam * float(np.sum((theta - theta.mean()) ** 2))
+
+
+def nll_reml_regularized(design: GpDesign, theta, lam: float) -> float:
+    """REML NLL plus the ridge penalty lam * sum_k (theta_k - mean(theta))^2."""
     theta = np.asarray(theta, dtype=float).ravel()
-    penalty = lam * float(np.sum((theta - theta.mean()) ** 2))
-    return nll_reml(design, theta, nugget) + penalty
+    penalty = _ridge_penalty(theta, lam)
+    return nll_reml(design, theta) + penalty
 
 
-def nll_reml_regularized_grad(
-    design: GpDesign, theta, lam: float, nugget: float = NUGGET_START
-) -> tuple[float, np.ndarray]:
+def nll_reml_regularized_grad(design: GpDesign, theta, lam: float) -> tuple[float, np.ndarray]:
     """nll_reml_regularized and its exact gradient in theta from one
     factorization; the value equals nll_reml_regularized's bit for bit.
 
@@ -366,11 +364,10 @@ def nll_reml_regularized_grad(
     The gradient is that of the objective at the nugget the factorization
     settled on; the nugget itself is constant in theta.
     """
-    if lam < 0:
-        raise ValueError("penalty lam must be >= 0")
     theta = np.asarray(theta, dtype=float).ravel()
-    w = GpWork(design, theta, nugget)
-    value = _nll_reml_from_work(w) + lam * float(np.sum((theta - theta.mean()) ** 2))
+    penalty = _ridge_penalty(theta, lam)
+    w = GpWork(design, theta)
+    value = _nll_reml_from_work(w) + penalty
 
     n, q = design.n, design.q
     L_inv = dtrtrs(w.L, np.eye(n), lower=1)[0]
@@ -484,7 +481,6 @@ def fit_reml(
     lam: float = 0.0,
     restarts: int = 8,
     rng: np.random.Generator | None = None,
-    nugget: float = NUGGET_START,
 ) -> GpFit:
     """Minimize the regularized REML objective over theta in [-10, 10]^K.
 
@@ -510,7 +506,7 @@ def fit_reml(
     coef, *_ = np.linalg.lstsq(design.X, design.Z, rcond=None)
     exact_resid = design.Z - design.X @ coef
     if np.max(np.abs(exact_resid)) <= 1e-12 * max(1.0, float(np.max(np.abs(design.Z)))):
-        w0 = GpWork(design, np.zeros(K), nugget)
+        w0 = GpWork(design, np.zeros(K))
         return GpFit(
             theta=np.zeros(K),
             beta_hat=coef,
@@ -525,13 +521,13 @@ def fit_reml(
 
     def objective(theta):
         try:
-            return nll_reml_regularized(design, theta, lam, nugget)
+            return nll_reml_regularized(design, theta, lam)
         except (FactorizationError, ValueError):
             return 1e300
 
     def objective_and_grad(theta):
         try:
-            return nll_reml_regularized_grad(design, theta, lam, nugget)
+            return nll_reml_regularized_grad(design, theta, lam)
         except (FactorizationError, ValueError):
             return 1e300, np.zeros(K)
 
@@ -555,7 +551,7 @@ def fit_reml(
     results.sort(key=lambda r: (r[0], tuple(r[1])))
     best_val, best_theta = results[0]
 
-    w = GpWork(design, best_theta, nugget)
+    w = GpWork(design, best_theta)
     n, q = design.n, design.q
     # the wide step reads the curvature of the objective's quadratic envelope
     # rather than the factorization-level roughness a tiny step would

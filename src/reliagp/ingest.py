@@ -186,7 +186,6 @@ def synth_study(
     config: SimulatorConfig | None = None,
     marginals: list[tuple[str, Family, ParamVector]] | None = None,
     n_obs: int = 10,
-    rescale_factor: float = 1000.0,
 ) -> StudyDataset:
     """Reproducible synthetic study: observations -> MLE marginals -> LHS
     design -> simulator outputs.  Deterministic given the seed."""
@@ -208,13 +207,8 @@ def synth_study(
         fitted.append(mle_fit(spec))
 
     design = lhs_sample(n, K, fitted, rng).S
-    outputs = synth_simulator(design, config) * rescale_factor
-    return StudyDataset(
-        variables=variables,
-        design=design,
-        outputs_raw=outputs,
-        rescale_factor=rescale_factor,
-    )
+    outputs = synth_simulator(design, config) * StudyDataset.rescale_factor
+    return StudyDataset(variables=variables, design=design, outputs_raw=outputs)
 
 
 def save_dataset(dataset: StudyDataset, out_dir) -> Path:
@@ -282,6 +276,6 @@ def load_dataset(manifest_path) -> StudyDataset:
         variables=variables,
         design=design,
         outputs_raw=outputs,
-        rescale_factor=float(manifest.get("rescale_factor", 1000.0)),
+        rescale_factor=float(manifest.get("rescale_factor", StudyDataset.rescale_factor)),
         files=(manifest_path, *(base / manifest[k] for k in ("observations", "design", "outputs"))),
     )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, cross_covariance
+from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, cross_covariance, sq_distances
 
 __all__ = [
     "KrigingPrediction", "KrigingStack", "KrigingModel", "predict",
@@ -61,7 +61,6 @@ class KrigingPrediction:
 
     z_hat: float
     S0: float
-    inputs: np.ndarray
     min_design_distance: float
     mspe_raw: float  # before clamping at zero
 
@@ -78,6 +77,8 @@ class KrigingStack:
     def __init__(self, design: GpDesign, thetas, alpha=None, scale: str = "reml", nugget: float = 0.0):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         B, (n, K), q = len(thetas), design.S.shape, design.q
+        if scale not in ("reml", "profile"):
+            raise ValueError("scale must be 'reml' or 'profile'")
         if alpha is None and scale == "reml" and n <= q:
             raise ValueError("cannot estimate the scale with n <= q; pass alpha")
         X, Z = np.broadcast_to(design.X, (B, n, q)), np.broadcast_to(design.Z, (B, n))
@@ -131,13 +132,7 @@ class KrigingStack:
         in the distance coordinates, an (m,) array, for extrapolation
         diagnostics: (z_hat, S0, mspe_raw, min_dist)."""
         z_hat, s0, mspe = self.krige(pts, x0)
-        coords, coords_new = self.design.coords, self.design.transform(pts)
-        diff2 = (
-            np.sum(coords**2, axis=1)[:, None]
-            + np.sum(coords_new**2, axis=1)[None, :]
-            - 2.0 * coords @ coords_new.T
-        )
-        min_dist = np.sqrt(np.maximum(diff2.min(axis=0), 0.0))
+        min_dist = np.sqrt(sq_distances(self.design.coords, self.design.transform(pts)).min(axis=0))
         return z_hat, s0, mspe, min_dist
 
 
@@ -180,15 +175,14 @@ class KrigingModel:
         return KrigingPrediction(
             z_hat=float(z[0]),
             S0=float(s[0]),
-            inputs=s0,
             min_design_distance=float(dist[0]),
             mspe_raw=float(mspe[0]),
         )
 
 
-def predict(fit: GpFit, design: GpDesign, s0, x0=None, scale: str = "reml") -> KrigingPrediction:
+def predict(fit: GpFit, design: GpDesign, s0) -> KrigingPrediction:
     """One-shot prediction at a new point from a REML fit."""
-    return KrigingModel.from_fit(fit, design, scale=scale).predict(s0, x0)
+    return KrigingModel.from_fit(fit, design).predict(s0)
 
 
 def held_out_predictions(design: GpDesign, i: int, thetas, scale: str = "reml", nugget: float = 0.0):

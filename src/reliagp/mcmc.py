@@ -86,8 +86,9 @@ class PosteriorChain:
         return self.draws.shape[1]
 
 
-def default_init_cov(log_target, init: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Inverse finite-difference Hessian of -log_target at init, if SPD.
+def default_init_cov(log_target, init: np.ndarray) -> np.ndarray:
+    """Inverse finite-difference Hessian of -log_target at init, if SPD,
+    with relative step 1e-4.
 
     Works over the last axis of ``init`` as fd_hessian does, so a (B, d)
     stack of starts gives B covariances.  A member falls back to 0.1*I on
@@ -96,7 +97,7 @@ def default_init_cov(log_target, init: np.ndarray, step: float = 1e-4) -> np.nda
     """
     init = np.asarray(init, dtype=float)
     d = init.shape[-1]
-    hess = fd_hessian(lambda x: -log_target(x), init, step)
+    hess = fd_hessian(lambda x: -log_target(x), init, 1e-4)
     covs = []
     for h in hess.reshape(-1, d, d):
         cov = 0.1 * np.eye(d)
@@ -299,41 +300,21 @@ def remove_burn_in(chain: PosteriorChain, fraction: float = 0.2) -> PosteriorCha
     return replace(chain, draws=chain.draws[drop:], burn_in_fraction=fraction)
 
 
-def _window_variance(x: np.ndarray, method: str) -> float:
-    """Variance of the window mean: sample variance / length, or a tapered
-    spectral-density-at-zero estimate divided by length."""
-    n = x.size
-    if method == "sample":
-        return float(np.var(x, ddof=1) / n)
-    if method == "spectral":
-        # 4% lag window with Bartlett taper
-        lags = max(1, int(0.04 * n))
-        xc = x - x.mean()
-        s0 = float(np.dot(xc, xc) / n)
-        for k in range(1, lags + 1):
-            w = 1.0 - k / (lags + 1)
-            s0 += 2.0 * w * float(np.dot(xc[k:], xc[:-k]) / n)
-        return max(s0, 0.0) / n
-    raise ValueError(f"unknown variance method {method!r}")
-
-
-def geweke(
-    chain: PosteriorChain,
-    first_frac: float = 0.1,
-    last_frac: float = 0.5,
-    variance: str = "sample",
-) -> np.ndarray:
-    """Geweke z-scores comparing early and late window means, per coordinate."""
+def geweke(chain: PosteriorChain) -> np.ndarray:
+    """Geweke (1992) z-scores per coordinate, comparing the mean of the first
+    10% of the draws with that of the last 50%.  The variance of a window's
+    mean is its sample variance over its length (Geweke's spectral estimate
+    at frequency zero for independent draws)."""
     rows = chain.rows
-    n_a = int(first_frac * rows)
-    n_b = int(last_frac * rows)
+    n_a = int(0.1 * rows)
+    n_b = int(0.5 * rows)
     if n_a < 10 or n_b < 10:
         raise ValueError(f"windows too short ({n_a} and {n_b} draws); need >= 10 each")
     z = np.empty(chain.d)
     for j in range(chain.d):
         a = chain.draws[:n_a, j]
         b = chain.draws[rows - n_b :, j]
-        var = _window_variance(a, variance) + _window_variance(b, variance)
+        var = float(np.var(a, ddof=1) / n_a) + float(np.var(b, ddof=1) / n_b)
         if var <= 0:
             raise ValueError(f"coordinate {j}: zero variance, Geweke z undefined")
         z[j] = (a.mean() - b.mean()) / math.sqrt(var)

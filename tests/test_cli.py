@@ -353,3 +353,36 @@ def test_changed_data_file_reruns_stage(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
     assert "up to date" not in capsys.readouterr().out
+
+
+def _drop_key(path: Path, key: str) -> None:
+    data = json.loads(path.read_text())
+    del data[key]
+    path.write_text(json.dumps(data))
+
+
+def _spoil_first_row(path: Path) -> None:
+    header, _, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(header + ",".join(["x"] * len(header.split(","))) + "\n" + "".join(rest))
+
+
+@pytest.mark.parametrize(
+    "artifact, corrupt, argv",
+    [
+        ("inputs/X0001.json", Path.unlink, ["simulate-pf", "--setting", "A"]),
+        ("inputs/X0001.json", Path.unlink, ["simulate-pf"]),
+        ("gp_fit.json", lambda p: _drop_key(p, "theta"), ["simulate-pf", "--setting", "A"]),
+        ("gp_fit.json", lambda p: p.write_text("{not json"), ["simulate-pf", "--setting", "A"]),
+        ("inputs/X0003.csv", _spoil_first_row, ["simulate-pf"]),
+        ("pf_setting_A.csv", _spoil_first_row, ["report"]),
+    ],
+    ids=["sidecar_deleted_A", "sidecar_deleted_B", "key_removed", "invalid_json", "chain_cell", "pf_cell"],
+)
+def test_bad_upstream_artifact_exits_config(tmp_path, capsys, artifact, corrupt, argv):
+    cfg_path, out = _study(tmp_path)
+    assert main(["all", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["simulate-pf", "--config", str(cfg_path), "--setting", "A"]) == EXIT_OK
+    corrupt(out / artifact)
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert Path(artifact).name in capsys.readouterr().err

@@ -4,7 +4,8 @@ An imported name that its module never reads is dead, unless the import
 line says why it stays (``# noqa: F401 -- reason``), as for a name another
 module patches.  A module-level ``_private`` name that nothing reads is
 dead: not its module, another library module, a test, a demo or the
-benchmark.  The CSV table format lives in ``reliagp.tables`` alone: no other
+benchmark.  So is a parameter default of a module-level function that no
+call of that name there overrides.  The CSV table format lives in ``reliagp.tables`` alone: no other
 module calls ``csv.writer`` or formats a cell with ``repr(float(``.
 """
 
@@ -62,6 +63,28 @@ def _module_privates(tree: ast.Module):
                 yield name, node.lineno
 
 
+def _defaulted_params(fn: ast.FunctionDef):
+    """(name, position) of each parameter with a default; keyword-only ones
+    have position None."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    for i in range(first, len(positional)):
+        yield positional[i].arg, i
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _sets(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` may pass the parameter ``name`` at ``position``:
+    by keyword, by position, or through *args or **kwargs."""
+    return (
+        any(kw.arg in (name, None) for kw in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (position is not None and len(call.args) > position)
+    )
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     source = path.read_text()
@@ -94,3 +117,23 @@ def test_table_format_lives_in_tables(path):
     source = path.read_text()
     found = [token for token in ("csv.writer", "repr(float(") if token in source]
     assert not found, f"{path.name} uses {found}; write tables with reliagp.tables.write_table"
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    """Methods are out of scope: their names collide across classes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never_set = [
+        f"{path.name}:{fn.lineno}: {fn.name}({param})"
+        for path in MODULES
+        for fn in ast.parse(path.read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+        for param, position in _defaulted_params(fn)
+        if not any(_sets(call, param, position) for call in calls.get(fn.name, []))
+    ]
+    assert not never_set, "parameters that no caller sets: " + ", ".join(never_set)

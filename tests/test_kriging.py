@@ -132,6 +132,14 @@ def test_scale_estimate_requires_enough_points():
         KrigingModel(d, np.array([0.0]), scale="reml")
 
 
+def test_unknown_scale_is_rejected():
+    d = random_design(np.random.default_rng(2), n=6, K=2)
+    with pytest.raises(ValueError, match="scale must be"):
+        KrigingModel(d, np.zeros(2), scale="bogus")
+    with pytest.raises(ValueError, match="scale must be"):
+        loo_predictions(d, np.zeros(2), scale="bogus")
+
+
 def test_mspe_nonnegative_after_clamp():
     rng = np.random.default_rng(3)
     d = random_design(rng, n=8, K=2)

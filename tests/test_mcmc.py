@@ -231,14 +231,6 @@ def test_geweke_windows_too_short():
         geweke(chain)
 
 
-def test_geweke_spectral_variant_runs():
-    rng = np.random.default_rng(8)
-    chain = PosteriorChain(draws=rng.normal(size=(1000, 2)), acceptance_rate=0.3)
-    z = geweke(chain, variance="spectral")
-    assert z.shape == (2,)
-    assert np.all(np.isfinite(z))
-
-
 def test_chain_roundtrip(tmp_path):
     settings = AmSettings(d=2, t=1000, t0=100)
     chain = am_sample(
