@@ -18,9 +18,8 @@ from reliagp import (
     am_sample,
     default_init_cov,
     geweke,
-    log_posterior_unnorm,
+    log_posterior_target,
     mle_fit,
-    params_from_array,
     remove_burn_in,
     sample,
 )
@@ -43,9 +42,7 @@ def main():
         print(f"true parameters: {params}")
         print(f"MLE from 10 observations: {mle}")
 
-        def target(psi):
-            return log_posterior_unnorm(params_from_array(family, psi), spec, prior)
-
+        target = log_posterior_target(spec, prior)
         init = mle.as_array()
         chain = am_sample(target, init, default_init_cov(target, init), settings, rng)
         print(f"acceptance rate: {chain.acceptance_rate:.3f}")

@@ -17,9 +17,8 @@ from reliagp import (
     default_init_cov,
     fit_reml,
     hessian_nu_estimate,
-    log_posterior_unnorm,
+    log_posterior_target,
     mle_fit,
-    params_from_array,
     remove_burn_in,
     simulate_pf,
     summarize,
@@ -38,9 +37,7 @@ def main():
     print("sampling input-parameter posteriors ...")
     input_chains = []
     for idx, spec in enumerate(dataset.variables):
-        def target(psi, s=spec):
-            return log_posterior_unnorm(params_from_array(s.family, psi), s, prior)
-
+        target = log_posterior_target(spec, prior)
         init = mle_fit(spec).as_array()
         chain = am_sample(
             target,

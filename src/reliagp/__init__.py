@@ -24,6 +24,7 @@ from reliagp.distributions import (
     log_density,
     mle_fit,
     log_prior,
+    log_posterior_target,
     log_posterior_unnorm,
     params_from_array,
     sample,
@@ -69,6 +70,7 @@ __all__ = [
     "log_density",
     "mle_fit",
     "log_prior",
+    "log_posterior_target",
     "log_posterior_unnorm",
     "params_from_array",
     "sample",

@@ -10,6 +10,9 @@ stage re-runs when any file it reads changes (`report` after a new
 under the output directory, and its outputs appear only when it succeeds:
 a failed stage leaves its previous outputs and record as they were.
 
+fit-inputs samples every input's parameter posterior in one lockstep
+adaptive Metropolis run, chain k on stage_rng(seed, "fit-inputs", k).
+
 Config file is JSON; see PipelineConfig for the fields.  One master seed
 fans out to all stage seeds via SeedSequence with a spawn key derived from
 the stage name and loop indices, so identical configs produce byte-identical
@@ -45,6 +48,7 @@ from reliagp.mcmc import (
     AmSettings,
     PosteriorChain,
     am_sample,
+    am_sample_lockstep,
     default_init_cov,
     geweke,
     load_chain,
@@ -264,17 +268,26 @@ def _mean_ci(col: np.ndarray) -> list[float]:
 
 
 def _fit_inputs(cfg: PipelineConfig, dataset, work: Path) -> None:
-    for idx, (spec, rel) in enumerate(zip(dataset.variables, _input_chain_files(dataset))):
-        prior = _prior_for(cfg, spec)
-        init = mle_fit(spec).as_array()
-        target = lambda psi, s=spec, pr=prior: dists.log_posterior_unnorm(
-            dists.params_from_array(s.family, psi), s, pr
-        )
-        settings = cfg.am_settings(2, "inputs")
-        rng = stage_rng(cfg.seed, "fit-inputs", idx)
-        chain = am_sample(target, init, default_init_cov(target, init), settings, rng)
-        _save_checked_chain(chain, work / rel, PARAM_NAMES[spec.family])
-    print(f"fit-inputs: wrote {len(dataset.variables)} chains")
+    """One adaptive Metropolis chain per input, all in one lockstep run.
+
+    Chain k starts at input k's MLE and draws from stage_rng(seed,
+    "fit-inputs", k), so it is the chain am_sample gives it alone.  The
+    first failed chain in variable order fails the stage, named."""
+    specs = dataset.variables
+    targets = [dists.log_posterior_target(spec, _prior_for(cfg, spec)) for spec in specs]
+
+    def target(psi):  # row k holds input k's parameter pair
+        return np.array([t(row) for t, row in zip(targets, psi.tolist())])
+
+    inits = np.array([mle_fit(spec).as_array() for spec in specs])
+    rngs = [stage_rng(cfg.seed, "fit-inputs", k) for k in range(len(specs))]
+    settings = cfg.am_settings(2, "inputs")
+    runs = am_sample_lockstep(target, inits, default_init_cov(target, inits), settings, rngs)
+    for spec, rel, run in zip(specs, _input_chain_files(dataset), runs):
+        if isinstance(run, Exception):
+            raise NumericalError(f"fit-inputs: chain {spec.name} failed: {run}") from run
+        _save_checked_chain(run, work / rel, PARAM_NAMES[spec.family])
+    print(f"fit-inputs: wrote {len(specs)} chains")
 
 
 def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:

@@ -12,7 +12,7 @@ density f(x) = (beta/alpha) (x/alpha)^(beta-1) exp(-(x/alpha)^beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Union
 
@@ -30,6 +30,7 @@ __all__ = [
     "log_density",
     "mle_fit",
     "log_prior",
+    "log_posterior_target",
     "log_posterior_unnorm",
     "sample",
 ]
@@ -78,6 +79,14 @@ class InputVariableSpec:
         return self.observations.size
 
 
+def _normal_valid(mu: float, sigma2: float) -> bool:
+    return math.isfinite(mu) and math.isfinite(sigma2) and sigma2 > 0
+
+
+def _weibull_valid(alpha: float, beta: float) -> bool:
+    return math.isfinite(alpha) and math.isfinite(beta) and alpha > 0 and beta > 0
+
+
 @dataclass(frozen=True)
 class NormalParams:
     """Normal location/variance pair (mu, sigma2)."""
@@ -88,7 +97,7 @@ class NormalParams:
     family = Family.NORMAL
 
     def valid(self) -> bool:
-        return math.isfinite(self.mu) and math.isfinite(self.sigma2) and self.sigma2 > 0
+        return _normal_valid(self.mu, self.sigma2)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.mu, self.sigma2])
@@ -104,12 +113,7 @@ class WeibullParams:
     family = Family.WEIBULL
 
     def valid(self) -> bool:
-        return (
-            math.isfinite(self.alpha)
-            and math.isfinite(self.beta)
-            and self.alpha > 0
-            and self.beta > 0
-        )
+        return _weibull_valid(self.alpha, self.beta)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta])
@@ -188,20 +192,28 @@ def log_density(x: float, params: ParamVector) -> float:
         raise ValueError(f"invalid parameters: {params}")
     if params.family == Family.WEIBULL and x <= 0:
         raise ValueError(f"Weibull support is x > 0, got {x}")
-    return _log_likelihood(np.array([x], dtype=float), params)
+    return _log_likelihood(params.family, np.array([x], dtype=float))(*astuple(params))
 
 
-def _log_likelihood(obs: np.ndarray, params: ParamVector) -> float:
-    """Vectorized sum of log densities at valid parameters; a Weibull
-    sample must be positive."""
-    if params.family == Family.NORMAL:
-        mu, s2 = params.mu, params.sigma2
-        return float(
-            -0.5 * obs.size * math.log(2 * math.pi * s2) - 0.5 * np.sum((obs - mu) ** 2) / s2
-        )
-    a, b = params.alpha, params.beta
-    lt = np.log(obs) - math.log(a)
-    return float(obs.size * math.log(b / a) + (b - 1) * np.sum(lt) - np.sum(np.exp(b * lt)))
+def _log_likelihood(family: Family, obs: np.ndarray):
+    """Sum of the log densities of ``obs`` as a function of a valid
+    parameter pair; a Weibull sample must be positive.  What depends on the
+    sample alone is computed here, once."""
+    n = obs.size
+    if family == Family.NORMAL:
+        half_n, two_pi = -0.5 * n, 2 * math.pi
+
+        def normal(mu, s2):
+            return float(half_n * math.log(two_pi * s2) - 0.5 * np.add.reduce((obs - mu) ** 2) / s2)
+
+        return normal
+    logs = np.log(obs)
+
+    def weibull(a, b):
+        lt = logs - math.log(a)
+        return float(n * math.log(b / a) + (b - 1) * np.add.reduce(lt) - np.add.reduce(np.exp(b * lt)))
+
+    return weibull
 
 
 def _weibull_profile_score(beta: float, logs: np.ndarray) -> float:
@@ -241,61 +253,94 @@ def mle_fit(spec: InputVariableSpec) -> ParamVector:
     return WeibullParams(alpha=alpha, beta=float(beta))
 
 
-def _at_fixed_shape(params: WeibullParams, prior: PriorSpec) -> bool:
-    """Whether the shape sits at the conjugate Weibull prior's fixed beta0."""
-    return math.isclose(params.beta, prior.beta0, rel_tol=1e-12, abs_tol=0.0)
+def _at_fixed_shape(beta: float, beta0: float) -> bool:
+    """Whether a Weibull shape sits at the conjugate prior's fixed beta0."""
+    return math.isclose(beta, beta0, rel_tol=1e-12, abs_tol=0.0)
+
+
+def _log_prior(family: Family, prior: PriorSpec):
+    """Log prior density as a function of a valid parameter pair, up to an
+    additive constant for improper priors; a conjugate Weibull pair must
+    sit at the fixed shape.  The prior's constants are computed here, once."""
+    if prior.kind == PriorKind.FLAT:
+        return lambda p0, p1: 0.0
+
+    if prior.kind == PriorKind.JEFFREYS:
+        if family == Family.NORMAL:
+            slope = -0.5 * (3.0 if prior.jeffreys_normal_variant == "joint" else 2.0)
+            return lambda mu, s2: slope * math.log(s2)
+        # 0.5*log det Fisher = 0.5*log(pi^2/6) - log(alpha); the determinant
+        # is free of the shape in this parameterization
+        return lambda alpha, beta: _WEIBULL_JEFFREYS_CONST - math.log(alpha)
+
+    # conjugate; an Inverse-Gamma(a, b) log density of v is
+    # a*log(b) - gammaln(a) - (a + 1)*log(v) - b/v
+    if family == Family.NORMAL:
+        if prior.nig is None:
+            raise ValueError("conjugate Normal prior requires NIG hyperparameters")
+        m, kappa, a, b = prior.nig
+        ig_const = a * math.log(b) - gammaln(a)
+
+        def normal(mu, s2):
+            lp_s2 = ig_const - (a + 1) * math.log(s2) - b / s2
+            lp_mu = -0.5 * math.log(2 * math.pi * s2 / kappa) - 0.5 * kappa * (mu - m) ** 2 / s2
+            return lp_s2 + lp_mu
+
+        return normal
+    if prior.ig is None or prior.beta0 is None:
+        raise ValueError("conjugate Weibull prior requires IG hyperparameters and beta0")
+    a, b = prior.ig
+    beta0 = prior.beta0
+    ig_const, log_beta0 = a * math.log(b) - gammaln(a), math.log(beta0)
+
+    def weibull(alpha, beta):
+        lam = alpha**beta0
+        lp_lam = ig_const - (a + 1) * math.log(lam) - b / lam
+        # change of variables lam = alpha^beta0 so this is a density in alpha
+        jac = log_beta0 + (beta0 - 1) * math.log(alpha)
+        return lp_lam + jac
+
+    return weibull
 
 
 def log_prior(params: ParamVector, prior: PriorSpec) -> float:
     """Log prior density, up to an additive constant for improper priors."""
     if not params.valid():
         raise ValueError(f"invalid parameters: {params}")
-    if prior.kind == PriorKind.FLAT:
-        return 0.0
+    log_pi = _log_prior(params.family, prior)
+    if params.family == Family.WEIBULL and prior.kind == PriorKind.CONJUGATE:
+        if not _at_fixed_shape(params.beta, prior.beta0):
+            raise ValueError(f"conjugate Weibull prior fixes the shape at {prior.beta0}, got {params.beta}")
+    return log_pi(*astuple(params))
 
-    if prior.kind == PriorKind.JEFFREYS:
-        if params.family == Family.NORMAL:
-            power = 3.0 if prior.jeffreys_normal_variant == "joint" else 2.0
-            return -0.5 * power * math.log(params.sigma2)
-        # 0.5*log det Fisher = 0.5*log(pi^2/6) - log(alpha); the determinant
-        # is free of the shape in this parameterization
-        return _WEIBULL_JEFFREYS_CONST - math.log(params.alpha)
 
-    # conjugate
-    if params.family == Family.NORMAL:
-        if prior.nig is None:
-            raise ValueError("conjugate Normal prior requires NIG hyperparameters")
-        m, kappa, a, b = prior.nig
-        mu, s2 = params.mu, params.sigma2
-        lp_s2 = a * math.log(b) - gammaln(a) - (a + 1) * math.log(s2) - b / s2
-        lp_mu = -0.5 * math.log(2 * math.pi * s2 / kappa) - 0.5 * kappa * (mu - m) ** 2 / s2
-        return lp_s2 + lp_mu
-    if prior.ig is None or prior.beta0 is None:
-        raise ValueError("conjugate Weibull prior requires IG hyperparameters and beta0")
-    if not _at_fixed_shape(params, prior):
-        raise ValueError(
-            f"conjugate Weibull prior fixes the shape at {prior.beta0}, got {params.beta}"
-        )
-    a, b = prior.ig
-    beta0 = prior.beta0
-    lam = params.alpha**beta0
-    lp_lam = a * math.log(b) - gammaln(a) - (a + 1) * math.log(lam) - b / lam
-    # change of variables lam = alpha^beta0 so this is a density in alpha
-    jac = math.log(beta0) + (beta0 - 1) * math.log(params.alpha)
-    return lp_lam + jac
+def log_posterior_target(spec: InputVariableSpec, prior: PriorSpec):
+    """Unnormalized log posterior of ``spec``'s parameters under ``prior`` as
+    a function of a parameter pair, (mu, sigma2) or (alpha, beta); -inf
+    outside the support.  What depends only on the data or the prior is
+    computed once here, so each call works on plain floats."""
+    log_pi = _log_prior(spec.family, prior)
+    log_lik = _log_likelihood(spec.family, spec.observations)
+    valid = _normal_valid if spec.family == Family.NORMAL else _weibull_valid
+    if spec.family == Family.WEIBULL and prior.kind == PriorKind.CONJUGATE:
+        # out-of-support rather than an error inside MCMC: the shape is fixed
+        valid = lambda alpha, beta: _weibull_valid(alpha, beta) and _at_fixed_shape(beta, prior.beta0)
+
+    def target(psi) -> float:
+        p0, p1 = psi
+        if not valid(p0, p1):
+            return NEG_INF
+        return log_pi(p0, p1) + log_lik(p0, p1)
+
+    return target
 
 
 def log_posterior_unnorm(
     params: ParamVector, spec: InputVariableSpec, prior: PriorSpec
 ) -> float:
-    """Unnormalized log posterior; -inf when the parameters violate support."""
-    if not params.valid():
-        return NEG_INF
-    if prior.kind == PriorKind.CONJUGATE and params.family == Family.WEIBULL:
-        # out-of-support rather than an error inside MCMC: the shape is fixed
-        if prior.beta0 is not None and not _at_fixed_shape(params, prior):
-            return NEG_INF
-    return log_prior(params, prior) + _log_likelihood(spec.observations, params)
+    """Unnormalized log posterior; -inf when the parameters violate support.
+    Builds log_posterior_target(spec, prior) for one call."""
+    return log_posterior_target(spec, prior)(astuple(params))
 
 
 def sample(params: ParamVector, rng: np.random.Generator, size=None):

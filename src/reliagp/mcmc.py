@@ -7,7 +7,9 @@ Adaptation starts after an initial non-adaptive period t0 and the proposal
 covariance is refreshed every t1 steps; every t2-th state is retained as
 output, so a run of t steps yields t/t2 draws.  ``am_sample_lockstep`` runs
 many independent chains side by side with one target call per step, and
-``am_sample`` is its one-chain case.
+``am_sample`` is its one-chain case.  The pipeline's input chains (one per
+input variable) and tune-prior's cross-validation chains each run in one
+lockstep call; its final theta chain runs in am_sample.
 """
 
 from __future__ import annotations

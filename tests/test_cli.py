@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reliagp import cli, tuning
+from reliagp import cli, ingest, tuning
+from reliagp.distributions import PriorSpec, log_posterior_unnorm, mle_fit, params_from_array
+from reliagp.mcmc import AmSettings, am_sample, default_init_cov, load_chain
 from reliagp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from reliagp.gp import GpFit
 
@@ -340,6 +342,46 @@ def test_frozen_input_chain_exits_numerical(tmp_path, capsys):
     cfg_path, out = _study(tmp_path, input_prior="conjugate")
     assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_NUMERICAL
     assert "X0003" in capsys.readouterr().err
+    assert not (out / "inputs").exists()
+
+
+@pytest.mark.parametrize(
+    "prior, variant", [("flat", "joint"), ("jeffreys", "joint"), ("jeffreys", "independence")]
+)
+def test_input_chains_match_lone_chains(tmp_path, prior, variant):
+    """The lockstep stage writes, bit for bit, the chain that each input's
+    own am_sample run gives on the per-chain target of the sequential stage."""
+    am = {"t": 2000, "t0": 200, "t2": 10}
+    cfg_path, out = _study(tmp_path, input_prior=prior, jeffreys_normal_variant=variant, am_inputs=am)
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_OK
+    cfg = cli.PipelineConfig.from_file(cfg_path)
+    pr = PriorSpec.flat() if prior == "flat" else PriorSpec.jeffreys(variant)
+    for k, spec in enumerate(ingest.load_dataset(cfg.manifest).variables):
+
+        def target(psi, spec=spec):
+            return log_posterior_unnorm(params_from_array(spec.family, psi), spec, pr)
+
+        init = mle_fit(spec).as_array()
+        rng = cli.stage_rng(cfg.seed, "fit-inputs", k)
+        lone = am_sample(target, init, default_init_cov(target, init), AmSettings(d=2, **am), rng)
+        saved = load_chain(out / "inputs" / f"{spec.name}.csv")
+        assert saved.draws.tobytes() == lone.draws.tobytes(), spec.name
+        assert saved.acceptance_rate == lone.acceptance_rate, spec.name
+
+
+def test_failed_input_chain_names_its_variable(tmp_path, monkeypatch, capsys):
+    cfg_path, out = _study(tmp_path)
+    names = [v.name for v in ingest.load_dataset(tmp_path / "data" / "manifest.json").variables]
+    real_init_cov = cli.default_init_cov
+
+    def nan_cov_for_x0002(target, inits):
+        covs = real_init_cov(target, inits)
+        covs[names.index("X0002")] = np.nan
+        return covs
+
+    monkeypatch.setattr(cli, "default_init_cov", nan_cov_for_x0002)
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    assert "X0002" in capsys.readouterr().err
     assert not (out / "inputs").exists()
 
 

@@ -14,6 +14,7 @@ from reliagp.distributions import (
     WeibullParams,
     conjugate_normal_posterior,
     log_density,
+    log_posterior_target,
     log_posterior_unnorm,
     log_prior,
     mle_fit,
@@ -182,6 +183,51 @@ def test_conjugate_weibull_shape_mismatch():
     # inside the posterior it is a support rejection, not an error
     spec = InputVariableSpec("w", Family.WEIBULL, np.array([1.0, 2.0]))
     assert log_posterior_unnorm(WeibullParams(1.0, 3.0), spec, prior) == -math.inf
+
+
+GRID_PRIORS = {
+    "flat": lambda spec: PriorSpec.flat(),
+    "jeffreys_joint": lambda spec: PriorSpec.jeffreys("joint"),
+    "jeffreys_independence": lambda spec: PriorSpec.jeffreys("independence"),
+    "conjugate": PriorSpec.conjugate_for,
+}
+
+
+@pytest.mark.parametrize("prior_name", sorted(GRID_PRIORS))
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_posterior_target_equals_log_posterior_unnorm(family, prior_name):
+    rng = np.random.default_rng(31)
+    if family == Family.NORMAL:
+        obs = rng.normal(5.0, 2.0, size=10)
+    else:
+        obs = sample(WeibullParams(2.0, 3.0), rng, size=10)
+    spec = InputVariableSpec("v", family, obs)
+    prior = GRID_PRIORS[prior_name](spec)
+    target = log_posterior_target(spec, prior)
+    p0, p1 = mle_fit(spec).as_array()
+    factors = [0.5, 0.7, 0.85, 1.0, 1.2, 1.5, 2.0]
+    first = [p0 + 2.0 * (f - 1.0) for f in factors] if family == Family.NORMAL else [p0 * f for f in factors]
+    grid = [[a, p1 * f] for a in first for f in factors]
+    invalid = [[p0, 0.0], [p0, -p1], [np.nan, p1], [p0, np.inf], [-np.inf, p1]]
+    if family == Family.WEIBULL:
+        invalid += [[0.0, p1], [-p0, p1]]
+    values = []
+    for psi in grid + invalid:
+        expected = log_posterior_unnorm(params_from_array(family, psi), spec, prior)
+        assert target(np.array(psi)) == expected, psi
+        assert target(psi) == expected, psi
+        values.append(expected)
+    assert values[len(grid) :] == [-math.inf] * len(invalid)
+
+    if prior.kind == PriorKind.CONJUGATE and family == Family.WEIBULL:
+        # the shape is fixed at beta0 (the MLE shape, factor 1.0): every
+        # other shape is out of support
+        at_beta0 = [math.isfinite(v) for v, psi in zip(values, grid) if psi[1] == prior.beta0]
+        assert at_beta0 == [True] * len(first)
+        assert sum(map(math.isfinite, values)) == len(first)
+        assert target([p0, prior.beta0 * (1 + 1e-9)]) == -math.inf
+    else:
+        assert all(map(math.isfinite, values[: len(grid)]))
 
 
 def test_sample_weibull_inverse_cdf_point():
