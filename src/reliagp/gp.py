@@ -90,6 +90,9 @@ class GpDesign:
         # n == q is allowed for pure prediction; the likelihoods need n > q
         if n < X.shape[1]:
             raise ValueError(f"need n >= q (got n={n}, q={X.shape[1]})")
+        for name, a in (("S", S), ("Z", Z), ("X", X)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"design array {name} has non-finite entries")
         if np.linalg.matrix_rank(X) < X.shape[1]:
             raise ValueError("mean design matrix is rank deficient")
         if len(np.unique(S, axis=0)) < n:
@@ -214,29 +217,26 @@ class GpStack:
     its mean design, ``Z`` (B, n) its outputs and ``theta`` (B, K) the range
     parameters.  Each member goes through exactly the floating-point
     operations of a lone evaluation, so its numbers do not depend on B or on
-    the other members: NumPy's Cholesky and matmul over the whole stack, and
-    per member the LAPACK triangular and Cholesky solves as
-    ``scipy.linalg.solve_triangular`` and ``cho_solve`` call them for a
-    C-ordered factor.  ``error[b]`` is the FactorizationError or ValueError
-    a lone evaluation of member b raises, else None; a failed member's other
-    entries are meaningless.
+    the other members: NumPy's Cholesky (mcmc.cholesky_stack) and matmul
+    over the whole stack, and per member the LAPACK triangular and Cholesky
+    solves as ``scipy.linalg.solve_triangular`` and ``cho_solve`` call them
+    for a C-ordered factor; only a member that fails at ``nugget`` goes up
+    cholesky_with_nugget's ladder.  ``error[b]`` is the FactorizationError
+    or ValueError a lone evaluation of member b raises, else None; a failed
+    member's other entries are meaningless.
     """
 
     def __init__(self, S, X, Z, theta, nugget: float = NUGGET_START):
         B, n, q = X.shape
         self.nugget = np.full(B, float(nugget))
         self.error: list[Exception | None] = [None] * B
-        try:
-            L = np.linalg.cholesky(_covariance_stack(S, theta, nugget))
-        except np.linalg.LinAlgError:
-            # some member needs a larger nugget: run the escalation per member;
-            # a failed member carries the identity so the stack stays finite
-            L = np.empty((B, n, n))
-            for b in range(B):
-                try:
-                    L[b], self.nugget[b] = cholesky_with_nugget(S[b], theta[b], nugget)
-                except FactorizationError as e:
-                    L[b], self.error[b] = np.eye(n), e
+        L, ok = cholesky_stack(_covariance_stack(S, theta, nugget))
+        # a member that fails the ladder carries the identity so the stack stays finite
+        for b in np.flatnonzero(~ok):
+            try:
+                L[b], self.nugget[b] = cholesky_with_nugget(S[b], theta[b], nugget)
+            except FactorizationError as e:
+                L[b], self.error[b] = np.eye(n), e
         self.L = L
         self.logdet_V = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
         # whitened design and outputs, L a = X and L b = Z; each member's Xw is
@@ -488,10 +488,11 @@ def fit_reml(
     from ``restarts`` starts drawn from N(0, 2^2) per coordinate.  A start's
     finite result is kept whether L-BFGS-B reports convergence or an
     abnormal line search (with an exact gradient that is round-off, often
-    from a nugget escalation); only a start that never reaches a finite
-    value falls back to a bounded Nelder-Mead.  Ties across starts break by
-    lowest objective, then lexicographically smallest theta.  ``objective``
-    is nll_reml_regularized at ``theta``, and ``hessian`` is its central
+    from a nugget escalation).  A start that never reaches a finite value
+    is dropped, as the data then fail at every theta, and RuntimeError is
+    raised when every start is.  Ties across starts break by lowest
+    objective, then lexicographically smallest theta.  ``objective`` is
+    nll_reml_regularized at ``theta``, and ``hessian`` is its central
     finite-difference Hessian with relative step 0.2.
     """
     if restarts < 1:
@@ -536,14 +537,6 @@ def fit_reml(
     for _ in range(restarts):
         x0 = np.clip(rng.normal(0.0, 2.0, size=K), *THETA_BOUNDS)
         res = optimize.minimize(objective_and_grad, x0, method="L-BFGS-B", jac=True, bounds=bounds)
-        if res.fun >= 1e299:
-            res = optimize.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={"maxiter": 4000, "xatol": 1e-8, "fatol": 1e-10},
-            )
         if res.fun < 1e299:
             results.append((float(res.fun), res.x))
     if not results:

@@ -139,8 +139,8 @@ class KrigingStack:
 class KrigingModel:
     """Predictor at a fixed theta: the one-row KrigingStack."""
 
-    def __init__(self, design: GpDesign, theta, alpha=None, scale: str = "reml", nugget: float | None = None):
-        self.stack = KrigingStack(design, np.reshape(theta, (1, -1)), alpha, scale, nugget or 0.0)
+    def __init__(self, design: GpDesign, theta, alpha=None, scale: str = "reml", nugget: float = 0.0):
+        self.stack = KrigingStack(design, np.reshape(theta, (1, -1)), alpha, scale, nugget)
         if self.stack.error[0] is not None:
             raise self.stack.error[0]
         self.design = design

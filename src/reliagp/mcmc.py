@@ -76,7 +76,6 @@ class PosteriorChain:
     draws: np.ndarray  # (rows, d)
     acceptance_rate: float
     settings: AmSettings | None = None
-    burn_in_fraction: float = 0.0
     geweke_z: np.ndarray | None = None
 
     @property
@@ -299,7 +298,7 @@ def remove_burn_in(chain: PosteriorChain, fraction: float = 0.2) -> PosteriorCha
     if not (0 <= fraction < 1):
         raise ValueError(f"burn-in fraction must be in [0, 1), got {fraction}")
     drop = int(math.floor(fraction * chain.rows))
-    return replace(chain, draws=chain.draws[drop:], burn_in_fraction=fraction)
+    return replace(chain, draws=chain.draws[drop:])
 
 
 def geweke(chain: PosteriorChain) -> np.ndarray:
@@ -332,7 +331,6 @@ def save_chain(chain: PosteriorChain, csv_path, names=None) -> None:
         "columns": names,
         "rows": chain.rows,
         "acceptance_rate": chain.acceptance_rate,
-        "burn_in_fraction": chain.burn_in_fraction,
         "geweke_z": None if chain.geweke_z is None else [float(z) for z in chain.geweke_z],
         "settings": None if chain.settings is None else asdict(chain.settings),
     }
@@ -347,6 +345,5 @@ def load_chain(csv_path) -> PosteriorChain:
         draws=draws,
         acceptance_rate=meta.get("acceptance_rate", float("nan")),
         settings=AmSettings(**meta["settings"]) if meta.get("settings") else None,
-        burn_in_fraction=meta.get("burn_in_fraction", 0.0),
         geweke_z=None if meta.get("geweke_z") is None else np.asarray(meta["geweke_z"]),
     )

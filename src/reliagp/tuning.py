@@ -18,8 +18,10 @@ scale, in one fold-scoring loop.  A fold that fails numerically
 (RuntimeError or ValueError) ends its candidate with score inf; any other
 exception propagates.
 
-Per-fold seeds derive deterministically from (master seed, candidate index,
-fold index) so candidates are compared on common random numbers.
+Each (candidate, fold) pair draws from its own stream, fold_rng(master
+seed, candidate index, fold index), so a rerun repeats every fold's
+optimizer starts or chain.  Candidates do not share random numbers: their
+scores differ by Monte Carlo noise as well as by the candidate.
 """
 
 from __future__ import annotations

@@ -32,6 +32,16 @@ def random_design(rng, n=6, K=2, q=1):
     return GpDesign(S=S, Z=Z, X=X)
 
 
+@pytest.mark.parametrize("name", ["S", "Z", "X"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_design_rejects_non_finite_arrays(name, bad):
+    rng = np.random.default_rng(1)
+    arrays = {"S": rng.uniform(size=(6, 2)), "Z": rng.normal(size=6), "X": np.ones((6, 1))}
+    arrays[name][3] = bad
+    with pytest.raises(ValueError, match=f"design array {name} has non-finite entries"):
+        GpDesign(**arrays)
+
+
 # ---------------------------------------------------------------- covariance
 
 
@@ -354,10 +364,17 @@ def fixture_folds():
     return [design.drop_row(i) for i in range(design.n)]
 
 
-def test_stack_equals_lone_evaluations_bit_for_bit():
+def test_stack_equals_lone_evaluations_bit_for_bit(monkeypatch):
     # B fold/theta pairs in one stack against B lone calls: one theta outside
-    # the box, one whose factorization needs a nugget (the stack's Cholesky
-    # then fails and every member takes the per-member escalation)
+    # the box, one whose factorization needs a nugget (that member alone
+    # climbs the nugget ladder; the others keep the stack's factors)
+    ladder, climbs = gp.cholesky_with_nugget, []
+
+    def counted_ladder(S, theta, nugget=gp.NUGGET_START):
+        climbs.append(theta.tolist())
+        return ladder(S, theta, nugget)
+
+    monkeypatch.setattr(gp, "cholesky_with_nugget", counted_ladder)
     folds = fixture_folds()
     rng = np.random.default_rng(20)
     thetas = rng.normal(3.0, 0.6, size=(12, 4))
@@ -371,6 +388,7 @@ def test_stack_equals_lone_evaluations_bit_for_bit():
     assert lp[4] == -math.inf and np.isfinite(np.delete(lp, 4)).all()
 
     inside = np.delete(np.arange(len(thetas)), 4)
+    climbs.clear()
     stack = GpStack(
         np.stack([members[b].coords for b in inside]),
         np.stack([members[b].X for b in inside]),
@@ -378,6 +396,7 @@ def test_stack_equals_lone_evaluations_bit_for_bit():
         thetas[inside],
         nugget=0.0,
     )
+    assert climbs == [thetas[7].tolist()]
     for k, b in enumerate(inside):
         w = GpWork(members[b], thetas[b], nugget=0.0)
         assert stack.nugget[k] == w.nugget == (1e-8 if b == 7 else 0.0)
@@ -470,9 +489,9 @@ def test_fit_reml_local_optimality_probes():
 
 
 def test_fit_reml_objective_is_the_value_at_theta(monkeypatch):
-    # pure noise drives theta to the box; a start whose L-BFGS-B never sees a
-    # finite value falls back to a Nelder-Mead that must stay in the box, so
-    # the reported objective is the objective at the reported theta
+    # pure noise drives theta to the box, and the reported objective is the
+    # objective at the reported theta; a start that never sees a finite
+    # value is dropped, so when every start fails the fit fails
     rng = np.random.default_rng(19)
     d = GpDesign(S=rng.uniform(0, 1, (15, 2)), Z=rng.normal(size=15))
     fit = fit_reml(d, lam=0.0, restarts=2, rng=np.random.default_rng(3))
@@ -482,9 +501,8 @@ def test_fit_reml_objective_is_the_value_at_theta(monkeypatch):
         raise ValueError("forced")
 
     monkeypatch.setattr(gp, "nll_reml_regularized_grad", no_gradient)
-    fit = fit_reml(d, lam=0.0, restarts=2, rng=np.random.default_rng(3))
-    assert np.all(np.abs(fit.theta) <= 10.0)
-    assert fit.objective == nll_reml_regularized(d, fit.theta, 0.0)
+    with pytest.raises(RuntimeError, match="all optimizer starts failed"):
+        fit_reml(d, lam=0.0, restarts=2, rng=np.random.default_rng(3))
 
 
 def test_fit_reml_white_noise_flagged():

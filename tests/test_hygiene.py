@@ -6,7 +6,9 @@ module patches.  A module-level ``_private`` name that nothing reads is
 dead: not its module, another library module, a test, a demo or the
 benchmark.  So is a parameter default of a module-level function that no
 call of that name there overrides.  The CSV table format lives in ``reliagp.tables`` alone: no other
-module calls ``csv.writer`` or formats a cell with ``repr(float(``.
+module calls ``csv.writer`` or formats a cell with ``repr(float(``.  No
+library module swallows exceptions with a bare ``except:`` or a handler for
+Exception or BaseException.
 """
 
 import ast
@@ -137,3 +139,17 @@ def test_every_parameter_default_is_overridden_somewhere():
         if not any(_sets(call, param, position) for call in calls.get(fn.name, []))
     ]
     assert not never_set, "parameters that no caller sets: " + ", ".join(never_set)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "reliagp").glob("*.py")), ids=lambda p: p.name)
+def test_no_swallowing_handlers(path):
+    """Every handler names the exceptions it can act on: no bare ``except:``
+    and none that catches Exception or BaseException."""
+    broad = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = [t.id if isinstance(t, ast.Name) else t for t in types]
+            if any(t in (None, "Exception", "BaseException") for t in names):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert not broad, "handlers that catch everything: " + ", ".join(broad)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -242,6 +243,13 @@ def test_chain_roundtrip(tmp_path):
     assert np.array_equal(back.draws, chain.draws)
     assert back.acceptance_rate == chain.acceptance_rate
     assert back.settings == settings
+    # a saved chain is raw, so its sidecar records no burn-in; an older
+    # sidecar that still carries the key loads all the same
+    sidecar = path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    assert "burn_in_fraction" not in meta
+    sidecar.write_text(json.dumps({**meta, "burn_in_fraction": 0.0}))
+    assert np.array_equal(load_chain(path).draws, chain.draws)
 
 
 def test_mixture_target_total_variation():
