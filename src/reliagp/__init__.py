@@ -12,7 +12,8 @@ The library covers four stages:
    (:mod:`reliagp.failure`).
 
 :mod:`reliagp.ingest` provides dataset loading and synthetic fixtures;
-:mod:`reliagp.cli` orchestrates the full pipeline.
+:mod:`reliagp.cli` orchestrates the full pipeline, and :mod:`reliagp.workers`
+runs its independent chains and CV folds on forked worker processes.
 """
 
 from reliagp.distributions import (

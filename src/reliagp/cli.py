@@ -10,8 +10,12 @@ stage re-runs when any file it reads changes (`report` after a new
 under the output directory, and its outputs appear only when it succeeds:
 a failed stage leaves its previous outputs and record as they were.
 
-fit-inputs samples every input's parameter posterior in one lockstep
-adaptive Metropolis run, chain k on stage_rng(seed, "fit-inputs", k).
+fit-inputs samples every input's parameter posterior by adaptive
+Metropolis in one am_sample_lockstep call, chain k on stage_rng(seed,
+"fit-inputs", k).  That call, tune-lambda's fold fits and tune-prior's CV
+chains run on worker processes (reliagp.workers); every chain and fold
+draws from its own stream, so the outputs do not depend on the worker
+count.
 
 Config file is JSON; see PipelineConfig for the fields.  One master seed
 fans out to all stage seeds via SeedSequence with a spawn key derived from
@@ -268,7 +272,8 @@ def _mean_ci(col: np.ndarray) -> list[float]:
 
 
 def _fit_inputs(cfg: PipelineConfig, dataset, work: Path) -> None:
-    """One adaptive Metropolis chain per input, all in one lockstep run.
+    """One adaptive Metropolis chain per input, all in one
+    am_sample_lockstep call.
 
     Chain k starts at input k's MLE and draws from stage_rng(seed,
     "fit-inputs", k), so it is the chain am_sample gives it alone.  The

@@ -463,7 +463,7 @@ class GpFit:
     alpha_reml: float  # G^2 / (n - q)
     alpha_profile: float  # G^2 / n
     objective: float
-    hessian: np.ndarray
+    hessian: np.ndarray | None  # None when fit_reml was asked for no Hessian
     nugget: float
     lam: float
     at_bounds: bool
@@ -481,6 +481,7 @@ def fit_reml(
     lam: float = 0.0,
     restarts: int = 8,
     rng: np.random.Generator | None = None,
+    hessian: bool = True,
 ) -> GpFit:
     """Minimize the regularized REML objective over theta in [-10, 10]^K.
 
@@ -493,7 +494,9 @@ def fit_reml(
     raised when every start is.  Ties across starts break by lowest
     objective, then lexicographically smallest theta.  ``objective`` is
     nll_reml_regularized at ``theta``, and ``hessian`` is its central
-    finite-difference Hessian with relative step 0.2.
+    finite-difference Hessian with relative step 0.2, or None when
+    ``hessian`` is False (33 objective calls at K=4 that a caller reading
+    only theta does not need).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -514,7 +517,7 @@ def fit_reml(
             alpha_reml=0.0,
             alpha_profile=0.0,
             objective=-math.inf,
-            hessian=np.zeros((K, K)),
+            hessian=np.zeros((K, K)) if hessian else None,
             nugget=w0.nugget,
             lam=lam,
             at_bounds=False,
@@ -550,7 +553,7 @@ def fit_reml(
     # rather than the factorization-level roughness a tiny step would
     # amplify; Wald intervals from a much smaller step are badly
     # anti-conservative
-    hess = fd_hessian(objective, best_theta, 0.2)
+    hess = fd_hessian(objective, best_theta, 0.2) if hessian else None
     at_bounds = bool(
         np.any(np.isclose(best_theta, THETA_BOUNDS[0])) or np.any(np.isclose(best_theta, THETA_BOUNDS[1]))
     )

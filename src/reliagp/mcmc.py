@@ -6,10 +6,12 @@ the whole chain history, scaled by s_d = 2.4^2/d and regularized by eps*I.
 Adaptation starts after an initial non-adaptive period t0 and the proposal
 covariance is refreshed every t1 steps; every t2-th state is retained as
 output, so a run of t steps yields t/t2 draws.  ``am_sample_lockstep`` runs
-many independent chains side by side with one target call per step, and
-``am_sample`` is its one-chain case.  The pipeline's input chains (one per
-input variable) and tune-prior's cross-validation chains each run in one
-lockstep call; its final theta chain runs in am_sample.
+many independent chains side by side with one target call per step, its
+chains split into one contiguous block per worker process
+(``workers.fork_map``), and ``am_sample`` is its one-chain case.  The
+pipeline's input chains (one per input variable) and tune-prior's
+cross-validation chains each go through one am_sample_lockstep call; its
+final theta chain runs in am_sample, in this process.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from reliagp import workers
 from reliagp.tables import read_table, write_table
 
 __all__ = [
@@ -213,16 +216,50 @@ def am_sample_lockstep(
     PosteriorChain per chain, or the exception am_sample would raise for a
     chain whose proposal covariance is not finite and positive definite;
     such a chain stops moving and the others run on.
+
+    The chains are split into contiguous blocks, one per worker of
+    workers.fork_map.  A block passes the target one reused stack with NaN
+    in the other blocks' rows, and reads only its own rows of the values, so
+    the target must give each row's value from that row alone.  Each
+    generator ends in the state the serial run leaves it in.
     """
     B, d = len(rngs), settings.d
-    t0, t1, t2 = settings.t0, settings.t1, settings.t2
     x = np.array(inits, dtype=float)
     if x.shape != (B, d):
         raise ValueError(f"inits have shape {x.shape}, expected ({B}, {d})")
     lp = np.asarray(log_target(x.copy()), dtype=float).tolist()
     if not all(map(math.isfinite, lp)):
         raise ValueError("log_target(init) must be finite")
-    chol, alive = _proposal_factor(settings.s_d * np.asarray(init_covs, dtype=float))
+    covs = np.asarray(init_covs, dtype=float)
+    bounds = np.linspace(0, B, min(B, workers.worker_count()) + 1).astype(int).tolist()
+
+    def run_block(k):
+        lo, hi = bounds[k], bounds[k + 1]
+        block_target = log_target
+        if hi - lo < B:
+            full = np.full((B, d), np.nan)
+
+            def block_target(xb):
+                full[lo:hi] = xb
+                return log_target(full)[lo:hi]
+
+        chains = _lockstep_block(block_target, x[lo:hi], lp[lo:hi], covs[lo:hi], settings, rngs[lo:hi])
+        return chains, [rng.bit_generator.state for rng in rngs[lo:hi]]
+
+    out = []
+    for k, (chains, states) in enumerate(workers.fork_map(run_block, len(bounds) - 1)):
+        for rng, state in zip(rngs[bounds[k] : bounds[k + 1]], states):
+            rng.bit_generator.state = state
+        out += chains
+    return out
+
+
+def _lockstep_block(log_target, x, lp, init_covs, settings: AmSettings, rngs) -> list:
+    """am_sample_lockstep's loop over chains at states x with finite log
+    targets lp."""
+    B, d = x.shape
+    t0, t1, t2 = settings.t0, settings.t1, settings.t2
+    chol, alive = _proposal_factor(settings.s_d * init_covs)
     errors = [
         None if ok else np.linalg.LinAlgError("initial proposal covariance is not positive definite")
         for ok in alive

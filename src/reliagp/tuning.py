@@ -10,7 +10,11 @@ Two protocols, both with squared-error loss:
   held-out point once per retained draw, and average the per-draw summed
   losses.  Every (candidate, fold) chain is started, run and scored on one
   likelihood stack: one target call checks all starts, one default_init_cov
-  call gives all initial covariances, and one lockstep run samples them.
+  call gives all initial covariances, and one am_sample_lockstep call
+  samples them, its chains split in blocks over the worker processes.
+
+cv_lambda's fold fits run as independent jobs on the worker processes of
+``workers.fork_map``.
 
 Both krige through ``kriging.held_out_predictions`` (one factorization
 stack per fold) and score the kriged means, which do not depend on the GP
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reliagp import workers
 from reliagp.gp import GpDesign, bayes_log_posterior_stack, fit_reml
 from reliagp.kriging import held_out_predictions
 from reliagp.mcmc import AmSettings, am_sample_lockstep, default_init_cov, remove_burn_in
@@ -89,19 +94,40 @@ def _score_folds(design: GpDesign, candidates: list, fold_predictions) -> CvRepo
 
 def cv_lambda(design: GpDesign, lambdas, restarts: int = 8, master_seed: int = 0) -> CvReport:
     """Leave-one-out CV over the regularized-REML penalty candidates: each
-    fold refits theta by fit_reml and kriges the held-out point at it."""
+    fold refits theta by fit_reml and kriges the held-out point at it.
+
+    The Q * n fold fits are fork_map jobs, each returning its kriged value
+    or its RuntimeError or ValueError; any other exception propagates.
+    Every fold draws from its own stream, so the report does not depend on
+    the worker count."""
     lambdas = list(lambdas)
     if not lambdas or design.n < 3:
         raise ValueError("need at least one penalty candidate and n >= 3 for leave-one-out")
 
-    def fold_prediction(q, i):
-        fit = fit_reml(design.drop_row(i), lam=lambdas[q], restarts=restarts, rng=fold_rng(master_seed, q, i))
-        z, _ = held_out_predictions(design, i, fit.theta[None], nugget=fit.nugget)
+    n = design.n
+
+    def fold_prediction(k):
+        q, i = divmod(k, n)
+        try:
+            fit = fit_reml(
+                design.drop_row(i), lam=lambdas[q], restarts=restarts, rng=fold_rng(master_seed, q, i), hessian=False
+            )
+            z, _ = held_out_predictions(design, i, fit.theta[None], nugget=fit.nugget)
+        except (RuntimeError, ValueError) as e:
+            return e
         # a scalar, so that its loss is the scalar arithmetic of a plain
         # Python loop over folds, bit for bit
         return z[0]
 
-    return _score_folds(design, lambdas, fold_prediction)
+    predictions = workers.fork_map(fold_prediction, len(lambdas) * n)
+
+    def fold_value(q, i):
+        z = predictions[q * n + i]
+        if isinstance(z, Exception):
+            raise z
+        return z
+
+    return _score_folds(design, lambdas, fold_value)
 
 
 def cv_hyperparams(
@@ -122,10 +148,10 @@ def cv_hyperparams(
     One bayes_log_posterior_stack target over every (candidate, fold) pair
     scores all starts in one call; a candidate's chains stop at its first
     fold with no finite start.  One default_init_cov call gives the kept
-    chains' initial covariances, and they run in lockstep, each on its own
-    fold_rng stream.  The report therefore equals that of running the
-    chains one after another, folds in order, and stopping a candidate at
-    its first failed fold.
+    chains' initial covariances, and one am_sample_lockstep call runs them,
+    each on its own fold_rng stream.  The report therefore equals that of
+    running the chains one after another, folds in order, and stopping a
+    candidate at its first failed fold.
     """
     candidates = [tuple(c) for c in candidates]
     if not candidates or design.n < 3:

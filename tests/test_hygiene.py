@@ -8,7 +8,9 @@ benchmark.  So is a parameter default of a module-level function that no
 call of that name there overrides.  The CSV table format lives in ``reliagp.tables`` alone: no other
 module calls ``csv.writer`` or formats a cell with ``repr(float(``.  No
 library module swallows exceptions with a bare ``except:`` or a handler for
-Exception or BaseException.
+Exception or BaseException.  Worker processes live in ``reliagp.workers``
+alone: no other module imports ``multiprocessing`` or ``concurrent.futures``
+or calls ``os.fork``.
 """
 
 import ast
@@ -153,3 +155,29 @@ def test_no_swallowing_handlers(path):
             if any(t in (None, "Exception", "BaseException") for t in names):
                 broad.append(f"{path.name}:{node.lineno}")
     assert not broad, "handlers that catch everything: " + ", ".join(broad)
+
+
+PARALLEL_MODULES = ("multiprocessing", "concurrent")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "workers.py"], ids=lambda p: p.name)
+def test_worker_processes_live_in_workers(path):
+    """Only reliagp.workers starts processes: one parallel path, fork_map."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "os":
+                modules += [f"os.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            modules = [f"os.{node.attr}"]
+        else:
+            continue
+        found += [
+            f"{path.name}:{node.lineno}: {m}"
+            for m in modules
+            if m.split(".")[0] in PARALLEL_MODULES or m.startswith("os.fork")
+        ]
+    assert not found, "processes started outside reliagp.workers: " + ", ".join(found)
