@@ -11,11 +11,10 @@ under the output directory, and its outputs appear only when it succeeds:
 a failed stage leaves its previous outputs and record as they were.
 
 fit-inputs samples every input's parameter posterior by adaptive
-Metropolis in one am_sample_lockstep call, chain k on stage_rng(seed,
-"fit-inputs", k).  That call, tune-lambda's fold fits and tune-prior's CV
-chains run on worker processes (reliagp.workers); every chain and fold
-draws from its own stream, so the outputs do not depend on the worker
-count.
+Metropolis, chain k on stage_rng(seed, "fit-inputs", k).  Its chains,
+tune-lambda's fold fits and tune-prior's CV chains run on worker processes
+(reliagp.workers); every chain and fold draws from its own stream, so the
+outputs do not depend on the worker count.
 
 Config file is JSON; see PipelineConfig for the fields.  One master seed
 fans out to all stage seeds via SeedSequence with a spawn key derived from
@@ -43,7 +42,7 @@ import numpy as np
 
 from reliagp import distributions as dists
 from reliagp import gp as gpmod
-from reliagp import ingest
+from reliagp import ingest, workers
 from reliagp.distributions import Family, InputVariableSpec, PriorSpec, mle_fit
 from reliagp.failure import simulate_pf, summarize
 from reliagp.gp import GpDesign, bayes_log_posterior, fit_reml, hessian_nu_estimate
@@ -272,22 +271,30 @@ def _mean_ci(col: np.ndarray) -> list[float]:
 
 
 def _fit_inputs(cfg: PipelineConfig, dataset, work: Path) -> None:
-    """One adaptive Metropolis chain per input, all in one
-    am_sample_lockstep call.
+    """One adaptive Metropolis chain per input.
 
-    Chain k starts at input k's MLE and draws from stage_rng(seed,
-    "fit-inputs", k), so it is the chain am_sample gives it alone.  The
-    first failed chain in variable order fails the stage, named."""
+    One default_init_cov call over all inputs gives the chains' initial
+    covariances.  The chains run in contiguous blocks over the worker
+    processes (workers.fork_blocks), one am_sample_lockstep call per block
+    on a target over the block's inputs.  Chain k starts at input k's MLE
+    and draws from stage_rng(seed, "fit-inputs", k), so it is the chain
+    am_sample gives it alone.  The first failed chain in variable order
+    fails the stage, named."""
     specs = dataset.variables
     targets = [dists.log_posterior_target(spec, _prior_for(cfg, spec)) for spec in specs]
 
-    def target(psi):  # row k holds input k's parameter pair
-        return np.array([t(row) for t, row in zip(targets, psi.tolist())])
+    def target_for(block):  # row k holds the parameter pair of block[k]'s input
+        return lambda psi: np.array([t(row) for t, row in zip(block, psi.tolist())])
 
     inits = np.array([mle_fit(spec).as_array() for spec in specs])
-    rngs = [stage_rng(cfg.seed, "fit-inputs", k) for k in range(len(specs))]
+    covs = default_init_cov(target_for(targets), inits)
     settings = cfg.am_settings(2, "inputs")
-    runs = am_sample_lockstep(target, inits, default_init_cov(target, inits), settings, rngs)
+
+    def run_block(lo, hi):
+        rngs = [stage_rng(cfg.seed, "fit-inputs", k) for k in range(lo, hi)]
+        return am_sample_lockstep(target_for(targets[lo:hi]), inits[lo:hi], covs[lo:hi], settings, rngs)
+
+    runs = workers.fork_blocks(run_block, len(specs))
     for spec, rel, run in zip(specs, _input_chain_files(dataset), runs):
         if isinstance(run, Exception):
             raise NumericalError(f"fit-inputs: chain {spec.name} failed: {run}") from run

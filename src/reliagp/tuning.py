@@ -8,10 +8,11 @@ Two protocols, both with squared-error loss:
 * ``cv_hyperparams``: for each candidate (tau, nu^2) prior, run the adaptive
   Metropolis sampler on the integrated-likelihood target per fold, krige the
   held-out point once per retained draw, and average the per-draw summed
-  losses.  Every (candidate, fold) chain is started, run and scored on one
-  likelihood stack: one target call checks all starts, one default_init_cov
-  call gives all initial covariances, and one am_sample_lockstep call
-  samples them, its chains split in blocks over the worker processes.
+  losses.  The (candidate, fold) chains are started and run on
+  likelihood stacks: one target call checks all starts, one
+  default_init_cov call gives the kept chains' initial covariances, and
+  they run in one am_sample_lockstep call per block of
+  ``workers.fork_blocks``.
 
 cv_lambda's fold fits run as independent jobs on the worker processes of
 ``workers.fork_map``.
@@ -147,11 +148,13 @@ def cv_hyperparams(
 
     One bayes_log_posterior_stack target over every (candidate, fold) pair
     scores all starts in one call; a candidate's chains stop at its first
-    fold with no finite start.  One default_init_cov call gives the kept
-    chains' initial covariances, and one am_sample_lockstep call runs them,
-    each on its own fold_rng stream.  The report therefore equals that of
-    running the chains one after another, folds in order, and stopping a
-    candidate at its first failed fold.
+    fold with no finite start.  One default_init_cov call, on a target over
+    the kept pairs, gives their initial covariances.  The kept chains run
+    in contiguous blocks over the worker processes (workers.fork_blocks),
+    one am_sample_lockstep call per block on a target over the block's
+    pairs, each chain on its own fold_rng stream.  The report therefore
+    equals that of running the chains one after another, folds in order,
+    and stopping a candidate at its first failed fold.
     """
     candidates = [tuple(c) for c in candidates]
     if not candidates or design.n < 3:
@@ -159,20 +162,22 @@ def cv_hyperparams(
     n = design.n
     pairs = [(q, i) for q in range(len(candidates)) for i in range(n)]
     tau, nu_sq = np.array([candidates[q] for q, _ in pairs], dtype=float).T
-    target = bayes_log_posterior_stack([design.drop_row(i) for _, i in pairs], tau, nu_sq, 0.0)
+    reduced = [design.drop_row(i) for _, i in pairs]
+
+    def target_for(ks):  # over the pairs ks alone
+        return bayes_log_posterior_stack([reduced[k] for k in ks], tau[ks], nu_sq[ks], 0.0)
+
     starts = np.repeat(tau[:, None], design.K, axis=1)
-    kept = np.flatnonzero(np.cumprod(np.isfinite(target(starts)).reshape(-1, n), axis=1))
-
-    def kept_target(theta):
-        # the other rows are NaN, outside THETA_BOUNDS, which the target
-        # scores -inf without factorizing them
-        full = np.full_like(starts, np.nan)
-        full[kept] = theta
-        return target(full)[kept]
-
+    finite = np.isfinite(target_for(range(len(pairs)))(starts))
+    kept = np.flatnonzero(np.cumprod(finite.reshape(-1, n), axis=1))
     inits = starts[kept]
-    rngs = [fold_rng(master_seed, *pairs[k]) for k in kept]
-    runs = am_sample_lockstep(kept_target, inits, default_init_cov(kept_target, inits), am_settings, rngs)
+    covs = default_init_cov(target_for(kept), inits) if kept.size else None
+
+    def run_block(lo, hi):
+        rngs = [fold_rng(master_seed, *pairs[k]) for k in kept[lo:hi]]
+        return am_sample_lockstep(target_for(kept[lo:hi]), inits[lo:hi], covs[lo:hi], am_settings, rngs)
+
+    runs = workers.fork_blocks(run_block, kept.size)
     chains = dict.fromkeys(pairs, ValueError("no finite start"))
     chains.update(zip([pairs[k] for k in kept], runs))
 

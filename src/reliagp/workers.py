@@ -1,14 +1,16 @@
 """Run independent jobs in forked worker processes.
 
 ``fork_map(job, count)`` returns ``[job(i) for i in range(count)]`` in index
-order.  The jobs run on a pool of ``fork``-context processes, one per CPU in
-this process's affinity mask, so ``taskset`` limits them.  Forking lets a
-job be a closure over in-memory state (a likelihood stack, a design), which
-``spawn`` would have to pickle and rebuild; only the job index goes to a
-worker, and only the job's result comes back.  The library starts no
-threads of its own, and OpenBLAS shuts its thread pool down around a fork,
-so forking is safe here.  With one CPU, or inside a worker, the jobs run in
-this process.
+order.  ``fork_blocks(job, count)`` splits ``range(count)`` into one
+contiguous block [lo, hi) per worker, runs ``job(lo, hi)`` on each through
+fork_map and joins the lists they return in order.  The jobs run on a pool
+of ``fork``-context processes, one per CPU in this process's affinity mask,
+so ``taskset`` limits them.  Forking lets a job be a closure over in-memory
+state (a design, the input posteriors), which ``spawn`` would have to
+pickle and rebuild; only the job index goes to a worker, and only the
+job's result comes back.  The library starts no threads of its own, and
+OpenBLAS shuts its thread pool down around a fork, so forking is safe
+here.  With one CPU, or inside a worker, the jobs run in this process.
 
 Each worker sets every loaded OpenBLAS to one thread before its first job:
 two workers with default BLAS threading oversubscribe the CPUs and run
@@ -16,8 +18,8 @@ slower than one process.  A job's exception is raised in the caller, the
 first in index order; a worker that dies makes the call raise
 BrokenProcessPool.
 
-This is the library's one parallel path: no other module forks or imports
-``multiprocessing`` or ``concurrent.futures``.
+These two functions are the library's one parallel path: no other module
+forks or imports ``multiprocessing`` or ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["fork_map", "worker_count"]
+__all__ = ["fork_blocks", "fork_map", "worker_count"]
 
 # set in a worker process only, by _start_worker
 _worker_job = None
@@ -47,7 +49,8 @@ def worker_count() -> int:
 
 def fork_map(job, count: int) -> list:
     """[job(i) for i in range(count)], with the jobs spread over
-    min(count, worker_count()) forked processes."""
+    min(count, worker_count()) forked processes.  cv_lambda runs one job per
+    fold through it, and fork_blocks one job per block."""
     workers = min(count, worker_count())
     if workers <= 1:
         return [job(i) for i in range(count)]
@@ -55,6 +58,15 @@ def fork_map(job, count: int) -> list:
         workers, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(job,)
     ) as pool:
         return list(pool.map(_run_job, range(count)))
+
+
+def fork_blocks(job, count: int) -> list:
+    """job(0, count) as the concatenation of job(lo, hi) over
+    min(count, worker_count()) contiguous blocks [lo, hi), one fork_map job
+    each; job(lo, hi) returns a list of hi - lo items."""
+    blocks = min(count, worker_count())
+    parts = fork_map(lambda k: job(k * count // blocks, (k + 1) * count // blocks), blocks)
+    return [item for part in parts for item in part]
 
 
 def _start_worker(job) -> None:

@@ -217,8 +217,8 @@ def test_synth_determinism(tmp_path):
 
 
 def test_fit_gp_rejects_negative_prior_variance(tmp_path, monkeypatch, capsys):
-    # a REML optimum on a saddle: the pseudo-inverse of this Hessian gives a
-    # negative nu_sq_hat, which no later stage can use
+    # a REML optimum on a saddle: this Hessian is not SPD, so
+    # hessian_nu_estimate gives a NaN nu_sq_hat, which no later stage can use
     data_dir = tmp_path / "data"
     assert main(["synth", "--out", str(data_dir), "--seed", "5", "--n", "6", "--n-obs", "6"]) == EXIT_OK
     out = tmp_path / "out"

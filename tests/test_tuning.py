@@ -225,11 +225,16 @@ def test_failed_chain_fails_only_its_candidate(fixture_design, monkeypatch):
     settings = AmSettings(d=4, t=200, t0=50, t2=10)
     candidates = [(3.0, 0.26), (2.5, 0.5)]
     lockstep = tuning.am_sample_lockstep
+    failing = fold_rng(5, 1, 4).bit_generator.state
 
     def fail_one_chain(log_target, inits, init_covs, settings, rngs):
+        # the chain on candidate 1, fold 4's stream, in whichever block it runs
+        streams = [rng.bit_generator.state for rng in rngs]
         chains = lockstep(log_target, inits, init_covs, settings, rngs)
-        chains[d.n + 4] = RuntimeError("proposal covariance lost positive definiteness")
-        return chains
+        return [
+            RuntimeError("proposal covariance lost positive definiteness") if state == failing else chain
+            for state, chain in zip(streams, chains)
+        ]
 
     monkeypatch.setattr(tuning, "am_sample_lockstep", fail_one_chain)
     report = cv_hyperparams(d, candidates, settings, master_seed=5)

@@ -14,8 +14,9 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import test_cli
 import test_tuning
-from reliagp import workers
+from reliagp import distributions, tuning, workers
 from reliagp.cli import main
 from reliagp.ingest import synth_study
 from reliagp.gp import GpDesign
@@ -136,6 +137,24 @@ def test_lockstep_chains_do_not_depend_on_worker_count(n, monkeypatch):
             assert got.acceptance_rate == want.acceptance_rate
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_lockstep_calls_its_target_in_this_process(n, monkeypatch):
+    # the callers split chains over workers; the sampler itself stays here
+    force_workers(monkeypatch, n)
+    parent = os.getpid()
+    calls = []
+
+    def target(X):
+        assert os.getpid() == parent, "target called in a worker process"
+        calls.append(len(X))
+        return [std_normal_target(x) for x in X]
+
+    settings = AmSettings(d=2, t=200, t0=50, t2=10)
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    am_sample_lockstep(target, np.zeros((4, 2)), [np.eye(2)] * 4, settings, rngs)
+    assert calls == [4] * (settings.t + 1)
+
+
 @pytest.mark.parametrize("n", COUNTS)
 def test_cv_hyperparams_does_not_depend_on_worker_count(n, small_design, monkeypatch):
     # tau=50 starts no chain and fails alone
@@ -171,6 +190,45 @@ def test_fit_inputs_does_not_depend_on_worker_count(n, tmp_path, monkeypatch):
     serial = at_workers(monkeypatch, 1, _fit_inputs_outputs, tmp_path / "serial")
     assert at_workers(monkeypatch, n, _fit_inputs_outputs, tmp_path / "forced") == serial
     assert len(serial) == 8  # four chains and their sidecars
+
+
+def _fail_on_non_finite_rows(monkeypatch):
+    """Make the targets of tune-prior's and fit-inputs' chains raise on a
+    non-finite row."""
+
+    def checked(build):
+        def build_checked(*args):
+            target = build(*args)
+
+            def log_target(x):
+                assert np.isfinite(x).all(), "a target was given a non-finite row"
+                return target(x)
+
+            return log_target
+
+        return build_checked
+
+    monkeypatch.setattr(tuning, "bayes_log_posterior_stack", checked(tuning.bayes_log_posterior_stack))
+    monkeypatch.setattr(distributions, "log_posterior_target", checked(distributions.log_posterior_target))
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_no_target_is_given_a_nan_row(n, small_design, tmp_path, monkeypatch):
+    # tau=50 keeps none of its chains, so the kept chains are a strict
+    # subset of the pairs the start check scores
+    force_workers(monkeypatch, n)
+    _fail_on_non_finite_rows(monkeypatch)
+    settings = AmSettings(d=4, t=200, t0=50, t2=10)
+    report = cv_hyperparams(small_design, [(3.0, 0.26), (50.0, 0.26)], settings, master_seed=3)
+    assert math.isfinite(report.scores[0]) and report.scores[1] == math.inf
+    assert len(_fit_inputs_outputs(tmp_path)) == 8
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_failed_input_chain_is_named_at_every_worker_count(n, tmp_path, monkeypatch, capsys):
+    # at three workers X0002's chain runs in the second of three blocks
+    force_workers(monkeypatch, n)
+    test_cli.test_failed_input_chain_names_its_variable(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("n", COUNTS)
