@@ -568,10 +568,14 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
         "upstream": {str(p): _file_hash(p) for p in reads},
     }
     record_path = out / "provenance" / f"{stage}.json"
-    record = json.loads(record_path.read_text()) if record_path.exists() else {}
-    if all(record.get(k) == v for k, v in state.items()) and all(
-        Path(p).exists() and _file_hash(Path(p)) == h for p, h in record["outputs"].items()
-    ):
+    try:  # stale if the record is missing, is not an object with an outputs mapping, or lists a lost output
+        record = json.loads(record_path.read_text())
+        fresh = all(record.get(k) == v for k, v in state.items()) and all(
+            _file_hash(Path(p)) == h for p, h in record["outputs"].items()
+        )
+    except (OSError, ValueError, KeyError, AttributeError):
+        fresh = False
+    if fresh:
         print(f"{stage}: up to date")
         return
     out.mkdir(parents=True, exist_ok=True)

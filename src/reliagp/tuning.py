@@ -1,27 +1,26 @@
 """Leave-one-out cross-validation drivers for surrogate tuning.
 
-Two protocols, both with squared-error loss:
+Two protocols, both with squared-error loss, that differ only in how a
+fold's theta rows are found:
 
-* ``cv_lambda``: for each candidate ridge penalty, refit the regularized
-  REML range parameters on each leave-one-out fold and krige the held-out
-  point; the score is the sum of squared errors over folds.
-* ``cv_hyperparams``: for each candidate (tau, nu^2) prior, run the adaptive
-  Metropolis sampler on the integrated-likelihood target per fold, krige the
-  held-out point once per retained draw, and average the per-draw summed
-  losses.  The (candidate, fold) chains are started and run on
-  likelihood stacks: one target call checks all starts, one
-  default_init_cov call gives the kept chains' initial covariances, and
-  they run in one am_sample_lockstep call per block of
+* ``cv_lambda``: for each candidate ridge penalty, each leave-one-out fold
+  refits the regularized REML range parameters; its theta is that point
+  fit.  The Q * n fold fits are independent jobs on the worker processes
+  of ``workers.fork_map``, and each returns its fit.
+* ``cv_hyperparams``: for each candidate (tau, nu^2) prior, each fold runs
+  the adaptive Metropolis sampler on the integrated-likelihood target; its
+  theta rows are the retained draws.  The (candidate, fold) chains are
+  started and run on likelihood stacks: one target call checks all starts,
+  one default_init_cov call gives the kept chains' initial covariances,
+  and they run in one am_sample_lockstep call per block of
   ``workers.fork_blocks``.
 
-cv_lambda's fold fits run as independent jobs on the worker processes of
-``workers.fork_map``.
-
-Both krige through ``kriging.held_out_predictions`` (one factorization
-stack per fold) and score the kriged means, which do not depend on the GP
-scale, in one fold-scoring loop.  A fold that fails numerically
-(RuntimeError or ValueError) ends its candidate with score inf; any other
-exception propagates.
+One scorer, ``_score_folds``, then kriges each held-out point in this
+process through ``kriging.held_out_predictions`` (one factorization stack
+per fold) at every theta row of its fold and scores the kriged means,
+which do not depend on the GP scale.  A fold that fails numerically
+(RuntimeError or ValueError) in its fit or its kriging ends its candidate
+with score inf; any other exception propagates.
 
 Each (candidate, fold) pair draws from its own stream, fold_rng(master
 seed, candidate index, fold index), so a rerun repeats every fold's
@@ -68,23 +67,33 @@ def fold_rng(master_seed: int, candidate: int, fold: int) -> np.random.Generator
     return np.random.default_rng(ss)
 
 
-def _score_folds(design: GpDesign, candidates: list, fold_predictions) -> CvReport:
+def _score_folds(design: GpDesign, candidates: list, fold_thetas: list) -> CvReport:
     """Leave-one-out report over the candidates.
 
-    ``fold_predictions(q, i)`` gives candidate q's kriged mean of held-out
-    point i, one per draw (a scalar for one draw).  The squared-error
-    losses are summed over folds per draw, and the score is their mean over
-    draws.  A candidate stops, with score inf, at its first fold that raises
-    RuntimeError or ValueError; its fold losses are NaN from there.  The
-    winner is the first candidate with the lowest score.
+    ``fold_thetas[q * n + i]`` is candidate q's fit on fold i: its theta
+    rows, a K-vector point fit or a (T, K) matrix of draws, and the nugget
+    to krige at; or the RuntimeError or ValueError that ended the fold.
+    Held-out point i is kriged at each row by held_out_predictions,
+    candidate by candidate and fold by fold.  The squared-error losses are
+    summed over folds per row, and the score is their mean over rows.  A
+    candidate stops, with score inf, at its first failed fit or kriging;
+    its fold losses are NaN from there.  The winner is the first candidate
+    with the lowest score.
     """
+    n = design.n
     scores = np.full(len(candidates), math.inf)
-    fold_losses = np.full((len(candidates), design.n), np.nan)
+    fold_losses = np.full((len(candidates), n), np.nan)
     for q in range(len(candidates)):
         per_draw = 0.0  # L_qj accumulated over folds
         try:
-            for i in range(design.n):
-                losses = (design.Z[i] - fold_predictions(q, i)) ** 2
+            for i, fit in enumerate(fold_thetas[q * n : (q + 1) * n]):
+                if isinstance(fit, Exception):
+                    raise fit
+                thetas, nugget = fit
+                z = held_out_predictions(design, i, np.atleast_2d(thetas), nugget=nugget)[0]
+                # a point fit's loss is a plain loop's scalar arithmetic: a scalar's
+                # ** 2 is pow(), which can differ in the last bit from an array's x * x
+                losses = (design.Z[i] - (z if np.ndim(thetas) == 2 else z[0])) ** 2
                 per_draw = per_draw + losses
                 fold_losses[q, i] = float(np.mean(losses))
         except (RuntimeError, ValueError):
@@ -95,40 +104,29 @@ def _score_folds(design: GpDesign, candidates: list, fold_predictions) -> CvRepo
 
 def cv_lambda(design: GpDesign, lambdas, restarts: int = 8, master_seed: int = 0) -> CvReport:
     """Leave-one-out CV over the regularized-REML penalty candidates: each
-    fold refits theta by fit_reml and kriges the held-out point at it.
+    fold refits theta by fit_reml, and _score_folds kriges the held-out
+    point at that point fit.
 
-    The Q * n fold fits are fork_map jobs, each returning its kriged value
-    or its RuntimeError or ValueError; any other exception propagates.
-    Every fold draws from its own stream, so the report does not depend on
-    the worker count."""
+    The Q * n fold fits are fork_map jobs, each returning its (theta,
+    nugget) or its RuntimeError or ValueError; any other exception
+    propagates.  Every fold draws from its own stream, so the report does
+    not depend on the worker count."""
     lambdas = list(lambdas)
     if not lambdas or design.n < 3:
         raise ValueError("need at least one penalty candidate and n >= 3 for leave-one-out")
-
     n = design.n
 
-    def fold_prediction(k):
+    def fold_fit(k):
         q, i = divmod(k, n)
         try:
             fit = fit_reml(
                 design.drop_row(i), lam=lambdas[q], restarts=restarts, rng=fold_rng(master_seed, q, i), hessian=False
             )
-            z, _ = held_out_predictions(design, i, fit.theta[None], nugget=fit.nugget)
         except (RuntimeError, ValueError) as e:
             return e
-        # a scalar, so that its loss is the scalar arithmetic of a plain
-        # Python loop over folds, bit for bit
-        return z[0]
+        return fit.theta, fit.nugget
 
-    predictions = workers.fork_map(fold_prediction, len(lambdas) * n)
-
-    def fold_value(q, i):
-        z = predictions[q * n + i]
-        if isinstance(z, Exception):
-            raise z
-        return z
-
-    return _score_folds(design, lambdas, fold_value)
+    return _score_folds(design, lambdas, workers.fork_map(fold_fit, len(lambdas) * n))
 
 
 def cv_hyperparams(
@@ -141,50 +139,43 @@ def cv_hyperparams(
     """Leave-one-out CV over (tau, nu^2) prior candidates.
 
     Per candidate and fold, the theta posterior is sampled on the reduced
-    data from theta = tau in every coordinate, burn-in is removed, and the
-    held-out point is kriged once per retained draw j at nugget 0; L_qj sums
-    squared errors over folds at draw j and the candidate's score is the
-    mean of L_qj over j.
+    data from theta = tau in every coordinate and burn-in is removed;
+    _score_folds kriges the held-out point once per retained draw j at
+    nugget 0.  L_qj sums squared errors over folds at draw j and the
+    candidate's score is the mean of L_qj over j.
 
-    One bayes_log_posterior_stack target over every (candidate, fold) pair
-    scores all starts in one call; a candidate's chains stop at its first
-    fold with no finite start.  One default_init_cov call, on a target over
-    the kept pairs, gives their initial covariances.  The kept chains run
-    in contiguous blocks over the worker processes (workers.fork_blocks),
-    one am_sample_lockstep call per block on a target over the block's
-    pairs, each chain on its own fold_rng stream.  The report therefore
-    equals that of running the chains one after another, folds in order,
-    and stopping a candidate at its first failed fold.
+    The n reduced designs are built once.  One bayes_log_posterior_stack
+    target over every (candidate, fold) pair scores all starts in one call;
+    a candidate's chains stop at its first fold with no finite start.  One
+    default_init_cov call, on a target over the kept pairs, gives their
+    initial covariances.  The kept chains run in contiguous blocks over the
+    worker processes (workers.fork_blocks), one am_sample_lockstep call per
+    block on a target over the block's pairs, each chain on its own
+    fold_rng stream.  The report therefore equals that of running the
+    chains one after another, folds in order, and stopping a candidate at
+    its first failed fold.
     """
     candidates = [tuple(c) for c in candidates]
     if not candidates or design.n < 3:
         raise ValueError("need at least one (tau, nu_sq) candidate and n >= 3 for leave-one-out")
     n = design.n
-    pairs = [(q, i) for q in range(len(candidates)) for i in range(n)]
-    tau, nu_sq = np.array([candidates[q] for q, _ in pairs], dtype=float).T
-    reduced = [design.drop_row(i) for _, i in pairs]
+    tau, nu_sq = np.repeat(np.array(candidates, dtype=float), n, axis=0).T  # pair k = q * n + i
+    reduced = [design.drop_row(i) for i in range(n)]
 
     def target_for(ks):  # over the pairs ks alone
-        return bayes_log_posterior_stack([reduced[k] for k in ks], tau[ks], nu_sq[ks], 0.0)
+        return bayes_log_posterior_stack([reduced[k % n] for k in ks], tau[ks], nu_sq[ks], 0.0)
 
     starts = np.repeat(tau[:, None], design.K, axis=1)
-    finite = np.isfinite(target_for(range(len(pairs)))(starts))
+    finite = np.isfinite(target_for(range(tau.size))(starts))
     kept = np.flatnonzero(np.cumprod(finite.reshape(-1, n), axis=1))
     inits = starts[kept]
     covs = default_init_cov(target_for(kept), inits) if kept.size else None
 
     def run_block(lo, hi):
-        rngs = [fold_rng(master_seed, *pairs[k]) for k in kept[lo:hi]]
+        rngs = [fold_rng(master_seed, *divmod(k, n)) for k in kept[lo:hi]]
         return am_sample_lockstep(target_for(kept[lo:hi]), inits[lo:hi], covs[lo:hi], am_settings, rngs)
 
-    runs = workers.fork_blocks(run_block, kept.size)
-    chains = dict.fromkeys(pairs, ValueError("no finite start"))
-    chains.update(zip([pairs[k] for k in kept], runs))
-
-    def fold_predictions(q, i):
-        chain = chains[q, i]
-        if isinstance(chain, Exception):
-            raise chain
-        return held_out_predictions(design, i, remove_burn_in(chain, burn_in).draws, nugget=0.0)[0]
-
-    return _score_folds(design, candidates, fold_predictions)
+    fold_thetas = [ValueError("no finite start")] * tau.size
+    for k, chain in zip(kept, workers.fork_blocks(run_block, kept.size)):
+        fold_thetas[k] = chain if isinstance(chain, Exception) else (remove_burn_in(chain, burn_in).draws, 0.0)
+    return _score_folds(design, candidates, fold_thetas)

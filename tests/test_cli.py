@@ -403,6 +403,29 @@ def _drop_key(path: Path, key: str) -> None:
     path.write_text(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p.write_text(p.read_text()[: len(p.read_text()) // 2]),
+        lambda p: _drop_key(p, "outputs"),
+        lambda p: p.write_text(json.dumps([json.loads(p.read_text())])),
+    ],
+    ids=["truncated", "no_outputs", "list"],
+)
+def test_damaged_provenance_record_reruns_stage(tmp_path, capsys, corrupt):
+    cfg_path, out = _study(tmp_path)
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    record = out / "provenance" / "fit-gp.json"
+    intact = json.loads(record.read_text())
+    corrupt(record)
+    capsys.readouterr()
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    assert "up to date" not in capsys.readouterr().out
+    assert json.loads(record.read_text()) == intact
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    assert "up to date" in capsys.readouterr().out
+
+
 def _spoil_first_row(path: Path) -> None:
     header, _, *rest = path.read_text().splitlines(keepends=True)
     path.write_text(header + ",".join(["x"] * len(header.split(","))) + "\n" + "".join(rest))

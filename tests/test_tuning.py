@@ -156,6 +156,24 @@ def test_cv_hyperparams_invalid_prior_gives_inf():
     assert report.winner == 1
 
 
+def test_point_fit_loss_is_scalar_arithmetic(monkeypatch):
+    # x ** 2 on a float rounds as pow() does, which for this x can be one
+    # ulp off x * x: a point fit's losses are those of a plain loop over
+    # folds, as the brute-force tests recompute them, and draws' losses
+    # those of array arithmetic, as sequential_cv_hyperparams does
+    x = 0.42672114373024106
+    d = GpDesign(S=np.array([[0.0], [1.0], [2.0]]), Z=np.full(3, x))
+
+    def krige_zero(design, i, thetas, nugget):
+        return np.zeros(len(thetas)), np.zeros(len(thetas))
+
+    monkeypatch.setattr(tuning, "held_out_predictions", krige_zero)
+    point = tuning._score_folds(d, [1.0], [(np.ones(1), 0.0)] * 3)
+    draws = tuning._score_folds(d, [1.0], [(np.ones((2, 1)), 0.0)] * 3)
+    assert point.fold_losses[0].tolist() == [x**2] * 3 and point.scores[0] == x**2 + x**2 + x**2
+    assert draws.fold_losses[0].tolist() == [x * x] * 3 and draws.scores[0] == x * x + x * x + x * x
+
+
 def test_fold_losses_recorded():
     rng = np.random.default_rng(8)
     d = smooth_design(rng, n=4)

@@ -104,6 +104,26 @@ def test_job_exception_reaches_the_caller(n, monkeypatch):
         workers.fork_map(job, 5)
 
 
+@pytest.mark.parametrize("n", COUNTS)
+@pytest.mark.parametrize("count", range(6))
+def test_fork_blocks_joins_contiguous_blocks_in_order(n, count, monkeypatch):
+    force_workers(monkeypatch, n)
+    assert workers.fork_blocks(lambda lo, hi: list(range(lo, hi)), count) == list(range(count))
+
+    def job(lo, hi):
+        # no block is empty, so count == 0 runs no job at all, as
+        # cv_hyperparams needs when it keeps no chain
+        assert lo < hi, f"job({lo}, {hi})"
+        return [(i, lo, hi) for i in range(lo, hi)]
+
+    out = workers.fork_blocks(job, count)
+    assert [i for i, _, _ in out] == list(range(count))
+    blocks = list(dict.fromkeys((lo, hi) for _, lo, hi in out))
+    bounds = [lo for lo, _ in blocks] + [count]
+    assert len(blocks) == min(count, n)
+    assert bounds[0] == 0 and blocks == list(zip(bounds, bounds[1:]))
+
+
 def _lockstep_run():
     """Five chains, the second and fifth on far_target, whose adaptation
     fails; the generators' states after the run and the chains (or errors)
@@ -173,6 +193,31 @@ def test_cv_lambda_does_not_depend_on_worker_count(n, small_design, monkeypatch)
     report = at_workers(monkeypatch, n, cv_lambda, small_design, [0.5, 2.0, 8.0], restarts=2, master_seed=11)
     assert report.scores.tobytes() == serial.scores.tobytes()
     assert report.fold_losses.tobytes() == serial.fold_losses.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_failed_fold_fit_ends_its_candidate_at_that_fold(n, small_design, monkeypatch):
+    # the fit on candidate 1, fold 3's stream fails, in whichever worker it
+    # runs: that candidate keeps its first three fold losses and fails, and
+    # candidate 0 is untouched
+    force_workers(monkeypatch, n)
+    lambdas = [0.5, 2.0]
+    clean = cv_lambda(small_design, lambdas, restarts=2, master_seed=11)
+    assert np.isfinite(clean.scores).all()
+    fit_reml = tuning.fit_reml
+    failing = tuning.fold_rng(11, 1, 3).bit_generator.state
+
+    def fail_one_fold(design, **kwargs):
+        if kwargs["rng"].bit_generator.state == failing:
+            raise RuntimeError("forced")
+        return fit_reml(design, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_reml", fail_one_fold)
+    report = cv_lambda(small_design, lambdas, restarts=2, master_seed=11)
+    assert report.fold_losses[1, :3].tobytes() == clean.fold_losses[1, :3].tobytes()
+    assert np.isnan(report.fold_losses[1, 3:]).all() and report.scores[1] == math.inf
+    assert report.fold_losses[0].tobytes() == clean.fold_losses[0].tobytes()
+    assert report.scores[0] == clean.scores[0] and report.winner == 0
 
 
 def _fit_inputs_outputs(root):
