@@ -494,7 +494,8 @@ def fit_reml(
     raised when every start is.  Ties across starts break by lowest
     objective, then lexicographically smallest theta.  ``objective`` is
     nll_reml_regularized at ``theta``, and ``hessian`` is its central
-    finite-difference Hessian with relative step 0.2, or None when
+    finite-difference Hessian with relative step 0.2, probed through the
+    optimizer's own objective (whose value is the same), or None when
     ``hessian`` is False (33 objective calls at K=4 that a caller reading
     only theta does not need).
     """
@@ -523,12 +524,6 @@ def fit_reml(
             at_bounds=False,
         )
 
-    def objective(theta):
-        try:
-            return nll_reml_regularized(design, theta, lam)
-        except (FactorizationError, ValueError):
-            return 1e300
-
     def objective_and_grad(theta):
         try:
             return nll_reml_regularized_grad(design, theta, lam)
@@ -553,7 +548,7 @@ def fit_reml(
     # rather than the factorization-level roughness a tiny step would
     # amplify; Wald intervals from a much smaller step are badly
     # anti-conservative
-    hess = fd_hessian(objective, best_theta, 0.2) if hessian else None
+    hess = fd_hessian(lambda t: objective_and_grad(t)[0], best_theta, 0.2) if hessian else None
     at_bounds = bool(
         np.any(np.isclose(best_theta, THETA_BOUNDS[0])) or np.any(np.isclose(best_theta, THETA_BOUNDS[1]))
     )

@@ -11,7 +11,9 @@ per step, and ``am_sample`` is its one-chain case.  The pipeline's input
 chains (one per input variable) and tune-prior's cross-validation chains go
 through am_sample_lockstep, one call per block of chains that their callers
 spread over worker processes (``workers.fork_blocks``); tune-prior's final
-theta chain runs in am_sample.
+theta chain runs in am_sample.  A chain that cannot start (a non-finite
+target at its start) or whose proposal covariance fails stops alone: the
+call returns its exception in its place, and am_sample raises it.
 """
 
 from __future__ import annotations
@@ -213,22 +215,24 @@ def am_sample_lockstep(
     its accept test, moments and adaptation use its own state only, so it
     follows bit for bit the path am_sample gives it alone.  Returns one
     PosteriorChain per chain, or the exception am_sample would raise for a
-    chain whose proposal covariance is not finite and positive definite;
-    such a chain stops moving and the others run on.
+    chain whose target at its start is not finite (ValueError) or whose
+    proposal covariance is not finite and positive definite; such a chain
+    stops moving and the others run on.  The accept test compares Python
+    floats, so a stopped chain at -inf raises no RuntimeWarning.
     """
     B, d = len(rngs), settings.d
     x = np.array(inits, dtype=float)
     if x.shape != (B, d):
         raise ValueError(f"inits have shape {x.shape}, expected ({B}, {d})")
     lp = np.asarray(log_target(x.copy()), dtype=float).tolist()
-    if not all(map(math.isfinite, lp)):
-        raise ValueError("log_target(init) must be finite")
     t0, t1, t2 = settings.t0, settings.t1, settings.t2
     chol, alive = _proposal_factor(settings.s_d * np.asarray(init_covs, dtype=float))
     errors = [
-        None if ok else np.linalg.LinAlgError("initial proposal covariance is not positive definite")
-        for ok in alive
+        ValueError("log_target(init) must be finite") if not math.isfinite(v)
+        else None if ok else np.linalg.LinAlgError("initial proposal covariance is not positive definite")
+        for v, ok in zip(lp, alive)
     ]
+    alive &= np.isfinite(lp)
     chol[~alive] = 0.0  # a stopped chain proposes its own state
     stopped = not alive.all()
 
@@ -257,7 +261,7 @@ def am_sample_lockstep(
             normal(out=z_b)
             log_u[b] = math.log(max(uniform(), 1e-300))
         prop = x + (chol @ z)[:, :, 0]
-        for b, lp_prop in enumerate(log_target(prop)):
+        for b, lp_prop in enumerate(np.asarray(log_target(prop), dtype=float).tolist()):
             if lp_prop - lp[b] > log_u[b]:
                 x[b] = prop[b]
                 lp[b] = lp_prop

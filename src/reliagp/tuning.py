@@ -9,11 +9,10 @@ fold's theta rows are found:
   of ``workers.fork_map``, and each returns its fit.
 * ``cv_hyperparams``: for each candidate (tau, nu^2) prior, each fold runs
   the adaptive Metropolis sampler on the integrated-likelihood target; its
-  theta rows are the retained draws.  The (candidate, fold) chains are
-  started and run on likelihood stacks: one target call checks all starts,
-  one default_init_cov call gives the kept chains' initial covariances,
-  and they run in one am_sample_lockstep call per block of
-  ``workers.fork_blocks``.
+  theta rows are the retained draws.  The (candidate, fold) chains run on
+  likelihood stacks: one default_init_cov call gives every chain's initial
+  covariance, and they run in one am_sample_lockstep call per block of
+  ``workers.fork_blocks``.  A chain that cannot start fails its fold.
 
 One scorer, ``_score_folds``, then kriges each held-out point in this
 process through ``kriging.held_out_predictions`` (one factorization stack
@@ -144,16 +143,15 @@ def cv_hyperparams(
     nugget 0.  L_qj sums squared errors over folds at draw j and the
     candidate's score is the mean of L_qj over j.
 
-    The n reduced designs are built once.  One bayes_log_posterior_stack
-    target over every (candidate, fold) pair scores all starts in one call;
-    a candidate's chains stop at its first fold with no finite start.  One
-    default_init_cov call, on a target over the kept pairs, gives their
-    initial covariances.  The kept chains run in contiguous blocks over the
-    worker processes (workers.fork_blocks), one am_sample_lockstep call per
-    block on a target over the block's pairs, each chain on its own
-    fold_rng stream.  The report therefore equals that of running the
-    chains one after another, folds in order, and stopping a candidate at
-    its first failed fold.
+    The n reduced designs are built once.  One default_init_cov call, on a
+    bayes_log_posterior_stack target over every (candidate, fold) pair,
+    gives the chains' initial covariances.  The chains run in contiguous
+    blocks over the worker processes (workers.fork_blocks), one
+    am_sample_lockstep call per block on a target over the block's pairs,
+    each chain on its own fold_rng stream.  A chain that cannot start, or
+    whose proposal covariance fails, is its fold's error.  The report
+    therefore equals that of running the chains one after another, folds in
+    order, and stopping a candidate at its first failed fold.
     """
     candidates = [tuple(c) for c in candidates]
     if not candidates or design.n < 3:
@@ -162,20 +160,16 @@ def cv_hyperparams(
     tau, nu_sq = np.repeat(np.array(candidates, dtype=float), n, axis=0).T  # pair k = q * n + i
     reduced = [design.drop_row(i) for i in range(n)]
 
-    def target_for(ks):  # over the pairs ks alone
-        return bayes_log_posterior_stack([reduced[k % n] for k in ks], tau[ks], nu_sq[ks], 0.0)
+    def target_for(lo, hi):  # over the pairs lo, ..., hi - 1
+        return bayes_log_posterior_stack([reduced[k % n] for k in range(lo, hi)], tau[lo:hi], nu_sq[lo:hi], 0.0)
 
-    starts = np.repeat(tau[:, None], design.K, axis=1)
-    finite = np.isfinite(target_for(range(tau.size))(starts))
-    kept = np.flatnonzero(np.cumprod(finite.reshape(-1, n), axis=1))
-    inits = starts[kept]
-    covs = default_init_cov(target_for(kept), inits) if kept.size else None
+    inits = np.repeat(tau[:, None], design.K, axis=1)
+    covs = default_init_cov(target_for(0, tau.size), inits)
 
     def run_block(lo, hi):
-        rngs = [fold_rng(master_seed, *divmod(k, n)) for k in kept[lo:hi]]
-        return am_sample_lockstep(target_for(kept[lo:hi]), inits[lo:hi], covs[lo:hi], am_settings, rngs)
+        rngs = [fold_rng(master_seed, *divmod(k, n)) for k in range(lo, hi)]
+        return am_sample_lockstep(target_for(lo, hi), inits[lo:hi], covs[lo:hi], am_settings, rngs)
 
-    fold_thetas = [ValueError("no finite start")] * tau.size
-    for k, chain in zip(kept, workers.fork_blocks(run_block, kept.size)):
-        fold_thetas[k] = chain if isinstance(chain, Exception) else (remove_burn_in(chain, burn_in).draws, 0.0)
+    chains = workers.fork_blocks(run_block, tau.size)
+    fold_thetas = [c if isinstance(c, Exception) else (remove_burn_in(c, burn_in).draws, 0.0) for c in chains]
     return _score_folds(design, candidates, fold_thetas)

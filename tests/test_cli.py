@@ -385,6 +385,19 @@ def test_failed_input_chain_names_its_variable(tmp_path, monkeypatch, capsys):
     assert not (out / "inputs").exists()
 
 
+def test_unstartable_input_chain_names_its_variable(tmp_path, capsys):
+    # all of X0001's observations equal: its MLE variance is 0, where the
+    # target is not finite, so its chain cannot start
+    cfg_path, out = _study(tmp_path)
+    observations = tmp_path / "data" / "observations.csv"
+    header, *rows = observations.read_text().splitlines(keepends=True)
+    observations.write_text(header + "".join("X0001,10.0\n" if r.startswith("X0001,") else r for r in rows))
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "X0001" in err and "must be finite" in err
+    assert not (out / "inputs").exists()
+
+
 def test_changed_data_file_reruns_stage(tmp_path, capsys):
     cfg_path, out = _study(tmp_path)
     assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK

@@ -8,12 +8,15 @@ benchmark.  So is a parameter default of a module-level function that no
 call of that name there overrides.  The CSV table format lives in ``reliagp.tables`` alone: no other
 module calls ``csv.writer`` or formats a cell with ``repr(float(``.  No
 library module swallows exceptions with a bare ``except:`` or a handler for
-Exception or BaseException.  Worker processes live in ``reliagp.workers``
+Exception or BaseException, and no ``except`` tuple names a class next to
+one of its bases.  Worker processes live in ``reliagp.workers``
 alone: no other module imports ``multiprocessing`` or ``concurrent.futures``
 or calls ``os.fork``.
 """
 
 import ast
+import builtins
+import importlib
 import re
 from pathlib import Path
 
@@ -155,6 +158,32 @@ def test_no_swallowing_handlers(path):
             if any(t in (None, "Exception", "BaseException") for t in names):
                 broad.append(f"{path.name}:{node.lineno}")
     assert not broad, "handlers that catch everything: " + ", ".join(broad)
+
+
+def _resolve(node: ast.expr, namespace: dict):
+    """The object that a name or a dotted name refers to in a module's
+    namespace, or among the builtins."""
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr)
+    return namespace[node.id] if node.id in namespace else getattr(builtins, node.id)
+
+
+def test_no_handler_names_a_subclass_of_another():
+    """A class next to one of its bases in an ``except`` tuple catches
+    nothing the base does not."""
+    redundant = []
+    for path in MODULES:
+        namespace = vars(importlib.import_module(f"reliagp.{path.stem}"))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+                classes = [(ast.unparse(t), _resolve(t, namespace)) for t in node.type.elts]
+                redundant += [
+                    f"{path.name}:{node.lineno}: {name} is a {base_name}"
+                    for name, cls in classes
+                    for base_name, base in classes
+                    if cls is not base and issubclass(cls, base)
+                ]
+    assert not redundant, "handlers that name a class next to its base: " + ", ".join(redundant)
 
 
 PARALLEL_MODULES = ("multiprocessing", "concurrent")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ def test_lockstep_chains_equal_lone_chains():
     assert isinstance(chains[1], RuntimeError)
     with pytest.raises(RuntimeError):
         am_sample(far_target, inits[1], covs[1], settings, np.random.default_rng(2))
+    for b in (0, 2):
+        lone = am_sample(targets[b], inits[b], covs[b], settings, np.random.default_rng(b + 1))
+        assert np.array_equal(chains[b].draws, lone.draws)
+        assert chains[b].acceptance_rate == lone.acceptance_rate
+
+
+def test_unstartable_chain_fails_alone():
+    settings = AmSettings(d=2, t=2000, t0=100, t1=7, t2=10)
+    targets = [std_normal_target, lambda x: -math.inf, lambda x: -0.5 * float((x - 1.0) @ (x - 1.0)) / 4.0]
+    inits = [np.zeros(2), np.ones(2), np.ones(2)]
+    covs = [np.eye(2), np.eye(2), 2.0 * np.eye(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the stopped chain's accept test at -inf must not warn
+        chains = am_sample_lockstep(
+            lambda X: np.array([f(x) for f, x in zip(targets, X)]),
+            inits,
+            covs,
+            settings,
+            [np.random.default_rng(s) for s in (1, 2, 3)],
+        )
+    assert isinstance(chains[1], ValueError) and "must be finite" in str(chains[1])
     for b in (0, 2):
         lone = am_sample(targets[b], inits[b], covs[b], settings, np.random.default_rng(b + 1))
         assert np.array_equal(chains[b].draws, lone.draws)

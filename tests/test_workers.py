@@ -259,8 +259,8 @@ def _fail_on_non_finite_rows(monkeypatch):
 
 @pytest.mark.parametrize("n", COUNTS)
 def test_no_target_is_given_a_nan_row(n, small_design, tmp_path, monkeypatch):
-    # tau=50 keeps none of its chains, so the kept chains are a strict
-    # subset of the pairs the start check scores
+    # tau=50's chains cannot start: they stop at their starts, which lie
+    # outside the theta box, and are given no non-finite row either
     force_workers(monkeypatch, n)
     _fail_on_non_finite_rows(monkeypatch)
     settings = AmSettings(d=4, t=200, t0=50, t2=10)
