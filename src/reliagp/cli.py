@@ -14,7 +14,11 @@ fit-inputs samples every input's parameter posterior by adaptive
 Metropolis, chain k on stage_rng(seed, "fit-inputs", k).  Its chains,
 tune-lambda's fold fits and tune-prior's CV chains run on worker processes
 (reliagp.workers); every chain and fold draws from its own stream, so the
-outputs do not depend on the worker count.
+outputs do not depend on the worker count.  Every process runs OpenBLAS
+on one thread: ``main`` sets its own (workers.one_blas_thread) before it
+runs a command, as each worker does.  tune-prior's final theta chain runs
+here, on a target that scores several proposals per call (see
+mcmc.am_sample).
 
 Config file is JSON; see PipelineConfig for the fields.  One master seed
 fans out to all stage seeds via SeedSequence with a spawn key derived from
@@ -613,6 +617,7 @@ def main(argv=None) -> int:
         p.add_argument("--setting", choices=["A", "B"], default=None)
 
     args = parser.parse_args(argv)
+    workers.one_blas_thread()
     try:
         if args.command == "synth":
             return cmd_synth(args)

@@ -420,9 +420,17 @@ def _nll_bayes_stack(S, X, Z, theta, tau, nu_sq, nugget):
 def bayes_log_posterior(design: GpDesign, tau: float, nu_sq: float, nugget: float = NUGGET_START):
     """Log-target callable over theta for MCMC sampling of the range
     parameters; returns -inf outside THETA_BOUNDS and where the likelihood
-    cannot be evaluated.  It is the one-chain bayes_log_posterior_stack."""
-    target = bayes_log_posterior_stack([design], [tau], [nu_sq], nugget)
-    return lambda theta: float(target(np.asarray(theta, dtype=float).reshape(1, -1))[0])
+    cannot be evaluated.  It is the one-chain bayes_log_posterior_stack,
+    whose callable it carries as ``stack``: an (m, K) stack of theta rows
+    to m values in one GpStack call, each equal to the lone call's at its
+    row, with which am_sample scores several proposals at once."""
+    stack = bayes_log_posterior_stack([design], [tau], [nu_sq], nugget)
+
+    def target(theta):
+        return float(stack(np.asarray(theta, dtype=float).reshape(1, -1))[0])
+
+    target.stack = stack
+    return target
 
 
 def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START):
@@ -430,7 +438,8 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
 
     The callable maps a (B, K) stack of theta rows to B log targets, row b
     under ``designs[b]``, ``tau[b]`` and ``nu_sq[b]``; the designs share one
-    size.  One call factorizes every in-box row through one GpStack, and
+    size, and a single design, with its tau and nu_sq, serves any number of
+    rows.  One call factorizes every in-box row through one GpStack, and
     each row's value equals -nll_bayes at it bit for bit.
     """
     S = np.stack([d.coords for d in designs])
@@ -441,14 +450,15 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
 
     def log_target(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        out = np.full(len(theta), -math.inf)
+        B = len(theta)
+        stacks = [np.broadcast_to(a, (B, *a.shape[1:])) for a in (S, X, Z, theta, tau, nu_sq)]
         in_box = np.all((theta >= THETA_BOUNDS[0]) & (theta <= THETA_BOUNDS[1]), axis=1)
-        live = np.flatnonzero(in_box & (nu_sq > 0))
-        if live.size:
-            nll, _ = _nll_bayes_stack(
-                S[live], X[live], Z[live], theta[live], tau[live], nu_sq[live], nugget
-            )
-            out[live] = -nll
+        live = in_box & (stacks[5] > 0)
+        if live.all():  # the stacks themselves, uncopied
+            return -_nll_bayes_stack(*stacks, nugget)[0]
+        out = np.full(B, -math.inf)
+        if live.any():
+            out[live] = -_nll_bayes_stack(*(a[live] for a in stacks), nugget)[0]
         return out
 
     return log_target

@@ -12,14 +12,19 @@ job's result comes back.  The library starts no threads of its own, and
 OpenBLAS shuts its thread pool down around a fork, so forking is safe
 here.  With one CPU, or inside a worker, the jobs run in this process.
 
-Each worker sets every loaded OpenBLAS to one thread before its first job:
-two workers with default BLAS threading oversubscribe the CPUs and run
-slower than one process.  A job's exception is raised in the caller, the
+Each worker sets every loaded OpenBLAS to one thread before its first job
+(one_blas_thread): two workers with default BLAS threading oversubscribe
+the CPUs and run slower than one process.  ``cli.main`` sets its own
+process the same way before it runs a command: on the pipeline's small
+matrices (one row per simulator run) a second BLAS thread costs far more
+CPU than the wall time it saves.  A job's exception is raised in the caller, the
 first in index order; a worker that dies makes the call raise
 BrokenProcessPool.
 
 These two functions are the library's one parallel path: no other module
-forks or imports ``multiprocessing`` or ``concurrent.futures``.
+forks or imports ``multiprocessing`` or ``concurrent.futures``, and
+one_blas_thread is the one place that sets BLAS threads: no other module
+imports ``ctypes``.
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["fork_blocks", "fork_map", "worker_count"]
+__all__ = ["fork_blocks", "fork_map", "one_blas_thread", "worker_count"]
 
 # set in a worker process only, by _start_worker
 _worker_job = None
 
 # the thread-count setters of OpenBLAS builds: plain, 64-bit-integer and
-# the scipy-openblas wheels' prefixed names
+# the scipy-openblas wheels' prefixed names; each has a get_num_threads twin
 _SET_THREADS = [
     f"{prefix}_set_num_threads{suffix}" for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_", "_64")
 ]
@@ -72,22 +77,28 @@ def fork_blocks(job, count: int) -> list:
 def _start_worker(job) -> None:
     global _worker_job
     _worker_job = job
-    _one_blas_thread()
+    one_blas_thread()
 
 
 def _run_job(i: int):
     return _worker_job(i)
 
 
-def _one_blas_thread() -> None:
+def one_blas_thread() -> None:
     """Set every OpenBLAS loaded in this process to one thread, through the
-    set_num_threads symbol its build exports (as threadpoolctl does)."""
+    set_num_threads symbol its build exports (as threadpoolctl does).  A
+    library already at one thread is left alone: setting it again restarts
+    the thread pool that a fork shut down, and each new pool thread spins
+    for about 0.1 s of CPU before it sleeps."""
     with open("/proc/self/maps") as maps:
         paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()}
     for path in sorted(paths):
         lib = ctypes.CDLL(path)
-        set_threads = next(filter(None, (getattr(lib, name, None) for name in _SET_THREADS)), None)
-        if set_threads is not None:
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
+        name = next((name for name in _SET_THREADS if hasattr(lib, name)), None)
+        if name is None:
+            continue
+        get_threads, set_threads = getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name)
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        if get_threads() != 1:
             set_threads(1)

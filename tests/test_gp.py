@@ -428,6 +428,20 @@ def test_stack_failed_member_fails_alone(monkeypatch):
         GpWork(folds[1], thetas[1], nugget=0.0)
 
 
+def test_lone_target_scores_a_stack_of_rows():
+    # bayes_log_posterior's stacked form: m rows under one design, each the
+    # lone call's value; all rows in the box take the uncopied stacks, a row
+    # outside it the live rows alone
+    ds = synth_study(seed=8000)
+    target = bayes_log_posterior(GpDesign(S=ds.design, Z=ds.outputs, standardize=True), 3.0, 0.26, 0.0)
+    thetas = np.random.default_rng(21).normal(3.0, 0.6, size=(5, 4))
+    for rows in (thetas, np.vstack([thetas, [[3.0, -10.5, 3.0, 3.0]]])):
+        lp = target.stack(rows)
+        assert lp.tolist() == [target(th) for th in rows]
+    assert lp[-1] == -math.inf and np.isfinite(lp[:-1]).all()
+    assert target.stack(thetas[:1]).tolist() == [target(thetas[0])]
+
+
 # ------------------------------------------------------------ REML gradient
 
 

@@ -11,7 +11,8 @@ library module swallows exceptions with a bare ``except:`` or a handler for
 Exception or BaseException, and no ``except`` tuple names a class next to
 one of its bases.  Worker processes live in ``reliagp.workers``
 alone: no other module imports ``multiprocessing`` or ``concurrent.futures``
-or calls ``os.fork``.
+or calls ``os.fork``.  So does the setting of BLAS threads: no other module
+imports ``ctypes`` or names an OpenBLAS ``set_num_threads`` symbol.
 """
 
 import ast
@@ -210,3 +211,19 @@ def test_worker_processes_live_in_workers(path):
             if m.split(".")[0] in PARALLEL_MODULES or m.startswith("os.fork")
         ]
     assert not found, "processes started outside reliagp.workers: " + ", ".join(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (ROOT / "src" / "reliagp").glob("*.py") if p.name != "workers.py"), ids=lambda p: p.name
+)
+def test_blas_threads_are_set_in_workers(path):
+    """Only reliagp.workers sets BLAS threads: one place, one_blas_thread."""
+    source = path.read_text()
+    found = [
+        f"{path.name}:{node.lineno}: import ctypes"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "ctypes" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes"
+    ]
+    found += [f"{path.name}: {symbol}" for symbol in re.findall(r"openblas\w*_set_num_threads\w*", source)]
+    assert not found, "BLAS threads set outside reliagp.workers: " + ", ".join(found)

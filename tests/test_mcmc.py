@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reliagp import mcmc
 from reliagp.distributions import (
     Family,
     InputVariableSpec,
@@ -14,6 +15,8 @@ from reliagp.distributions import (
     log_posterior_unnorm,
     params_from_array,
 )
+from reliagp.gp import THETA_BOUNDS, GpDesign, bayes_log_posterior
+from reliagp.ingest import synth_study
 from reliagp.mcmc import (
     AmSettings,
     PosteriorChain,
@@ -123,6 +126,116 @@ def test_unstartable_chain_fails_alone():
         lone = am_sample(targets[b], inits[b], covs[b], settings, np.random.default_rng(b + 1))
         assert np.array_equal(chains[b].draws, lone.draws)
         assert chains[b].acceptance_rate == lone.acceptance_rate
+
+
+# ------------------------------------------------------------ looking ahead
+
+
+def recording(f, stack=None):
+    """f, recording the states of each call in ``.calls``; with ``stack``
+    (f's stacked form) only the stacked form is offered and recorded."""
+    calls = []
+
+    def lone(x):
+        calls.append(np.array([x]))
+        return f(x)
+
+    def stacked(rows):
+        calls.append(np.array(rows))
+        return stack(rows)
+
+    if stack is None:
+        lone.calls = calls
+        return lone
+    wrapped = lambda x: f(x)
+    wrapped.stack, wrapped.calls = stacked, calls
+    return wrapped
+
+
+def walked_steps(calls, plain_calls, settings, ahead):
+    """Replay the look-ahead calls against the plain run's proposals (one
+    per step): each call must hold the proposals of the steps right after
+    those already walked, as many as ``ahead``, the end of the run and the
+    next refresh of the proposal covariance allow; the chain walks them up
+    to the first that differs from the plain run's (an acceptance moved
+    the state).  Returns the steps walked."""
+    proposals = [rows[0] for rows in plain_calls[1:]]
+    refreshes = [r for r in range(1, settings.t + settings.t1) if r > settings.t0 and r % settings.t1 == 0]
+    assert len(calls[0]) == 1  # the start
+    done = 0
+    for rows in calls[1:]:
+        crossed = [r for r in refreshes if done < r < done + len(rows)]
+        assert not crossed, f"a call scores proposals from both sides of the refresh at step {crossed}"
+        refresh = next(r for r in refreshes if r > done)
+        assert len(rows) == min(ahead, settings.t - done, refresh - done)
+        walked = 0
+        while walked < len(rows) and np.array_equal(rows[walked], proposals[done + walked]):
+            walked += 1
+        assert walked > 0
+        done += walked
+    return done
+
+
+@pytest.fixture(scope="module")
+def theta_target():
+    ds = synth_study(seed=8000)
+    return bayes_log_posterior(GpDesign(S=ds.design, Z=ds.outputs, standardize=True), 3.0, 0.26)
+
+
+def run_plain_and_ahead(target, stack, init, cov, settings, seed):
+    """am_sample on the plain target and on its stacked form: (chain or
+    exception, recorded calls) for each."""
+    runs = []
+    for f in (recording(target), recording(target, stack)):
+        try:
+            runs.append((am_sample(f, init, cov, settings, np.random.default_rng(seed)), f.calls))
+        except (RuntimeError, ValueError) as e:
+            runs.append((e, f.calls))
+    return runs
+
+
+@pytest.mark.parametrize("ahead", [2, 3, 4, 7])
+def test_look_ahead_chain_equals_plain_chain(ahead, theta_target, monkeypatch):
+    # the fixture's theta chain from a start near the box's edge, across t0
+    # and 243 refreshes every 7 steps: the same draws and acceptance rate
+    # in fewer target calls, and no call reaching past a refresh
+    monkeypatch.setattr(mcmc, "LOOKAHEAD", ahead)
+    settings = AmSettings(d=4, t=2000, t0=300, t1=7, t2=10)
+    init = np.array([9.5, 3.0, 3.0, 3.0])
+    (plain, plain_calls), (chain, calls) = run_plain_and_ahead(
+        theta_target, theta_target.stack, init, np.eye(4), settings, seed=6
+    )
+    assert np.array_equal(chain.draws, plain.draws)
+    assert chain.acceptance_rate == plain.acceptance_rate
+    assert 0 < plain.acceptance_rate < 1
+    rows = np.concatenate(calls)
+    assert np.any(rows > THETA_BOUNDS[1]), "no proposal left the box"
+    assert len(calls) < len(plain_calls) == settings.t + 1
+    assert walked_steps(calls, plain_calls, settings, ahead) == settings.t
+
+
+def test_look_ahead_chain_fails_at_the_same_refresh():
+    # far_target's adaptation fails at a refresh: the look-ahead chain
+    # raises the same error after walking the same steps
+    settings = AmSettings(d=2, t=2000, t0=100, t1=7, t2=10)
+    stack = lambda X: np.array([far_target(x) for x in X])
+    (plain, plain_calls), (chain, calls) = run_plain_and_ahead(
+        far_target, stack, np.full(2, 1e8), 1e-6 * np.eye(2), settings, seed=2
+    )
+    assert isinstance(plain, RuntimeError) and type(chain) is type(plain)
+    assert str(chain) == str(plain)
+    steps = len(plain_calls) - 1
+    assert settings.t0 < steps < settings.t and steps % settings.t1 == 0
+    assert walked_steps(calls, plain_calls, settings, mcmc.LOOKAHEAD) == steps
+
+
+def test_look_ahead_needs_one_chain():
+    settings = AmSettings(d=1, t=100, t0=10)
+    with pytest.raises(ValueError, match="one chain"):
+        am_sample_lockstep(
+            lambda X: -0.5 * np.sum(X**2, axis=1), np.zeros((2, 1)), np.ones((2, 1, 1)), settings,
+            [np.random.default_rng(s) for s in (1, 2)], ahead=3,
+        )
 
 
 def scalar_fd_hessian(f, x, step):

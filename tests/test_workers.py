@@ -84,6 +84,29 @@ def test_workers_run_one_blas_thread(monkeypatch):
     assert all(counts == [1] * len(counts) for counts in per_worker)
 
 
+def _set_openblas_threads(n: int) -> None:
+    """Set each OpenBLAS loaded in this process to n threads."""
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        set_threads = next(filter(None, (getattr(lib, name, None) for name in workers._SET_THREADS)))
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(n)
+
+
+def test_main_runs_one_blas_thread(tmp_path):
+    # the pipeline's own process, not only its workers, runs one BLAS thread
+    if not _openblas_threads():
+        pytest.skip("NumPy and SciPy load no OpenBLAS here")
+    config, _ = test_cli._study(tmp_path)
+    _set_openblas_threads(2)
+    if set(_openblas_threads()) != {2}:
+        pytest.skip("OpenBLAS keeps to one thread here")
+    assert main(["fit-gp", "--config", str(config)]) == 0
+    assert _openblas_threads() == [1] * len(_openblas_threads())
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dead_worker_raises(n, monkeypatch):
     force_workers(monkeypatch, n)
