@@ -140,8 +140,14 @@ class GpDesign:
         return ((c[:, None, :] - c[None, :, :]) ** 2).reshape(-1, self.K)
 
     def transform(self, pts: np.ndarray) -> np.ndarray:
-        """Map new input points into the training distance coordinates."""
-        return (np.atleast_2d(np.asarray(pts, dtype=float)) - self._mu) / self._sd
+        """Map new input points, the rows of an (m, K) array, into the
+        training distance coordinates, returned as the K rows of a
+        C-contiguous (K, m) array, so that each elementwise pass runs along
+        the m points rather than along K."""
+        cols = np.atleast_2d(np.asarray(pts, dtype=float)).T
+        cols = np.subtract(cols, self._mu[:, None], order="C")
+        cols /= self._sd[:, None]
+        return cols
 
     def drop_row(self, i: int) -> "GpDesign":
         keep = np.arange(self.n) != i
@@ -177,16 +183,33 @@ def _covariance_stack(S: np.ndarray, theta: np.ndarray, nugget: float) -> np.nda
     return V
 
 
-def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of A and of B, (n, m), clipped at 0."""
-    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
+def sq_distances(A: np.ndarray, B: np.ndarray, sq_a: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A (n, K) and the
+    columns of B (K, m), an (n, m) array clipped at 0.
+
+    Each entry is (|a|^2 + |b|^2) - 2 a.b, each squared norm summed over K
+    in index order; ``sq_a`` holds A's squared row norms when the caller
+    keeps them.  The (n, m) result is assembled in place.  The products a.b
+    come from one BLAS call on B's points as C-ordered (m, K) rows: BLAS
+    rounds the tail tiles of a product differently for other operand
+    layouts, and the kriged means, with the CV scores built on them, are
+    pinned to the bits of this one.
+    """
+    if sq_a is None:
+        sq_a = np.add.reduce(A * A, axis=1)
+    d2 = np.add.outer(sq_a, np.add.reduce(B * B, axis=0))
+    g = A @ np.ascontiguousarray(B.T).T
+    g *= 2.0
+    d2 -= g
     return np.maximum(d2, 0.0, out=d2)
 
 
 def cross_covariance(S: np.ndarray, S_new: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Correlations between training rows and new points, shape (n, m)."""
+    """Correlations between the training rows of S (n, K) and the new points,
+    the columns of S_new (K, m) as GpDesign.transform returns them; shape (n, m)."""
     scale = np.exp(np.asarray(theta, dtype=float).ravel())
-    return np.exp(-sq_distances(np.atleast_2d(S) / scale, np.atleast_2d(S_new) / scale))
+    d2 = sq_distances(np.atleast_2d(S) / scale, S_new / scale[:, None])
+    return np.exp(np.negative(d2, out=d2), out=d2)
 
 
 def cholesky_with_nugget(

@@ -19,13 +19,20 @@ held_out_predictions kriges a design row from the design without it at many
 theta rows; leave-one-out diagnostics and both cross-validation drivers use it.
 
 One kriging body, ``krige``, returns (z_hat, S0, mspe_raw) and does only that
-work: its triangular solves call LAPACK trtrs directly, as SciPy's
-solve_triangular calls it for a C-ordered factor, so the numbers are the
-same bits without SciPy's order conversions and finiteness scans, and a
-non-finite right-hand side raises SciPy's ValueError from an explicit check.
-Only ``predict_batch`` and ``predict`` add the minimum distance to the
-design, for extrapolation diagnostics; the failure-probability simulation
-and the held-out predictions call ``krige`` and never build it.
+work.  It carries the m new points as K contiguous rows, so every
+elementwise pass runs along the points, and each member's scaled design
+coordinates and their squared norms are computed once, when the stack is
+built.  The kriged mean takes the same operations in the same order as the
+row-layout formula, so it keeps its bits.  The MSPE's triangular solves
+run from the right on the Fortran-ordered (m, n) view of the cross
+covariances, one BLAS trsm call in place, with no copy.  That is the same
+forward substitution as a solve from the left, with the same backward-error
+bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 8.1), in
+another order; S0 and the raw MSPE therefore differ from a left-side LAPACK
+solve at rounding level.  A non-finite point raises ValueError before any
+solve.  Only ``predict_batch`` and ``predict`` add the minimum distance to
+the design, for extrapolation diagnostics; the failure-probability
+simulation and the held-out predictions call ``krige`` and never build it.
 """
 
 from __future__ import annotations
@@ -34,25 +41,25 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dtrtrs
 
-from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, cross_covariance, sq_distances
+from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, sq_distances
 
 __all__ = [
     "KrigingPrediction", "KrigingStack", "KrigingModel", "predict",
     "held_out_predictions", "loo_predictions", "loo_diagnostics",
 ]
 
+# a raw MSPE below this, in correlation units (MSPE / alpha), warns
 MSPE_WARN_FLOOR = -1e-8
 
 
-def _solve_lower(L, b, trans: int = 0):
-    """x with L x = b (trans=0) or L^T x = b (trans=1) for a C-ordered lower
-    factor L: the LAPACK call ``scipy.linalg.solve_triangular(L, b,
-    lower=True, trans=trans)`` makes, with its check of b's finiteness."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return dtrtrs(L.T, b, lower=0, trans=1 - trans)[0]
+def _solve_lower(L, b):
+    """L^-1 b for a C-ordered lower factor L (n, n) and a C-ordered b (n, m),
+    computed in b's memory: BLAS trsm solves x^T L^T = b^T from the right on
+    the Fortran-ordered (m, n) views of b and L^T, so nothing is copied."""
+    return dtrsm(1.0, L.T, b.T, side=1, lower=0, overwrite_b=1).T
 
 
 @dataclass(frozen=True)
@@ -86,44 +93,55 @@ class KrigingStack:
         self.design = design
         self.constant_mean = np.allclose(design.X, 1.0)
         self.error = stack.error
-        # b -> (GLS quantities, alpha, Sigma^-1 (Z - X beta_hat) in correlation units)
+        # b -> (GLS quantities, alpha, Sigma^-1 (Z - X beta_hat) in correlation
+        # units, the range scales as a (K, 1) column, and the design
+        # coordinates in those scales with their squared row norms)
+        coords = design.coords
         self.members = {}
         for b in [b for b, error in enumerate(stack.error) if error is None]:
             w = GpWork.member(design, thetas[b], stack, b)
             a = float(alpha) if alpha is not None else w.G_sq / (n - q if scale == "reml" else n)
             resid_w = w.Zw - w.Xw @ w.beta_hat
-            self.members[b] = w, a, _solve_lower(w.L, resid_w, trans=1)
+            # L^T x = resid_w; the kriged mean's bits, and the CV scores, rest on this LAPACK call
+            c_inv_resid = dtrtrs(w.L.T, resid_w, lower=0)[0]
+            range_scale = np.exp(w.theta)
+            scaled = coords / range_scale
+            sq_scaled = np.add.reduce(scaled * scaled, axis=1)
+            self.members[b] = w, a, c_inv_resid, range_scale[:, None], scaled, sq_scaled
 
     def krige(self, pts, x0=None):
         """Predict at many points at once with every member.
 
         Returns (z_hat, S0, mspe_raw) as (B, m) arrays over the members and
-        the rows of ``pts``; a failed member's rows are NaN.  ``x0`` is the
+        the rows of the (m, K) ``pts``, which may be a transposed view of K
+        point rows; a failed member's rows are NaN.  ``x0`` is the
         mean-model covariate vector of the new points (all-ones for the
-        default constant mean).  A non-finite point raises ValueError.
+        default constant mean).  A non-finite point or covariate raises
+        ValueError.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m = pts.shape[0]
-        design = self.design
+        cols = self.design.transform(pts)  # (K, m)
+        m, q = cols.shape[1], self.design.q
         if x0 is None:
             if not self.constant_mean:
                 raise ValueError("x0 required for a non-constant mean design")
-            x0 = np.ones((m, design.q))
+            x0 = np.ones((m, q))
         else:
             x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-            if x0.shape != (m, design.q):
-                raise ValueError(f"x0 has shape {x0.shape}, expected ({m}, {design.q})")
+            if x0.shape != (m, q):
+                raise ValueError(f"x0 has shape {x0.shape}, expected ({m}, {q})")
+        if not (np.isfinite(cols).all() and np.isfinite(x0).all()):
+            raise ValueError("array must not contain infs or NaNs")
 
-        coords, coords_new = design.coords, design.transform(pts)
         z_hat, mspe = np.full((2, len(self.error), m), np.nan)
-        for b, (w, alpha, c_inv_resid) in self.members.items():
-            v0 = cross_covariance(coords, coords_new, w.theta)  # (n, m)
+        for b, (w, alpha, c_inv_resid, range_scale, scaled, sq_scaled) in self.members.items():
+            v0 = sq_distances(scaled, cols / range_scale, sq_scaled)  # (n, m)
+            v0 = np.exp(np.negative(v0, out=v0), out=v0)
             z_hat[b] = x0 @ w.beta_hat + v0.T @ c_inv_resid
-            v0w = _solve_lower(w.L, v0)  # (n, m)
-            quad_v = np.sum(v0w**2, axis=0)
-            u0 = x0.T - w.Xw.T @ v0w  # (q, m)
-            t = _solve_lower(w.L_xtvx, u0)
-            quad_u = np.sum(t**2, axis=0)
+            v0w = _solve_lower(w.L, v0)  # (n, m), in v0's memory
+            u0 = w.Xw.T @ v0w  # (q, m)
+            t = _solve_lower(w.L_xtvx, np.subtract(x0.T, u0, out=u0))
+            quad_v = np.add.reduce(np.multiply(v0w, v0w, out=v0w), axis=0)
+            quad_u = np.add.reduce(np.multiply(t, t, out=t), axis=0)
             mspe[b] = alpha * ((1.0 + w.nugget) - quad_v + quad_u)
         return z_hat, np.sqrt(np.maximum(mspe, 0.0)), mspe
 
@@ -144,7 +162,7 @@ class KrigingModel:
         if self.stack.error[0] is not None:
             raise self.stack.error[0]
         self.design = design
-        self.work, self.alpha, _ = self.stack.members[0]
+        self.work, self.alpha, *_ = self.stack.members[0]
         self.theta, self.nugget = self.work.theta, self.work.nugget
 
     @classmethod
@@ -168,7 +186,7 @@ class KrigingModel:
         if s0.size != self.design.K:
             raise ValueError(f"s0 has {s0.size} coordinates, design has {self.design.K}")
         z, s, mspe, dist = self.predict_batch(s0[None, :], x0)
-        if mspe[0] < MSPE_WARN_FLOOR:
+        if mspe[0] < MSPE_WARN_FLOOR * self.alpha:  # mspe / alpha < floor, alpha >= 0
             warnings.warn(
                 f"MSPE clamped from {mspe[0]:.3e}; numerical health suspect", RuntimeWarning
             )

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from reliagp import gp
 from reliagp.gp import FactorizationError, GpDesign, covariance_matrix, cross_covariance, fit_reml
@@ -223,6 +225,96 @@ def test_min_dist_is_brute_force_distance_in_standardized_coordinates():
     assert brute[1:].min() > 1e-3
     *_, stack_dist = KrigingStack(d, np.zeros((2, 3)), alpha=1.0).predict_batch(pts)
     assert stack_dist.tolist() == min_dist.tolist()
+
+
+# ----------------------------------------------- the K=4 fixture study
+
+
+@pytest.fixture(scope="module")
+def fixture_study():
+    """The K=4 fixture design, its REML theta, and trial points: the 25
+    design points, 1000 points jittered around them by 1e-6 to 1e-2 input
+    standard deviations, and 500 points uniform over the design's box."""
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    theta = fit_reml(design, hessian=False).theta
+    rng = np.random.default_rng(2)
+    S = design.S
+    jitter = 10.0 ** rng.uniform(-6, -2, size=(1000, 1)) * S.std(axis=0)
+    near = np.repeat(S, 40, axis=0) + rng.normal(size=(1000, 4)) * jitter
+    broad = S.min(axis=0) + rng.uniform(size=(500, 4)) * (S.max(axis=0) - S.min(axis=0))
+    return ds, design, theta, np.vstack([S, near, broad])
+
+
+def row_layout_z_hat(design, work, pts):
+    """The kriged mean as the row-layout formula computes it: distances
+    between (m, K) point rows, then x0^T beta_hat + v0^T V^-1 (Z - X beta_hat)."""
+    mu, sd = design.S.mean(axis=0), design.S.std(axis=0)
+    scale = np.exp(work.theta)
+    A, B = ((design.S - mu) / sd) / scale, ((pts - mu) / sd) / scale
+    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
+    v0 = np.exp(-np.maximum(d2, 0.0))
+    c_inv_resid = linalg.solve_triangular(work.L, work.Zw - work.Xw @ work.beta_hat, lower=True, trans=1)
+    return np.ones((len(pts), 1)) @ work.beta_hat + v0.T @ c_inv_resid
+
+
+def test_z_hat_is_the_row_layout_formula_bit_for_bit(fixture_study):
+    _, design, theta, pts = fixture_study
+    rows = theta + np.random.default_rng(4).normal(0.0, 0.5, size=(5, 4))
+    model = KrigingModel(design, theta)
+    assert model.krige(pts)[0].tolist() == row_layout_z_hat(design, model.work, pts).tolist()
+    z_stack, _, _ = KrigingStack(design, rows).krige(pts)
+    for b, row in enumerate(rows):
+        expected = row_layout_z_hat(design, KrigingModel(design, row).work, pts)
+        assert z_stack[b].tolist() == expected.tolist()
+
+
+def forward_substitution(L, b):
+    """L^-1 b in np.longdouble, one row of L at a time."""
+    L, b = L.astype(np.longdouble), b.astype(np.longdouble)
+    x = np.zeros_like(b)
+    for i in range(len(L)):
+        x[i] = (b[i] - L[i, :i] @ x[:i]) / L[i, i]
+    return x
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+def test_mspe_matches_an_extended_precision_solve(fixture_study):
+    # MSPE / alpha against the same formula in long double on the same
+    # float64 factor and cross-covariances
+    _, design, theta, pts = fixture_study
+    model = KrigingModel(design, theta)
+    w = model.work
+    _, _, mspe = model.krige(pts)
+    v0w = forward_substitution(w.L, cross_covariance(design.coords, design.transform(pts), theta))
+    t = forward_substitution(w.L_xtvx, 1.0 - w.Xw.T.astype(np.longdouble) @ v0w)
+    reference = (1.0 + w.nugget) - np.sum(v0w**2, axis=0) + np.sum(t**2, axis=0)
+    error = np.abs(mspe / model.alpha - reference.astype(float))
+    assert error.max() < 1e-13
+
+
+def test_krige_does_not_depend_on_the_point_layout(fixture_study):
+    _, design, theta, pts = fixture_study
+    stack = KrigingStack(design, theta + np.array([[0.0], [0.3]]))
+    expected = [a.tolist() for a in stack.krige(pts)]
+    for layout in (np.asfortranarray(pts), np.ascontiguousarray(pts.T).T):
+        assert [a.tolist() for a in stack.krige(layout)] == expected
+
+
+def test_mspe_warning_does_not_depend_on_output_units(fixture_study):
+    # rounding leaves a raw MSPE of about -1e-15 * alpha at a design point;
+    # whether that warns must not depend on the units of Z
+    ds, _, theta, _ = fixture_study
+    counts = []
+    for units in (1.0, 1e3, 1e7):
+        design = GpDesign(S=ds.design, Z=units * ds.outputs, standardize=True)
+        model = KrigingModel(design, theta)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for s0 in design.S:
+                model.predict(s0)
+        counts.append(sum("MSPE clamped" in str(c.message) for c in caught))
+    assert counts == [counts[0]] * 3
 
 
 # ------------------------------------------------------------ leave-one-out
