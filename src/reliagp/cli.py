@@ -201,13 +201,9 @@ def _file_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _save_checked_chain(chain: PosteriorChain, path: Path, names) -> None:
@@ -246,11 +242,12 @@ def _with_sidecars(chain_files: list[str]) -> list[str]:
 
 def _read_upstream(cfg: PipelineConfig, rel: str, read):
     """``read(path)`` of the artifact ``rel`` under ``out_dir``; a missing or
-    malformed file, or a missing JSON key, is a ConfigError that names it."""
+    malformed file, a missing JSON key or JSON of the wrong shape is a
+    ConfigError that names it."""
     path = Path(cfg.out_dir) / rel
     try:
         return read(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"cannot read upstream artifact {path}: {type(e).__name__}: {e}") from e
 
 
@@ -478,9 +475,10 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
             counts, edges = np.histogram(p[:, 0], bins=40)
             rows = zip(edges[:-1], edges[1:], counts)
             write_table(report_dir / f"pf_setting_{setting}_hist.csv", ["bin_left", "bin_right", "count"], rows)
-            summary_src = out / f"pf_setting_{setting}_summary.json"
-            if summary_src.exists():
-                _write_text(report_dir / summary_src.name, summary_src.read_text())
+            summary = f"pf_setting_{setting}_summary.json"
+            if (out / summary).exists():
+                echo = _read_upstream(cfg, summary, lambda path: json.loads(path.read_text()))
+                _write_json(report_dir / summary, echo)
 
     files = sorted(str(p.relative_to(work)) for p in work.rglob("*") if p.is_file())
     _write_json(report_dir / "report_index.json", {"files": files})

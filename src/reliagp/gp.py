@@ -13,9 +13,9 @@ integrated likelihood with a Normal prior on the theta_k.
 All linear algebra goes through Cholesky factors; the likelihoods never
 form an explicit inverse (only the REML gradient needs the projection P,
 which it builds from the inverse Cholesky factor).  One core, GpStack,
-computes the GLS quantities for a stack of (design, theta) pairs; every
-likelihood and the kriging predictor use its one-member case, and sampling
-many chains at once uses the whole stack.
+computes the GLS quantities for a stack of (design, theta) pairs, a design
+given once serving every theta row; the likelihoods use its one-member case,
+and kriging and sampling many chains at once use the whole stack.
 """
 
 from __future__ import annotations
@@ -238,7 +238,8 @@ class GpStack:
 
     ``S`` (B, n, K) holds each design's distance coordinates, ``X`` (B, n, q)
     its mean design, ``Z`` (B, n) its outputs and ``theta`` (B, K) the range
-    parameters.  Each member goes through exactly the floating-point
+    parameters; a design given once, with a leading axis of 1, is shared by
+    every theta row.  Each member goes through exactly the floating-point
     operations of a lone evaluation, so its numbers do not depend on B or on
     the other members: NumPy's Cholesky (mcmc.cholesky_stack) and matmul
     over the whole stack, and per member the LAPACK triangular and Cholesky
@@ -250,7 +251,9 @@ class GpStack:
     """
 
     def __init__(self, S, X, Z, theta, nugget: float = NUGGET_START):
-        B, n, q = X.shape
+        B, (n, q) = len(theta), X.shape[1:]
+        if len(X) < B:  # one design shared by every theta row
+            S, X, Z = (np.broadcast_to(a, (B, *a.shape[1:])) for a in (S, X, Z))
         self.nugget = np.full(B, float(nugget))
         self.error: list[Exception | None] = [None] * B
         L, ok = cholesky_stack(_covariance_stack(S, theta, nugget))
@@ -404,49 +407,32 @@ def nll_reml_regularized_grad(design: GpDesign, theta, lam: float) -> tuple[floa
     return value, grad + 2.0 * lam * (theta - theta.mean())
 
 
+def _nll_bayes_of(w: GpWork, sq_dev: float, nu_sq: float) -> float:
+    """nll_bayes from the GLS quantities at ``w.theta`` and sq_dev = sum_k
+    (theta_k - tau)^2, for nu_sq > 0; ValueError on a zero GLS residual."""
+    if w.G_sq <= 0:
+        raise ValueError("degenerate data: zero GLS residual")
+    (n, q), K = w.Xw.shape, w.theta.size
+    log_prior = -0.5 * K * math.log(2 * math.pi * nu_sq) - 0.5 * sq_dev / nu_sq
+    return -log_prior + 0.5 * w.logdet_V + 0.5 * (n - q) * math.log(w.G_sq) + 0.5 * w.logdet_xtvx
+
+
 def nll_bayes(
     design: GpDesign, theta, tau: float, nu_sq: float, nugget: float = NUGGET_START
 ) -> float:
     """Negative log of the theta posterior with beta and alpha integrated out
     under the prior pi(theta)/alpha, pi(theta) = prod_k N(theta_k | tau, nu^2)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    (value,), (error,) = _nll_bayes_stack(
-        design.coords[None], design.X[None], design.Z[None], theta[None],
-        np.array([tau], dtype=float), np.array([nu_sq], dtype=float), nugget,
-    )
-    if error is not None:
-        raise error
-    return float(value)
-
-
-def _nll_bayes_stack(S, X, Z, theta, tau, nu_sq, nugget):
-    """nll_bayes for B members: their values, and per member the exception
-    a lone call raises (None if it returns), whose value is then inf."""
-    w = GpStack(S, X, Z, theta, nugget)
-    B, n, q = X.shape
-    K = theta.shape[1]
-    sq_dev = np.sum((theta - tau[:, None]) ** 2, axis=1)
-    values = np.full(B, math.inf)
-    errors: list[Exception | None] = list(w.error)
-    members = zip(nu_sq.tolist(), sq_dev.tolist(), w.logdet_V.tolist(), w.G_sq.tolist(), w.logdet_xtvx.tolist())
-    for b, (nu_sq_b, sq_dev_b, logdet_V, G_sq, logdet_xtvx) in enumerate(members):
-        if nu_sq_b <= 0:
-            errors[b] = ValueError("prior variance nu_sq must be positive")
-        elif errors[b] is None and G_sq <= 0:
-            errors[b] = ValueError("degenerate data: zero GLS residual")
-        if errors[b] is None:
-            log_prior = -0.5 * K * math.log(2 * math.pi * nu_sq_b) - 0.5 * sq_dev_b / nu_sq_b
-            values[b] = -log_prior + 0.5 * logdet_V + 0.5 * (n - q) * math.log(G_sq) + 0.5 * logdet_xtvx
-    return values, errors
+    if nu_sq <= 0:
+        raise ValueError("prior variance nu_sq must be positive")
+    w = GpWork(design, theta, nugget)
+    return float(_nll_bayes_of(w, float(np.sum((w.theta - tau) ** 2)), nu_sq))
 
 
 def bayes_log_posterior(design: GpDesign, tau: float, nu_sq: float, nugget: float = NUGGET_START):
     """Log-target callable over theta for MCMC sampling of the range
     parameters; returns -inf outside THETA_BOUNDS and where the likelihood
-    cannot be evaluated.  It is the one-chain bayes_log_posterior_stack,
-    whose callable it carries as ``stack``: an (m, K) stack of theta rows
-    to m values in one GpStack call, each equal to the lone call's at its
-    row, with which am_sample scores several proposals at once."""
+    cannot be evaluated.  It carries the one-chain bayes_log_posterior_stack
+    as ``stack``, with which am_sample scores several proposals at once."""
     stack = bayes_log_posterior_stack([design], [tau], [nu_sq], nugget)
 
     def target(theta):
@@ -462,26 +448,31 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
     The callable maps a (B, K) stack of theta rows to B log targets, row b
     under ``designs[b]``, ``tau[b]`` and ``nu_sq[b]``; the designs share one
     size, and a single design, with its tau and nu_sq, serves any number of
-    rows.  One call factorizes every in-box row through one GpStack, and
-    each row's value equals -nll_bayes at it bit for bit.
+    rows.  One call factorizes every live row, in the box with nu_sq > 0,
+    through one GpStack, and each row's value is -nll_bayes at it bit for
+    bit, or -inf where nll_bayes raises.
     """
-    S = np.stack([d.coords for d in designs])
-    X = np.stack([d.X for d in designs])
-    Z = np.stack([d.Z for d in designs])
-    tau = np.asarray(tau, dtype=float)
+    S, X, Z = (np.stack([getattr(d, a) for d in designs]) for a in ("coords", "X", "Z"))
+    tau = np.asarray(tau, dtype=float)[:, None]
     nu_sq = np.asarray(nu_sq, dtype=float)
+    nu_sq_rows, shared = nu_sq.tolist(), len(designs) == 1
 
     def log_target(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        B = len(theta)
-        stacks = [np.broadcast_to(a, (B, *a.shape[1:])) for a in (S, X, Z, theta, tau, nu_sq)]
-        in_box = np.all((theta >= THETA_BOUNDS[0]) & (theta <= THETA_BOUNDS[1]), axis=1)
-        live = in_box & (stacks[5] > 0)
-        if live.all():  # the stacks themselves, uncopied
-            return -_nll_bayes_stack(*stacks, nugget)[0]
-        out = np.full(B, -math.inf)
-        if live.any():
-            out[live] = -_nll_bayes_stack(*(a[live] for a in stacks), nugget)[0]
+        live = np.all((theta >= THETA_BOUNDS[0]) & (theta <= THETA_BOUNDS[1]), axis=1) & (nu_sq > 0)
+        rows = np.flatnonzero(live).tolist()
+        sq_dev = np.sum((theta - tau) ** 2, axis=1).tolist()
+        out = np.full(len(theta), -math.inf)
+        arrays = (S, X, Z, theta)  # every row live: the stacks themselves, uncopied
+        if len(rows) < len(theta):  # copy the live rows; a shared design stays as it is
+            arrays = (S, X, Z, theta[live]) if shared else tuple(a[live] for a in arrays)
+        stack = GpStack(*arrays, nugget)
+        for k, b in enumerate(rows):
+            d = 0 if shared else b
+            try:
+                out[b] = -_nll_bayes_of(GpWork.member(designs[d], theta[b], stack, k), sq_dev[b], nu_sq_rows[d])
+            except (FactorizationError, ValueError):
+                pass  # -inf, where nll_bayes raises
         return out
 
     return log_target

@@ -83,13 +83,12 @@ class KrigingStack:
 
     def __init__(self, design: GpDesign, thetas, alpha=None, scale: str = "reml", nugget: float = 0.0):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        B, (n, K), q = len(thetas), design.S.shape, design.q
+        n, q = design.n, design.q
         if scale not in ("reml", "profile"):
             raise ValueError("scale must be 'reml' or 'profile'")
         if alpha is None and scale == "reml" and n <= q:
             raise ValueError("cannot estimate the scale with n <= q; pass alpha")
-        X, Z = np.broadcast_to(design.X, (B, n, q)), np.broadcast_to(design.Z, (B, n))
-        stack = GpStack(np.broadcast_to(design.coords, (B, n, K)), X, Z, thetas, nugget)
+        stack = GpStack(design.coords[None], design.X[None], design.Z[None], thetas, nugget)
         self.design = design
         self.constant_mean = np.allclose(design.X, 1.0)
         self.error = stack.error

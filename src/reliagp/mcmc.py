@@ -402,10 +402,15 @@ def save_chain(chain: PosteriorChain, csv_path, names=None) -> None:
 def load_chain(csv_path) -> PosteriorChain:
     csv_path = Path(csv_path)
     _, draws = read_table(csv_path)
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
+    sidecar = csv_path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    try:
+        settings = AmSettings(**meta["settings"]) if meta.get("settings") else None
+    except (AttributeError, TypeError) as e:  # a sidecar that is not an object, or an unknown setting
+        raise ValueError(f"chain sidecar {sidecar}: {e}") from e
     return PosteriorChain(
         draws=draws,
         acceptance_rate=meta.get("acceptance_rate", float("nan")),
-        settings=AmSettings(**meta["settings"]) if meta.get("settings") else None,
+        settings=settings,
         geweke_z=None if meta.get("geweke_z") is None else np.asarray(meta["geweke_z"]),
     )

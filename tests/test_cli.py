@@ -444,6 +444,12 @@ def _spoil_first_row(path: Path) -> None:
     path.write_text(header + ",".join(["x"] * len(header.split(","))) + "\n" + "".join(rest))
 
 
+def _add_unknown_setting(path: Path) -> None:
+    data = json.loads(path.read_text())
+    data["settings"]["unknown"] = 1
+    path.write_text(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "artifact, corrupt, argv",
     [
@@ -453,8 +459,15 @@ def _spoil_first_row(path: Path) -> None:
         ("gp_fit.json", lambda p: p.write_text("{not json"), ["simulate-pf", "--setting", "A"]),
         ("inputs/X0003.csv", _spoil_first_row, ["simulate-pf"]),
         ("pf_setting_A.csv", _spoil_first_row, ["report"]),
+        ("pf_setting_A_summary.json", lambda p: p.write_text("{not json"), ["report"]),
+        ("gp_fit.json", lambda p: p.write_text(json.dumps([json.loads(p.read_text())])), ["simulate-pf", "--setting", "A"]),
+        ("inputs/X0001.json", _add_unknown_setting, ["simulate-pf"]),
+        ("inputs/X0001.json", lambda p: p.write_text(json.dumps([json.loads(p.read_text())])), ["simulate-pf"]),
     ],
-    ids=["sidecar_deleted_A", "sidecar_deleted_B", "key_removed", "invalid_json", "chain_cell", "pf_cell"],
+    ids=[
+        "sidecar_deleted_A", "sidecar_deleted_B", "key_removed", "invalid_json", "chain_cell", "pf_cell",
+        "summary_invalid_json", "json_list", "sidecar_unknown_setting", "sidecar_list",
+    ],
 )
 def test_bad_upstream_artifact_exits_config(tmp_path, capsys, artifact, corrupt, argv):
     cfg_path, out = _study(tmp_path)

@@ -442,6 +442,95 @@ def test_lone_target_scores_a_stack_of_rows():
     assert target.stack(thetas[:1]).tolist() == [target(thetas[0])]
 
 
+def _failing_ladder(monkeypatch, theta0):
+    """cholesky_with_nugget that no nugget satisfies at theta[0] == theta0."""
+    ladder = gp.cholesky_with_nugget
+
+    def failing(S, theta, nugget=gp.NUGGET_START):
+        if theta[0] == theta0:
+            raise FactorizationError("forced")
+        return ladder(S, theta, nugget)
+
+    monkeypatch.setattr(gp, "cholesky_with_nugget", failing)
+
+
+STACK_FIELDS = ("nugget", "L", "logdet_V", "Xw", "Zw", "L_xtvx", "logdet_xtvx", "beta_hat", "G_sq")
+
+
+def test_design_given_once_equals_design_stacked(monkeypatch):
+    # one design with a leading axis of 1 against the same design stacked B
+    # times: every field bit for bit, with a member that climbs the nugget
+    # ladder (theta = 7 at nugget 0) and one that fails (theta = 9)
+    _failing_ladder(monkeypatch, 9.0)
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    thetas = np.random.default_rng(22).normal(3.0, 0.6, size=(6, 4))
+    thetas[2], thetas[4] = 7.0, 9.0
+    B = len(thetas)
+    once = GpStack(design.coords[None], design.X[None], design.Z[None], thetas, nugget=0.0)
+    stacked = GpStack(
+        np.stack([design.coords] * B), np.stack([design.X] * B), np.stack([design.Z] * B), thetas, nugget=0.0
+    )
+    assert once.nugget[2] == 1e-8 and isinstance(once.error[4], FactorizationError)
+    assert list(map(repr, once.error)) == list(map(repr, stacked.error))
+    for field in STACK_FIELDS:
+        assert getattr(once, field).tobytes() == getattr(stacked, field).tobytes(), field
+
+
+HEALTHY_THETA = np.array([-0.4, 0.1])
+
+
+def _refuse_factorizing_at(monkeypatch, design, theta):
+    """np.linalg.cholesky refuses V(theta) plus any nugget, alone or in a
+    stack; returns the nuggets it refused on a lone V."""
+    v01, refused = covariance_matrix(design.S, theta)[0, 1], []
+    cholesky = np.linalg.cholesky
+
+    def refusing(a):
+        if a.shape[-1] == design.n and np.isclose(a[..., 0, 1], v01, rtol=1e-12, atol=0).any():
+            if a.ndim == 2:
+                refused.append(a[0, 0] - 1.0)
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refusing)
+    return refused
+
+
+def test_nll_bayes_checks_prior_variance_before_factorizing(monkeypatch):
+    design, theta = random_design(np.random.default_rng(24)), np.array([0.3, -0.2])
+    _refuse_factorizing_at(monkeypatch, design, theta)
+    with pytest.raises(FactorizationError):
+        nll_bayes(design, theta, 0.0, 0.5)
+    for nu_sq in (0.0, -1.0):
+        with pytest.raises(ValueError, match="nu_sq must be positive"):
+            nll_bayes(design, theta, 0.0, nu_sq)
+        lp = bayes_log_posterior_stack([design], [0.0], [nu_sq])(np.stack([theta, HEALTHY_THETA]))
+        assert lp.tolist() == [-math.inf, -math.inf]
+
+
+def test_nll_bayes_fails_past_nugget_max(monkeypatch):
+    # the stacked target scores the failed row -inf and its neighbour as
+    # nll_bayes does
+    design, theta = random_design(np.random.default_rng(24)), np.array([0.3, -0.2])
+    refused = _refuse_factorizing_at(monkeypatch, design, theta)
+    with pytest.raises(FactorizationError):
+        nll_bayes(design, theta, 0.0, 0.5)
+    assert max(refused) == pytest.approx(gp.NUGGET_MAX)
+    lp = bayes_log_posterior_stack([design], [0.0], [0.5])(np.stack([theta, HEALTHY_THETA]))
+    assert lp.tolist() == [-math.inf, -nll_bayes(design, HEALTHY_THETA, 0.0, 0.5)]
+
+
+def test_nll_bayes_rejects_a_zero_gls_residual():
+    design = GpDesign(S=np.random.default_rng(25).uniform(0, 1, (6, 2)), Z=np.zeros(6))
+    theta = np.array([0.3, -0.2])
+    assert GpWork(design, theta).G_sq == 0.0
+    with pytest.raises(ValueError, match="zero GLS residual"):
+        nll_bayes(design, theta, 0.0, 0.5)
+    lp = bayes_log_posterior_stack([design], [0.0], [0.5])(np.stack([theta, HEALTHY_THETA]))
+    assert lp.tolist() == [-math.inf, -math.inf]
+
+
 # ------------------------------------------------------------ REML gradient
 
 

@@ -12,7 +12,9 @@ Exception or BaseException, and no ``except`` tuple names a class next to
 one of its bases.  Worker processes live in ``reliagp.workers``
 alone: no other module imports ``multiprocessing`` or ``concurrent.futures``
 or calls ``os.fork``.  So does the setting of BLAS threads: no other module
-imports ``ctypes`` or names an OpenBLAS ``set_num_threads`` symbol.
+imports ``ctypes`` or names an OpenBLAS ``set_num_threads`` symbol.  A
+design is shared across stack members in ``gp.GpStack`` alone: no other
+code calls ``np.broadcast_to``.
 """
 
 import ast
@@ -227,3 +229,28 @@ def test_blas_threads_are_set_in_workers(path):
     ]
     found += [f"{path.name}: {symbol}" for symbol in re.findall(r"openblas\w*_set_num_threads\w*", source)]
     assert not found, "BLAS threads set outside reliagp.workers: " + ", ".join(found)
+
+
+def test_designs_are_shared_in_gpstack_alone():
+    """Only GpStack broadcasts a design given once to its theta rows; every
+    other caller passes designs as they are."""
+    found = []
+    for path in sorted((ROOT / "src" / "reliagp").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(inner)
+            for node in tree.body
+            if path.name == "gp.py" and isinstance(node, ast.ClassDef) and node.name == "GpStack"
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed
+            and (
+                isinstance(node, ast.Attribute) and node.attr == "broadcast_to"
+                or isinstance(node, ast.Name) and node.id == "broadcast_to"
+                or isinstance(node, ast.alias) and node.name == "broadcast_to"
+            )
+        ]
+    assert not found, "np.broadcast_to outside gp.GpStack: " + ", ".join(found)
