@@ -25,8 +25,10 @@ fans out to all stage seeds via SeedSequence with a spawn key derived from
 the stage name and loop indices, so identical configs produce byte-identical
 numeric artifacts.
 
-Exit codes: 0 success, 2 config or data error (a missing or malformed
-upstream artifact included), 3 numerical failure.
+Exit codes: 0 success, 3 numerical failure, 2 config or data error: a
+config, dataset or upstream artifact that ``_read`` cannot read, a design
+GpDesign rejects, an out_dir or synth --out that cannot be created, or a
+bad synth argument.
 """
 
 from __future__ import annotations
@@ -117,20 +119,9 @@ class PipelineConfig:
 
     @staticmethod
     def from_file(path, overrides: dict | None = None) -> "PipelineConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        if overrides:
-            raw.update({k: v for k, v in overrides.items() if v is not None})
-        try:
-            cfg = PipelineConfig(**raw)
-        except TypeError as e:
-            raise ConfigError(f"bad config fields: {e}")
+        # JSON that is not an object, or names an unknown field, is a TypeError here
+        given = {k: v for k, v in (overrides or {}).items() if v is not None}
+        cfg = _read(Path(path), lambda p: PipelineConfig(**{**json.loads(p.read_text()), **given}), "config file")
         cfg.validate()
         return cfg
 
@@ -176,8 +167,6 @@ class PipelineConfig:
                 self.am_settings(1, which)
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"am_{which}: {e}") from e
-        if not Path(self.manifest).exists():
-            raise ConfigError(f"dataset manifest not found: {self.manifest}")
 
     def am_settings(self, d: int, which: str) -> AmSettings:
         base = {"d": d}
@@ -227,10 +216,6 @@ def _prior_for(cfg: PipelineConfig, spec: InputVariableSpec) -> PriorSpec:
     return PriorSpec.conjugate_for(spec)
 
 
-def _build_design(cfg: PipelineConfig, dataset: ingest.StudyDataset) -> GpDesign:
-    return GpDesign(S=dataset.design, Z=dataset.outputs, standardize=cfg.standardize)
-
-
 def _input_chain_files(dataset) -> list[str]:
     return [f"inputs/{v.name}.csv" for v in dataset.variables]
 
@@ -240,15 +225,25 @@ def _with_sidecars(chain_files: list[str]) -> list[str]:
     return [f for rel in chain_files for f in (rel, str(Path(rel).with_suffix(".json")))]
 
 
-def _read_upstream(cfg: PipelineConfig, rel: str, read):
-    """``read(path)`` of the artifact ``rel`` under ``out_dir``; a missing or
+def _read(path: Path, read, what: str):
+    """``read(path)`` of a file from outside the program; a missing or
     malformed file, a missing JSON key or JSON of the wrong shape is a
-    ConfigError that names it."""
-    path = Path(cfg.out_dir) / rel
+    ConfigError that names ``what`` and the path."""
     try:
         return read(path)
     except (OSError, ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"cannot read upstream artifact {path}: {type(e).__name__}: {e}") from e
+        raise ConfigError(f"cannot read {what} {path}: {type(e).__name__}: {e}") from e
+
+
+def _make_dir(path: Path, what: str) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create {what} {path}: {e}") from e
+
+
+def _read_upstream(cfg: PipelineConfig, rel: str, read):
+    return _read(Path(cfg.out_dir) / rel, read, "upstream artifact")
 
 
 def _read_json(cfg: PipelineConfig, rel: str, *keys: str) -> list:
@@ -280,7 +275,7 @@ def _write_cv(work: Path, stage: str, name: str, report, **winner) -> None:
 # outputs under `work`, at the paths they take under cfg.out_dir.
 
 
-def _fit_inputs(cfg: PipelineConfig, dataset, work: Path) -> None:
+def _fit_inputs(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     """One adaptive Metropolis chain per input.
 
     One default_init_cov call over all inputs gives the chains' initial
@@ -312,8 +307,7 @@ def _fit_inputs(cfg: PipelineConfig, dataset, work: Path) -> None:
     print(f"fit-inputs: wrote {len(specs)} chains")
 
 
-def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:
-    design = _build_design(cfg, dataset)
+def _tune_lambda(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     rng_seed = int(stage_rng(cfg.seed, "tune-lambda").integers(2**63))
     report = cv_lambda(design, cfg.lambda_grid, restarts=cfg.cv_restarts, master_seed=rng_seed)
     winner = report.candidates[report.winner]
@@ -330,10 +324,9 @@ def _tune_lambda(cfg: PipelineConfig, dataset, work: Path) -> None:
     print(f"tune-lambda: winner lambda={winner}")
 
 
-def _fit_gp(cfg: PipelineConfig, dataset, work: Path) -> None:
+def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     has_cv = (Path(cfg.out_dir) / "cv_lambda.json").exists()
     lam = float(_read_json(cfg, "cv_lambda.json", "winner")[0]) if has_cv else cfg.lam
-    design = _build_design(cfg, dataset)
     fit = fit_reml(design, lam=lam, restarts=cfg.restarts, rng=stage_rng(cfg.seed, "fit-gp"))
     tau_hat, nu_sq_hat = hessian_nu_estimate(fit)
     if not (math.isfinite(nu_sq_hat) and nu_sq_hat > 0):
@@ -360,7 +353,7 @@ def _fit_gp(cfg: PipelineConfig, dataset, work: Path) -> None:
     print(f"fit-gp: objective {fit.objective:.4f}, tau_hat {tau_hat:.3f}, nu_sq_hat {nu_sq_hat:.4f}")
 
 
-def _tune_prior(cfg: PipelineConfig, dataset, work: Path) -> None:
+def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     theta_hat, tau_hat, nu_sq_hat = _read_json(cfg, "gp_fit.json", "theta", "tau_hat", "nu_sq_hat")
     nu_sq = cfg.nu_sq if cfg.nu_sq is not None else nu_sq_hat
     if cfg.tau_candidates is not None:
@@ -369,7 +362,6 @@ def _tune_prior(cfg: PipelineConfig, dataset, work: Path) -> None:
         taus = sorted({round(tau_hat * f, 3) for f in (0.67, 0.74, 0.84, 1.0, 1.17)})
     candidates = [(float(t), float(nu_sq)) for t in taus]
 
-    design = _build_design(cfg, dataset)
     cv_settings = cfg.am_settings(design.K, "cv")
     cv_seed = int(stage_rng(cfg.seed, "tune-prior-cv").integers(2**63))
     report = cv_hyperparams(design, candidates, cv_settings, burn_in=cfg.burn_in, master_seed=cv_seed)
@@ -388,8 +380,7 @@ def _tune_prior(cfg: PipelineConfig, dataset, work: Path) -> None:
     print(f"tune-prior: winner tau={tau_star}, nu_sq={nu_sq_star:.4f}")
 
 
-def _simulate_pf(cfg: PipelineConfig, dataset, work: Path) -> None:
-    design = _build_design(cfg, dataset)
+def _simulate_pf(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     input_chains = [
         (spec.family, _draws(cfg, rel))
         for spec, rel in zip(dataset.variables, _input_chain_files(dataset))
@@ -417,7 +408,7 @@ def _simulate_pf(cfg: PipelineConfig, dataset, work: Path) -> None:
     )
 
 
-def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
+def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     out = Path(cfg.out_dir)
     report_dir = work / "report"
 
@@ -441,7 +432,6 @@ def _report(cfg: PipelineConfig, dataset, work: Path) -> None:
             )
 
     # observed vs expected at the REML theta
-    design = _build_design(cfg, dataset)
     theta, hessian = _read_json(cfg, "gp_fit.json", "theta", "hessian")
     theta = np.asarray(theta, dtype=float)
     z_hat, s0 = loo_predictions(design, theta, scale=cfg.scale)
@@ -505,7 +495,7 @@ class Stage:
 
     name: str
     config_keys: str  # space-separated PipelineConfig field names
-    body: Callable[[PipelineConfig, ingest.StudyDataset, Path], None]
+    body: Callable[[PipelineConfig, ingest.StudyDataset, GpDesign, Path], None]
     reads: Callable[[PipelineConfig, ingest.StudyDataset], tuple[list[str], list[str]]] = (
         lambda cfg, dataset: ([], [])
     )
@@ -542,20 +532,18 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
     if stage not in STAGE_TABLE:
         raise ConfigError(f"unknown stage {stage!r}")
     spec = STAGE_TABLE[stage]
-    try:
-        dataset = ingest.load_dataset(cfg.manifest)
-    except (OSError, KeyError, ValueError) as e:
-        # a missing file, manifest key or schema error is bad data, not numerics
-        raise ConfigError(f"cannot load dataset {cfg.manifest}: {e}") from e
+
+    def load(manifest):  # a design GpDesign rejects is bad data, like a malformed file
+        dataset = ingest.load_dataset(manifest)
+        return dataset, GpDesign(S=dataset.design, Z=dataset.outputs, standardize=cfg.standardize)
+
+    dataset, design = _read(Path(cfg.manifest), load, "dataset")
     out = Path(cfg.out_dir)
     required, optional = ([out / rel for rel in rels] for rels in spec.reads(cfg, dataset))
-    for p in required:
-        if not p.exists():
-            raise ConfigError(f"stage {stage}: missing upstream artifact {p}")
     reads = [*dataset.files, *required, *(p for p in optional if p.exists())]
     state = {
         "config_hash": cfg.hash_subset(spec.config_keys.split()),
-        "upstream": {str(p): _file_hash(p) for p in reads},
+        "upstream": {str(p): _read(p, _file_hash, f"{stage} input") for p in reads},
     }
     record_path = out / "provenance" / f"{stage}.json"
     try:  # stale if the record is missing, is not an object with an outputs mapping, or lists a lost output
@@ -568,10 +556,10 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
     if fresh:
         print(f"{stage}: up to date")
         return
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out, "out_dir")
     with tempfile.TemporaryDirectory(prefix=f".{stage}-", dir=out) as tmp:
         work = Path(tmp)
-        spec.body(cfg, dataset, work)
+        spec.body(cfg, dataset, design, work)
         outputs = {}
         for p in sorted(p for p in work.rglob("*") if p.is_file()):
             dst = out / p.relative_to(work)
@@ -592,6 +580,10 @@ def run_all(cfg: PipelineConfig):
 
 
 def cmd_synth(args) -> int:
+    for flag, value, low in (("--n", args.n, 1), ("--n-obs", args.n_obs, 2)):
+        if value < low:
+            raise ConfigError(f"synth {flag} must be an integer >= {low}, got {value}")
+    _make_dir(Path(args.out), "--out directory")
     dataset = ingest.synth_study(seed=args.seed, n=args.n, n_obs=args.n_obs)
     manifest = ingest.save_dataset(dataset, args.out)
     print(f"synth: wrote {manifest}")

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -477,3 +478,95 @@ def test_bad_upstream_artifact_exits_config(tmp_path, capsys, artifact, corrupt,
     capsys.readouterr()
     assert main([*argv, "--config", str(cfg_path)]) == EXIT_CONFIG
     assert Path(artifact).name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "artifact, argv",
+    [
+        ("gp_fit.json", ["tune-prior"]),
+        ("gp_fit.json", ["simulate-pf", "--setting", "A"]),
+        ("theta_chain.csv", ["simulate-pf", "--setting", "B"]),
+        ("inputs/X0001.csv", ["report"]),
+    ],
+    ids=["tune_prior", "simulate_pf_A", "simulate_pf_B", "report"],
+)
+def test_missing_required_upstream_file_exits_config(pipeline, tmp_path, capsys, artifact, argv):
+    root, _, shared_out = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(shared_out, out)
+    cfg_path = write_config(tmp_path, root / "data" / "manifest.json", out)
+    (out / artifact).unlink()
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert str(out / artifact) in capsys.readouterr().err
+
+
+def _edit_manifest(root: Path, edit) -> None:
+    path = root / "data" / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _repeat_first_design_row(root: Path) -> None:
+    path = root / "data" / "design.csv"
+    header, first, _, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(header + first + first + "".join(rest))
+
+
+def _variables_as_strings(manifest: dict) -> dict:
+    return {**manifest, "variables": [v["name"] for v in manifest["variables"]]}
+
+
+def _config_as_utf16(root: Path) -> None:
+    path = root / "config.json"
+    path.write_bytes(path.read_text().encode("utf-16"))
+
+
+def _config_as_directory(root: Path) -> None:
+    (root / "config.json").unlink()
+    (root / "config.json").mkdir()
+
+
+@pytest.mark.parametrize(
+    "spoil, named",
+    [
+        (lambda root: _edit_manifest(root, _variables_as_strings), "data/manifest.json"),
+        (lambda root: _edit_manifest(root, lambda m: [m]), "data/manifest.json"),
+        (lambda root: _edit_manifest(root, lambda m: {**m, "observations": 3}), "data/manifest.json"),
+        (_config_as_directory, "config.json"),
+        (lambda root: (root / "out").write_text(""), "out"),
+        (_config_as_utf16, "config.json"),
+        (_repeat_first_design_row, "data/manifest.json"),
+        (lambda root: _edit_manifest(root, lambda m: {**m, "rescale_factor": 0}), "data/manifest.json"),
+    ],
+    ids=[
+        "manifest_variables_strings", "manifest_list", "manifest_observations_number", "config_directory",
+        "out_dir_file", "config_not_utf8", "design_rows_repeat", "rescale_factor_zero",
+    ],
+)
+def test_bad_outside_input_exits_config_before_any_write(tmp_path, capsys, spoil, named):
+    # main returning at all means no traceback escaped it
+    cfg_path, out = _study(tmp_path)
+    spoil(tmp_path)
+    capsys.readouterr()
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert str(tmp_path / named) in capsys.readouterr().err
+    assert not (out / "inputs").exists()
+    assert not (out / "provenance" / "fit-inputs.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--out", "data", "--n", "0"], "--n "),
+        (["--out", "data", "--n-obs", "1"], "--n-obs"),
+        (["--out", "data", "--n-obs", "0"], "--n-obs"),
+        (["--out", "taken"], "taken"),
+    ],
+    ids=["n_zero", "n_obs_one", "n_obs_zero", "out_file"],
+)
+def test_bad_synth_argument_exits_config(tmp_path, monkeypatch, capsys, args, named):
+    monkeypatch.chdir(tmp_path)
+    Path("taken").write_text("")
+    assert main(["synth", "--seed", "5", *args]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not Path("data").exists()
