@@ -27,8 +27,8 @@ numeric artifacts.
 
 Exit codes: 0 success, 3 numerical failure, 2 config or data error: a
 config, dataset or upstream artifact that ``_read`` cannot read, a design
-GpDesign rejects, an out_dir or synth --out that cannot be created, or a
-bad synth argument.
+with fewer than 3 rows or that GpDesign rejects, an out_dir or synth --out
+that cannot be created, or a bad synth argument.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ class PipelineConfig:
     z_crit: float = 3.0
     N: int = 2000
     M: int = 1000
-    scale: str = "reml"
     standardize: bool = True
     restarts: int = 8
     cv_restarts: int = 4
@@ -143,7 +142,6 @@ class PipelineConfig:
             ("setting", ("A", "B")),
             ("input_prior", ("flat", "jeffreys", "conjugate")),
             ("jeffreys_normal_variant", ("joint", "independence")),
-            ("scale", ("reml", "profile")),
         ):
             if getattr(self, key) not in allowed:
                 fail(key, f"one of {allowed}")
@@ -340,7 +338,6 @@ def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
             "theta": [float(t) for t in fit.theta],
             "beta_mean": [float(b) for b in fit.beta_hat],
             "alpha_reml": fit.alpha_reml,
-            "alpha_profile": fit.alpha_profile,
             "objective": fit.objective,
             "hessian": [[float(v) for v in row] for row in fit.hessian],
             "nugget": fit.nugget,
@@ -397,7 +394,6 @@ def _simulate_pf(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> 
         N=cfg.N,
         M=cfg.M,
         rng=stage_rng(cfg.seed, "simulate-pf"),
-        scale=cfg.scale,
     )
     write_table(work / f"pf_setting_{cfg.setting}.csv", ["p_crit"], posterior.p[:, None])
     s = summarize(posterior)
@@ -434,7 +430,7 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     # observed vs expected at the REML theta
     theta, hessian = _read_json(cfg, "gp_fit.json", "theta", "hessian")
     theta = np.asarray(theta, dtype=float)
-    z_hat, s0 = loo_predictions(design, theta, scale=cfg.scale)
+    z_hat, s0 = loo_predictions(design, theta)
     write_table(
         report_dir / "observed_vs_expected.csv", ["observed", "expected", "rmspe"], zip(design.Z, z_hat, s0)
     )
@@ -517,11 +513,11 @@ STAGE_TABLE = {
         ),
         Stage(
             "simulate-pf",
-            "seed setting z_crit N M scale burn_in standardize",
+            "seed setting z_crit N M burn_in standardize",
             _simulate_pf,
             _simulate_pf_reads,
         ),
-        Stage("report", "burn_in scale standardize", _report, _report_reads),
+        Stage("report", "burn_in standardize", _report, _report_reads),
     )
 }
 STAGES = list(STAGE_TABLE)
@@ -535,6 +531,8 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
 
     def load(manifest):  # a design GpDesign rejects is bad data, like a malformed file
         dataset = ingest.load_dataset(manifest)
+        if dataset.n < 3:  # leave-one-out and the REML fit need at least 3 rows
+            raise ValueError(f"the design has {dataset.n} rows; at least 3 are needed")
         return dataset, GpDesign(S=dataset.design, Z=dataset.outputs, standardize=cfg.standardize)
 
     dataset, design = _read(Path(cfg.manifest), load, "dataset")
@@ -580,7 +578,7 @@ def run_all(cfg: PipelineConfig):
 
 
 def cmd_synth(args) -> int:
-    for flag, value, low in (("--n", args.n, 1), ("--n-obs", args.n_obs, 2)):
+    for flag, value, low in (("--n", args.n, 3), ("--n-obs", args.n_obs, 2)):
         if value < low:
             raise ConfigError(f"synth {flag} must be an integer >= {low}, got {value}")
     _make_dir(Path(args.out), "--out directory")

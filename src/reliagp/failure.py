@@ -102,7 +102,6 @@ def simulate_pf(
     N: int,
     M: int,
     rng: np.random.Generator,
-    scale: str = "reml",
 ) -> FailurePosterior:
     """Nested posterior simulation of the failure probability.
 
@@ -151,7 +150,7 @@ def simulate_pf(
         row = pick(theta)
         key = row.tobytes()
         if key not in models:
-            models[key] = KrigingModel(design, row, scale=scale)
+            models[key] = KrigingModel(design, row)
         for k in range(K):
             trial[k] = sample(marginals[k], rng, size=M)
         z_hat, s0_rmspe, _ = models[key].krige(trial.T)

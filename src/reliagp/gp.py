@@ -480,24 +480,17 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
 
 @dataclass(frozen=True)
 class GpFit:
-    """Fitted range parameters and derived GLS quantities."""
+    """Fitted range parameters and derived GLS quantities.  ``alpha_reml``
+    is the REML scale, the one that kriging's MSPE uses."""
 
     theta: np.ndarray
     beta_hat: np.ndarray
     alpha_reml: float  # G^2 / (n - q)
-    alpha_profile: float  # G^2 / n
     objective: float
     hessian: np.ndarray | None  # None when fit_reml was asked for no Hessian
     nugget: float
     lam: float
     at_bounds: bool
-
-    def scale(self, which: str = "reml") -> float:
-        if which == "reml":
-            return self.alpha_reml
-        if which == "profile":
-            return self.alpha_profile
-        raise ValueError("scale must be 'reml' or 'profile'")
 
 
 def fit_reml(
@@ -540,7 +533,6 @@ def fit_reml(
             theta=np.zeros(K),
             beta_hat=coef,
             alpha_reml=0.0,
-            alpha_profile=0.0,
             objective=-math.inf,
             hessian=np.zeros((K, K)) if hessian else None,
             nugget=w0.nugget,
@@ -580,7 +572,6 @@ def fit_reml(
         theta=best_theta,
         beta_hat=w.beta_hat,
         alpha_reml=w.G_sq / (n - q),
-        alpha_profile=w.G_sq / n,
         objective=best_val,
         hessian=hess,
         nugget=w.nugget,

@@ -73,6 +73,8 @@ class StudyDataset:
             )
         if not np.all(np.isfinite(design)) or not np.all(np.isfinite(outputs)):
             raise ValueError("design/outputs contain NaN or inf")
+        if not 0 < float(self.rescale_factor) < math.inf:  # a negative factor flips the failure tail
+            raise ValueError(f"rescale_factor must be a finite number > 0, got {self.rescale_factor!r}")
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "outputs_raw", outputs)
 
@@ -235,15 +237,22 @@ def save_dataset(dataset: StudyDataset, out_dir) -> Path:
 def load_dataset(manifest_path) -> StudyDataset:
     """Load and validate a study from its manifest."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    files = ("observations", "design", "outputs")
+    variables = manifest.get("variables") if isinstance(manifest, dict) else None
+    if not (
+        isinstance(variables, list)
+        and all(isinstance(v, dict) and isinstance(v.get("name"), str) for v in variables)
+        and all(isinstance(manifest.get(key), str) for key in files)
+        and isinstance(manifest.get("rescale_factor", 1.0), (int, float))
+    ):
+        raise ValueError(f"manifest {manifest_path} needs file names, named variables and a numeric rescale_factor")
     base = manifest_path.parent
-    for key in ("observations", "design", "outputs"):
+    for key in files:
         if not (base / manifest[key]).exists():
             raise FileNotFoundError(f"{key} file missing: {base / manifest[key]}")
 
-    declared = {v["name"]: Family(v["family"]) for v in manifest["variables"]}
+    declared = {v["name"]: Family(v.get("family")) for v in variables}
 
     obs_by_var: dict[str, list[float]] = {name: [] for name in declared}
     with open(base / manifest["observations"], newline="") as fh:
@@ -277,5 +286,5 @@ def load_dataset(manifest_path) -> StudyDataset:
         design=design,
         outputs_raw=outputs,
         rescale_factor=float(manifest.get("rescale_factor", StudyDataset.rescale_factor)),
-        files=(manifest_path, *(base / manifest[k] for k in ("observations", "design", "outputs"))),
+        files=(manifest_path, *(base / manifest[k] for k in files)),
     )

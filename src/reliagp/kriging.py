@@ -79,14 +79,14 @@ class KrigingStack:
     view with the operations of a lone predictor, so its numbers do not
     depend on B or on the other rows.  ``error[b]`` is the exception a lone
     KrigingModel at row b raises, else None; a failed member predicts NaN.
+    The MSPE's scale is ``alpha`` when given, else member b's REML estimate
+    G^2 / (n - q).
     """
 
-    def __init__(self, design: GpDesign, thetas, alpha=None, scale: str = "reml", nugget: float = 0.0):
+    def __init__(self, design: GpDesign, thetas, alpha=None, nugget: float = 0.0):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         n, q = design.n, design.q
-        if scale not in ("reml", "profile"):
-            raise ValueError("scale must be 'reml' or 'profile'")
-        if alpha is None and scale == "reml" and n <= q:
+        if alpha is None and n <= q:
             raise ValueError("cannot estimate the scale with n <= q; pass alpha")
         stack = GpStack(design.coords[None], design.X[None], design.Z[None], thetas, nugget)
         self.design = design
@@ -99,7 +99,7 @@ class KrigingStack:
         self.members = {}
         for b in [b for b, error in enumerate(stack.error) if error is None]:
             w = GpWork.member(design, thetas[b], stack, b)
-            a = float(alpha) if alpha is not None else w.G_sq / (n - q if scale == "reml" else n)
+            a = float(alpha) if alpha is not None else w.G_sq / (n - q)
             resid_w = w.Zw - w.Xw @ w.beta_hat
             # L^T x = resid_w; the kriged mean's bits, and the CV scores, rest on this LAPACK call
             c_inv_resid = dtrtrs(w.L.T, resid_w, lower=0)[0]
@@ -156,8 +156,8 @@ class KrigingStack:
 class KrigingModel:
     """Predictor at a fixed theta: the one-row KrigingStack."""
 
-    def __init__(self, design: GpDesign, theta, alpha=None, scale: str = "reml", nugget: float = 0.0):
-        self.stack = KrigingStack(design, np.reshape(theta, (1, -1)), alpha, scale, nugget)
+    def __init__(self, design: GpDesign, theta, alpha=None, nugget: float = 0.0):
+        self.stack = KrigingStack(design, np.reshape(theta, (1, -1)), alpha, nugget)
         if self.stack.error[0] is not None:
             raise self.stack.error[0]
         self.design = design
@@ -165,8 +165,8 @@ class KrigingModel:
         self.theta, self.nugget = self.work.theta, self.work.nugget
 
     @classmethod
-    def from_fit(cls, fit: GpFit, design: GpDesign, scale: str = "reml") -> "KrigingModel":
-        return cls(design, fit.theta, alpha=fit.scale(scale), nugget=fit.nugget)
+    def from_fit(cls, fit: GpFit, design: GpDesign) -> "KrigingModel":
+        return cls(design, fit.theta, alpha=fit.alpha_reml, nugget=fit.nugget)
 
     def krige(self, pts, x0=None):
         """KrigingStack.krige of the one row: (z_hat, S0, mspe_raw) as arrays
@@ -202,12 +202,12 @@ def predict(fit: GpFit, design: GpDesign, s0) -> KrigingPrediction:
     return KrigingModel.from_fit(fit, design).predict(s0)
 
 
-def held_out_predictions(design: GpDesign, i: int, thetas, scale: str = "reml", nugget: float = 0.0):
+def held_out_predictions(design: GpDesign, i: int, thetas, nugget: float = 0.0):
     """Krige row ``i`` of ``design`` from ``design.drop_row(i)`` at each row
     of the (T, K) matrix ``thetas``, as T lone KrigingModels would; returns
     (z_hat, s0), each of shape (T,).  A row whose predictor cannot be built
     fails the fold: its exception is raised."""
-    stack = KrigingStack(design.drop_row(i), thetas, scale=scale, nugget=nugget)
+    stack = KrigingStack(design.drop_row(i), thetas, nugget=nugget)
     for error in stack.error:
         if error is not None:
             raise error
@@ -215,7 +215,7 @@ def held_out_predictions(design: GpDesign, i: int, thetas, scale: str = "reml", 
     return z_hat[:, 0], s0[:, 0]
 
 
-def loo_predictions(design: GpDesign, theta_source, scale: str = "reml", nugget: float = 0.0):
+def loo_predictions(design: GpDesign, theta_source, nugget: float = 0.0):
     """Leave-one-out predictions at fixed theta or over posterior theta draws.
 
     ``theta_source`` is either a K-vector (fixed-theta path: one prediction
@@ -226,7 +226,7 @@ def loo_predictions(design: GpDesign, theta_source, scale: str = "reml", nugget:
         raise ValueError("need n >= 3 for leave-one-out")
     theta_source = np.asarray(theta_source, dtype=float)
     draws = np.atleast_2d(theta_source)
-    folds = [held_out_predictions(design, i, draws, scale, nugget) for i in range(design.n)]
+    folds = [held_out_predictions(design, i, draws, nugget) for i in range(design.n)]
     z_hat, s0 = np.stack(folds, axis=1)  # (2, n, T)
     if theta_source.ndim == 1:
         return z_hat[:, 0], s0[:, 0]

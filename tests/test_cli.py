@@ -166,13 +166,14 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("fit-gp", {"tau_candidates": []}),
         ("fit-gp", {"lam": -1.0}),
         ("tune-lambda", {"lambda_grid": [-1.0]}),
+        ("fit-gp", {"scale": "reml"}),
     ],
     ids=[
         "not_an_object", "seed_str", "burn_in_str", "am_unknown_key", "seed_negative", "am_t2",
         "restarts_zero", "am_t_float", "am_t1_bool", "am_d_key", "lam_str", "lambda_grid_str",
         "lambda_grid_empty", "z_crit_str", "out_dir_int", "z_crit_nan", "standardize_str",
         "jeffreys_variant_str", "nu_sq_str", "nu_sq_negative", "tau_candidates_str", "tau_candidates_empty",
-        "lam_negative", "lambda_grid_negative",
+        "lam_negative", "lambda_grid_negative", "scale_removed",
     ],
 )
 def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
@@ -228,7 +229,6 @@ def test_fit_gp_rejects_negative_prior_variance(tmp_path, monkeypatch, capsys):
         theta=np.full(4, -1.57),
         beta_hat=np.array([0.0]),
         alpha_reml=1.0,
-        alpha_profile=1.0,
         objective=0.0,
         hessian=np.diag([-2e-4, 8.0, 8.0, 8.0]),
         nugget=1e-8,
@@ -298,9 +298,8 @@ def _study(tmp_path: Path, **overrides) -> tuple[Path, Path]:
     [
         ({"z_crit": 2.7}, {"simulate-pf", "report"}),
         ({"tau_candidates": [0.0, 1.0]}, {"tune-prior", "simulate-pf", "report"}),
-        ({"scale": "profile"}, {"simulate-pf", "report"}),
     ],
-    ids=["z_crit", "tau_candidates", "scale"],
+    ids=["z_crit", "tau_candidates"],
 )
 def test_changed_input_reruns_the_stages_that_read_it(tmp_path, capsys, change, reruns):
     cfg_path, out = _study(tmp_path)
@@ -512,6 +511,12 @@ def _repeat_first_design_row(root: Path) -> None:
     path.write_text(header + first + first + "".join(rest))
 
 
+def _keep_two_design_rows(root: Path) -> None:
+    for name in ("design.csv", "outputs.csv"):
+        path = root / "data" / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+
+
 def _variables_as_strings(manifest: dict) -> dict:
     return {**manifest, "variables": [v["name"] for v in manifest["variables"]]}
 
@@ -537,10 +542,13 @@ def _config_as_directory(root: Path) -> None:
         (_config_as_utf16, "config.json"),
         (_repeat_first_design_row, "data/manifest.json"),
         (lambda root: _edit_manifest(root, lambda m: {**m, "rescale_factor": 0}), "data/manifest.json"),
+        (lambda root: _edit_manifest(root, lambda m: {**m, "rescale_factor": -1000}), "data/manifest.json"),
+        (_keep_two_design_rows, "data/manifest.json"),
     ],
     ids=[
         "manifest_variables_strings", "manifest_list", "manifest_observations_number", "config_directory",
         "out_dir_file", "config_not_utf8", "design_rows_repeat", "rescale_factor_zero",
+        "rescale_factor_negative", "design_two_rows",
     ],
 )
 def test_bad_outside_input_exits_config_before_any_write(tmp_path, capsys, spoil, named):
@@ -558,11 +566,12 @@ def test_bad_outside_input_exits_config_before_any_write(tmp_path, capsys, spoil
     "args, named",
     [
         (["--out", "data", "--n", "0"], "--n "),
+        (["--out", "data", "--n", "2"], "--n "),
         (["--out", "data", "--n-obs", "1"], "--n-obs"),
         (["--out", "data", "--n-obs", "0"], "--n-obs"),
         (["--out", "taken"], "taken"),
     ],
-    ids=["n_zero", "n_obs_one", "n_obs_zero", "out_file"],
+    ids=["n_zero", "n_two", "n_obs_one", "n_obs_zero", "out_file"],
 )
 def test_bad_synth_argument_exits_config(tmp_path, monkeypatch, capsys, args, named):
     monkeypatch.chdir(tmp_path)

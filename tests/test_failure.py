@@ -119,7 +119,7 @@ def test_simulate_pf_fixed_theta_against_direct_monte_carlo():
     est = float(np.mean(post.p))
 
     # independent oracle: plain Monte Carlo through the same predictive law
-    model = KrigingModel(tiny_design(), theta, scale="reml", nugget=0.0)
+    model = KrigingModel(tiny_design(), theta, nugget=0.0)
     rng = np.random.default_rng(999)
     x = rng.normal(1.0, 0.5, size=200_000)
     z_hat, s0, _, _ = model.predict_batch(x[:, None])

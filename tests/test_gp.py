@@ -677,7 +677,6 @@ def _fake_fit(theta, hessian):
         theta=theta,
         beta_hat=np.array([0.0]),
         alpha_reml=1.0,
-        alpha_profile=1.0,
         objective=0.0,
         hessian=hessian,
         nugget=0.0,

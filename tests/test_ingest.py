@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,32 @@ def test_dataset_validation():
             design=np.full((2, 4), np.nan),
             outputs_raw=np.zeros(2),
         )
+
+
+@pytest.mark.parametrize("factor", [-1000.0, 0.0, math.inf, math.nan])
+def test_dataset_rejects_a_rescale_factor_that_is_not_positive(factor):
+    # a negative factor flips every output, and with it the failure tail
+    ds = synth_study(seed=9, n=5)
+    with pytest.raises(ValueError, match="rescale_factor"):
+        StudyDataset(variables=ds.variables, design=ds.design, outputs_raw=ds.outputs_raw, rescale_factor=factor)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: [m],
+        lambda m: {**m, "variables": [v["name"] for v in m["variables"]]},
+        lambda m: {**m, "variables": [{"family": "normal"}]},
+        lambda m: {**m, "observations": 3},
+        lambda m: {**m, "rescale_factor": None},
+    ],
+    ids=["list", "variables_strings", "variable_unnamed", "observations_number", "rescale_factor_null"],
+)
+def test_load_manifest_of_the_wrong_shape(tmp_path, edit):
+    manifest = save_dataset(synth_study(seed=9, n=5), tmp_path)
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(str(manifest))):
+        load_dataset(manifest)
 
 
 def SMALL_P_MARGINALS_SPECS():

@@ -131,15 +131,7 @@ def test_single_training_point():
 def test_scale_estimate_requires_enough_points():
     d = GpDesign(S=np.array([[0.0]]), Z=np.array([2.5]))
     with pytest.raises(ValueError):
-        KrigingModel(d, np.array([0.0]), scale="reml")
-
-
-def test_unknown_scale_is_rejected():
-    d = random_design(np.random.default_rng(2), n=6, K=2)
-    with pytest.raises(ValueError, match="scale must be"):
-        KrigingModel(d, np.zeros(2), scale="bogus")
-    with pytest.raises(ValueError, match="scale must be"):
-        loo_predictions(d, np.zeros(2), scale="bogus")
+        KrigingModel(d, np.array([0.0]))
 
 
 def test_mspe_nonnegative_after_clamp():
@@ -324,18 +316,18 @@ def test_loo_constant_outputs():
     rng = np.random.default_rng(8)
     S = rng.uniform(0, 1, (5, 1))
     d = GpDesign(S=S, Z=np.full(5, 7.0))
-    z_hat, s0 = loo_predictions(d, np.array([0.0]), scale="profile", nugget=0.0)
+    z_hat, s0 = loo_predictions(d, np.array([0.0]), nugget=0.0)
     assert np.allclose(z_hat, 7.0, atol=1e-9)
 
 
 def test_loo_three_points_manual():
     d = GpDesign(S=np.array([[0.0], [1.0], [2.0]]), Z=np.array([1.0, 3.0, 2.0]))
     theta = np.array([0.5])
-    z_hat, s0 = loo_predictions(d, theta, scale="profile", nugget=0.0)
+    z_hat, s0 = loo_predictions(d, theta, nugget=0.0)
     for i in range(3):
         keep = np.arange(3) != i
         reduced = GpDesign(S=d.S[keep], Z=d.Z[keep])
-        model = KrigingModel(reduced, theta, scale="profile", nugget=0.0)
+        model = KrigingModel(reduced, theta, nugget=0.0)
         p = model.predict(d.S[i])
         assert z_hat[i] == pytest.approx(p.z_hat, abs=1e-12)
         assert s0[i] == pytest.approx(p.S0, abs=1e-12)
@@ -345,11 +337,11 @@ def test_loo_draws_shape():
     rng = np.random.default_rng(9)
     d = random_design(rng, n=5, K=2)
     draws = rng.uniform(-0.5, 0.5, (4, 2))
-    z_hat, s0 = loo_predictions(d, draws, scale="profile", nugget=0.0)
+    z_hat, s0 = loo_predictions(d, draws, nugget=0.0)
     assert z_hat.shape == (5, 4)
     assert s0.shape == (5, 4)
     # first column equals the fixed-theta path with the first draw
-    z_fixed, _ = loo_predictions(d, draws[0], scale="profile", nugget=0.0)
+    z_fixed, _ = loo_predictions(d, draws[0], nugget=0.0)
     assert np.allclose(z_hat[:, 0], z_fixed)
 
 
