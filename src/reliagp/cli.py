@@ -28,7 +28,8 @@ numeric artifacts.
 Exit codes: 0 success, 3 numerical failure, 2 config or data error: a
 config, dataset or upstream artifact that ``_read`` cannot read, a design
 with fewer than 3 rows or that GpDesign rejects, an out_dir or synth --out
-that cannot be created, or a bad synth argument.
+that cannot be created, a stage output that cannot be written, or a bad
+synth argument.
 """
 
 from __future__ import annotations
@@ -555,18 +556,21 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
         print(f"{stage}: up to date")
         return
     _make_dir(out, "out_dir")
-    with tempfile.TemporaryDirectory(prefix=f".{stage}-", dir=out) as tmp:
-        work = Path(tmp)
-        spec.body(cfg, dataset, design, work)
-        outputs = {}
-        for p in sorted(p for p in work.rglob("*") if p.is_file()):
-            dst = out / p.relative_to(work)
-            outputs[str(dst)] = _file_hash(p)
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(p, dst)
-        _write_json(work / "record.json", {**state, "outputs": outputs})
-        record_path.parent.mkdir(exist_ok=True)
-        os.replace(work / "record.json", record_path)
+    try:  # a write that fails, in the body, in publishing or in the record, names its path
+        with tempfile.TemporaryDirectory(prefix=f".{stage}-", dir=out) as tmp:
+            work = Path(tmp)
+            spec.body(cfg, dataset, design, work)
+            outputs = {}
+            for p in sorted(p for p in work.rglob("*") if p.is_file()):
+                dst = out / p.relative_to(work)
+                outputs[str(dst)] = _file_hash(p)
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                os.replace(p, dst)
+            _write_json(work / "record.json", {**state, "outputs": outputs})
+            record_path.parent.mkdir(exist_ok=True)
+            os.replace(work / "record.json", record_path)
+    except OSError as e:
+        raise ConfigError(f"{stage}: cannot write its outputs under {out}: {e}") from e
 
 
 def run_all(cfg: PipelineConfig):

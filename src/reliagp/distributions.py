@@ -197,21 +197,37 @@ def log_density(x: float, params: ParamVector) -> float:
 
 def _log_likelihood(family: Family, obs: np.ndarray):
     """Sum of the log densities of ``obs`` as a function of a valid
-    parameter pair; a Weibull sample must be positive.  What depends on the
-    sample alone is computed here, once."""
+    parameter pair; a Weibull sample must be positive.  The sample's
+    sufficient statistics are computed here, once, so that each call is
+    plain arithmetic on Python floats, with no NumPy call:
+
+    * Normal, from n, the mean xbar and SS = sum (x_i - xbar)^2:
+      -n/2 log(2 pi s2) - (SS + n (xbar - mu)^2) / (2 s2);
+    * Weibull, from n and the logs l_i = log x_i:
+      n log(b/a) + (b - 1)(sum l_i - n log a) - sum exp(b (l_i - log a)),
+      which is -inf where a term of the last sum overflows.
+    """
     n = obs.size
     if family == Family.NORMAL:
         half_n, two_pi = -0.5 * n, 2 * math.pi
+        xbar = float(np.mean(obs))
+        ss = float(np.sum((obs - xbar) ** 2))
 
         def normal(mu, s2):
-            return float(half_n * math.log(two_pi * s2) - 0.5 * np.add.reduce((obs - mu) ** 2) / s2)
+            dev = xbar - mu  # dev * dev, not dev ** 2: a float product overflows to inf without raising
+            return half_n * math.log(two_pi * s2) - 0.5 * (ss + n * dev * dev) / s2
 
         return normal
-    logs = np.log(obs)
+    logs = np.log(obs).tolist()
+    sum_logs = sum(logs)
 
     def weibull(a, b):
-        lt = logs - math.log(a)
-        return float(n * math.log(b / a) + (b - 1) * np.add.reduce(lt) - np.add.reduce(np.exp(b * lt)))
+        log_a = math.log(a)
+        try:
+            tail = sum([math.exp(b * (v - log_a)) for v in logs])
+        except OverflowError:
+            return NEG_INF
+        return n * math.log(b / a) + (b - 1) * (sum_logs - n * log_a) - tail
 
     return weibull
 

@@ -407,14 +407,16 @@ def nll_reml_regularized_grad(design: GpDesign, theta, lam: float) -> tuple[floa
     return value, grad + 2.0 * lam * (theta - theta.mean())
 
 
-def _nll_bayes_of(w: GpWork, sq_dev: float, nu_sq: float) -> float:
-    """nll_bayes from the GLS quantities at ``w.theta`` and sq_dev = sum_k
-    (theta_k - tau)^2, for nu_sq > 0; ValueError on a zero GLS residual."""
-    if w.G_sq <= 0:
+def _nll_bayes_of(
+    dof: int, K: int, G_sq: float, logdet_V: float, logdet_xtvx: float, sq_dev: float, nu_sq: float
+) -> float:
+    """nll_bayes from the GLS quantities at a theta of K coordinates, dof =
+    n - q, and sq_dev = sum_k (theta_k - tau)^2, for nu_sq > 0; ValueError
+    on a zero GLS residual."""
+    if G_sq <= 0:
         raise ValueError("degenerate data: zero GLS residual")
-    (n, q), K = w.Xw.shape, w.theta.size
     log_prior = -0.5 * K * math.log(2 * math.pi * nu_sq) - 0.5 * sq_dev / nu_sq
-    return -log_prior + 0.5 * w.logdet_V + 0.5 * (n - q) * math.log(w.G_sq) + 0.5 * w.logdet_xtvx
+    return -log_prior + 0.5 * logdet_V + 0.5 * dof * math.log(G_sq) + 0.5 * logdet_xtvx
 
 
 def nll_bayes(
@@ -425,7 +427,8 @@ def nll_bayes(
     if nu_sq <= 0:
         raise ValueError("prior variance nu_sq must be positive")
     w = GpWork(design, theta, nugget)
-    return float(_nll_bayes_of(w, float(np.sum((w.theta - tau) ** 2)), nu_sq))
+    sq_dev = float(np.sum((w.theta - tau) ** 2))
+    return float(_nll_bayes_of(design.n - design.q, w.theta.size, w.G_sq, w.logdet_V, w.logdet_xtvx, sq_dev, nu_sq))
 
 
 def bayes_log_posterior(design: GpDesign, tau: float, nu_sq: float, nugget: float = NUGGET_START):
@@ -456,6 +459,8 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
     tau = np.asarray(tau, dtype=float)[:, None]
     nu_sq = np.asarray(nu_sq, dtype=float)
     nu_sq_rows, shared = nu_sq.tolist(), len(designs) == 1
+    (_, n, q), K = X.shape, S.shape[2]
+    dof = n - q
 
     def log_target(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -467,12 +472,14 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
         if len(rows) < len(theta):  # copy the live rows; a shared design stays as it is
             arrays = (S, X, Z, theta[live]) if shared else tuple(a[live] for a in arrays)
         stack = GpStack(*arrays, nugget)
-        for k, b in enumerate(rows):
-            d = 0 if shared else b
+        quantities = zip(stack.error, stack.G_sq.tolist(), stack.logdet_V.tolist(), stack.logdet_xtvx.tolist())
+        for b, (error, G_sq, logdet_V, logdet_xtvx) in zip(rows, quantities):
+            if error is not None:
+                continue  # -inf, where nll_bayes raises
             try:
-                out[b] = -_nll_bayes_of(GpWork.member(designs[d], theta[b], stack, k), sq_dev[b], nu_sq_rows[d])
-            except (FactorizationError, ValueError):
-                pass  # -inf, where nll_bayes raises
+                out[b] = -_nll_bayes_of(dof, K, G_sq, logdet_V, logdet_xtvx, sq_dev[b], nu_sq_rows[0 if shared else b])
+            except ValueError:
+                pass  # a zero GLS residual: -inf, where nll_bayes raises
         return out
 
     return log_target

@@ -15,14 +15,24 @@ theta chain runs in am_sample.  A chain that cannot start (a non-finite
 target at its start) or whose proposal covariance fails stops alone: the
 call returns its exception in its place, and am_sample raises it.
 
+A chain draws one adaptation window at a time, a window running from one
+possible refresh of the proposal covariance to the next (the first ends
+at the first refresh after t0, the last at t).  At the start of a window
+each chain draws the window's standard_normal(d) and random() values step
+by step from its own generator, the order a step at a time takes, so
+every generator ends in the state it would; one stacked product then
+gives all the window's proposal increments chol @ z, each bit for bit the
+product of its step alone, and the per-step loop only adds, scores and
+tests.
+
 A lone chain whose target also scores a stack of states (a ``stack``
 attribute, as ``gp.bayes_log_posterior`` gives) looks ahead, as in
 pre-fetching Metropolis (Brockwell 2006): one target call scores its next
 LOOKAHEAD proposals along the path on which all of them are rejected, and
 the chain walks them in order up to the first acceptance.  The proposals
-come from the draws the chain makes anyway, in its own order, and no call
-reaches past a refresh of the proposal covariance, so the chain is the one
-a plain target gives, bit for bit, in fewer target calls.
+come from the window's increments, and no call reaches past the window's
+end, so the chain is the one a plain target gives, bit for bit, in fewer
+target calls.
 """
 
 from __future__ import annotations
@@ -235,9 +245,10 @@ def am_sample_lockstep(
 
     ``log_target`` maps a (B, d) stack of states, row b from chain b, to B
     log densities, so one call scores every chain's proposal.  Chain b draws
-    standard_normal(d) and then uniform() from ``rngs[b]`` at each step, and
-    its accept test, moments and adaptation use its own state only, so it
-    follows bit for bit the path am_sample gives it alone.  Returns one
+    standard_normal(d) and then random() from ``rngs[b]`` for each step, a
+    window of steps at a time (see the module docstring), and its accept
+    test, moments and adaptation use its own state only, so it follows bit
+    for bit the path am_sample gives it alone.  Returns one
     PosteriorChain per chain, or the exception am_sample would raise for a
     chain whose target at its start is not finite (ValueError) or whose
     proposal covariance is not finite and positive definite; such a chain
@@ -246,8 +257,9 @@ def am_sample_lockstep(
 
     With ``ahead`` > 1 there must be one chain, and one call of
     ``log_target`` scores an (m, d) stack of its next m <= ``ahead``
-    proposals along its all-reject path, each drawn in the chain's own
-    order; m stops at the next refresh of the proposal covariance.
+    proposals along its all-reject path, read from the window's
+    increments; m stops at the window's end, the next refresh of the
+    proposal covariance.
     """
     B, d = len(rngs), settings.d
     x = np.array(inits, dtype=float)
@@ -277,76 +289,70 @@ def am_sample_lockstep(
     outer[0] = x[:, :, None] * x[:, None, :]
     eps_eye = settings.epsilon * np.eye(d)
 
-    z = np.empty((B, d, 1))
-    log_u = [0.0] * B
-    # each chain's draws, from its own generator into its row of z; random()
-    # is uniform() without the identity map 0 + 1*u, the same double from
-    # the same draw
-    draws = [(rng.standard_normal, rng.random, z[b, :, 0]) for b, rng in enumerate(rngs)]
-
-    def lockstep(step):
-        """(proposal, its log target, log u) of every chain at ``step``."""
-        for b, (normal, uniform, z_b) in enumerate(draws):
-            normal(out=z_b)
-            log_u[b] = math.log(max(uniform(), 1e-300))
-        prop = x + (chol @ z)[:, :, 0]
-        return zip(prop, np.asarray(log_target(prop), dtype=float).tolist(), log_u)
-
-    scored = []  # the lone chain's scored proposals not yet walked, next last
-    drawn = []  # its (z, log u) drawn ahead, for the steps not yet taken
-
-    def look_ahead(step):
-        """The lone chain's (proposal, log target, log u) at ``step``, scored
-        in one call with the next ones along its all-reject path."""
-        if not scored:
-            refresh = max(step, t0 + 1)
-            refresh += -refresh % t1  # the next step that may refresh chol
-            m = min(step + ahead - 1, settings.t, refresh) + 1 - step
-            normal, uniform, _ = draws[0]
-            drawn.extend((normal(d), math.log(max(uniform(), 1e-300))) for _ in range(m - len(drawn)))
-            props = x + (chol @ np.array([z_j for z_j, _ in drawn[:m]])[:, :, None])[:, :, 0]
-            values = np.asarray(log_target(props), dtype=float).tolist()
-            scored.extend(reversed(list(zip(props, values, (u_j for _, u_j in drawn)))))
-        del drawn[0]
-        return [scored.pop()]
-
-    propose = look_ahead if ahead > 1 else lockstep
     retained = np.empty((B, settings.n_retained, d))
     n_accept = [0] * B
     out = 0
     row = 0
-    for step in range(1, settings.t + 1) if alive.any() else ():
-        for b, (prop_b, lp_prop, log_u_b) in enumerate(propose(step)):
-            if lp_prop - lp[b] > log_u_b:
-                x[b] = prop_b
-                lp[b] = lp_prop
-                n_accept[b] += 1
-                scored.clear()  # the rest were proposed from the old state
-        row += 1
-        hist[row] = x
-        if row == t1:
-            row = 0
-            np.multiply(hist[1:, :, :, None], hist[1:, :, None, :], out=outer[1:])
-            hist[0] = np.add.accumulate(hist, axis=0)[-1]
-            outer[0] = np.add.accumulate(outer, axis=0)[-1]
-            if step > t0:
-                count = step + 1
-                s1, s2 = hist[0], outer[0]
-                cov = (s2 - s1[:, :, None] * s1[:, None, :] / count) / (count - 1)
-                chol, ok = _proposal_factor(settings.s_d * (cov + eps_eye))
-                if stopped or not ok.all():
-                    for b in np.flatnonzero(alive & ~ok):
-                        errors[b] = RuntimeError(
-                            "proposal covariance lost positive definiteness despite regularization"
-                        )
-                    alive &= ok
-                    chol[~alive] = 0.0
-                    stopped = True
-                    if not alive.any():
-                        break
-        if step % t2 == 0:
-            retained[:, out] = x
-            out += 1
+    first = 1  # the first step of the window
+    while first <= settings.t and alive.any():
+        # a window runs up to the next step that may refresh chol, or to t
+        last = max(first, t0 + 1)
+        last = min(last - last % -t1, settings.t)
+        width = last + 1 - first
+        # random() is uniform() without the identity map 0 + 1*u, the same
+        # double from the same draw
+        z = np.empty((width, B, d))
+        u = [[0.0] * width for _ in range(B)]
+        for rng, z_b, u_b in zip(rngs, z.transpose(1, 0, 2), u):
+            for j in range(width):
+                rng.standard_normal(out=z_b[j])
+                u_b[j] = rng.random()
+        incr = (chol @ z[..., None])[..., 0]  # each step's chol @ z, bit for bit
+        log_u = [[math.log(max(v, 1e-300)) for v in u_b] for u_b in u]
+        scored = []  # the lone chain's scored proposals not yet walked, next last
+        for j in range(width):
+            step = first + j
+            if ahead > 1:
+                if not scored:
+                    # score the next m proposals along the all-reject path
+                    m = min(ahead, width - j)
+                    props = x + incr[j : j + m, 0]
+                    values = np.asarray(log_target(props), dtype=float).tolist()
+                    scored = [(props[i : i + 1], values[i : i + 1], j + i) for i in reversed(range(m))]
+                prop, values, k = scored.pop()
+            else:
+                prop, k = x + incr[j], j
+                values = np.asarray(log_target(prop), dtype=float).tolist()
+            for b in range(B):
+                if values[b] - lp[b] > log_u[b][k]:
+                    x[b] = prop[b]
+                    lp[b] = values[b]
+                    n_accept[b] += 1
+                    scored.clear()  # the rest were proposed from the old state
+            row += 1
+            hist[row] = x
+            if row == t1:
+                row = 0
+                np.multiply(hist[1:, :, :, None], hist[1:, :, None, :], out=outer[1:])
+                hist[0] = np.add.accumulate(hist, axis=0)[-1]
+                outer[0] = np.add.accumulate(outer, axis=0)[-1]
+                if step > t0:
+                    count = step + 1
+                    s1, s2 = hist[0], outer[0]
+                    cov = (s2 - s1[:, :, None] * s1[:, None, :] / count) / (count - 1)
+                    chol, ok = _proposal_factor(settings.s_d * (cov + eps_eye))
+                    if stopped or not ok.all():
+                        for b in np.flatnonzero(alive & ~ok):
+                            errors[b] = RuntimeError(
+                                "proposal covariance lost positive definiteness despite regularization"
+                            )
+                        alive &= ok
+                        chol[~alive] = 0.0
+                        stopped = True
+            if step % t2 == 0:
+                retained[:, out] = x
+                out += 1
+        first = last + 1
 
     return [
         errors[b]

@@ -562,6 +562,19 @@ def test_bad_outside_input_exits_config_before_any_write(tmp_path, capsys, spoil
     assert not (out / "provenance" / "fit-inputs.json").exists()
 
 
+def test_blocked_output_path_exits_config(tmp_path, capsys):
+    # out/inputs is a regular file: the chains run, then publishing them
+    # cannot make their directory; main returning at all means no
+    # traceback escaped it
+    cfg_path, out = _study(tmp_path)
+    out.mkdir()
+    (out / "inputs").write_text("")
+    capsys.readouterr()
+    assert main(["fit-inputs", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert str(out / "inputs") in capsys.readouterr().err
+    assert not (out / "provenance" / "fit-inputs.json").exists()
+
+
 @pytest.mark.parametrize(
     "args, named",
     [

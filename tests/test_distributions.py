@@ -193,24 +193,33 @@ GRID_PRIORS = {
 }
 
 
-@pytest.mark.parametrize("prior_name", sorted(GRID_PRIORS))
-@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-def test_posterior_target_equals_log_posterior_unnorm(family, prior_name):
+def _grid_spec(family: Family) -> InputVariableSpec:
     rng = np.random.default_rng(31)
     if family == Family.NORMAL:
         obs = rng.normal(5.0, 2.0, size=10)
     else:
         obs = sample(WeibullParams(2.0, 3.0), rng, size=10)
-    spec = InputVariableSpec("v", family, obs)
+    return InputVariableSpec("v", family, obs)
+
+
+def _invalid_rows(family: Family, p0: float, p1: float) -> list:
+    invalid = [[p0, 0.0], [p0, -p1], [np.nan, p1], [p0, np.inf], [-np.inf, p1]]
+    if family == Family.WEIBULL:
+        invalid += [[0.0, p1], [-p0, p1]]
+    return invalid
+
+
+@pytest.mark.parametrize("prior_name", sorted(GRID_PRIORS))
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_posterior_target_equals_log_posterior_unnorm(family, prior_name):
+    spec = _grid_spec(family)
     prior = GRID_PRIORS[prior_name](spec)
     target = log_posterior_target(spec, prior)
     p0, p1 = mle_fit(spec).as_array()
     factors = [0.5, 0.7, 0.85, 1.0, 1.2, 1.5, 2.0]
     first = [p0 + 2.0 * (f - 1.0) for f in factors] if family == Family.NORMAL else [p0 * f for f in factors]
     grid = [[a, p1 * f] for a in first for f in factors]
-    invalid = [[p0, 0.0], [p0, -p1], [np.nan, p1], [p0, np.inf], [-np.inf, p1]]
-    if family == Family.WEIBULL:
-        invalid += [[0.0, p1], [-p0, p1]]
+    invalid = _invalid_rows(family, p0, p1)
     values = []
     for psi in grid + invalid:
         expected = log_posterior_unnorm(params_from_array(family, psi), spec, prior)
@@ -228,6 +237,54 @@ def test_posterior_target_equals_log_posterior_unnorm(family, prior_name):
         assert target([p0, prior.beta0 * (1 + 1e-9)]) == -math.inf
     else:
         assert all(map(math.isfinite, values[: len(grid)]))
+
+
+def numpy_log_posterior(spec: InputVariableSpec, prior: PriorSpec):
+    """The input posterior with the likelihood summed by NumPy over the
+    observations, as it was computed before the float-arithmetic target:
+    the reference for log_posterior_target; -inf where log_prior rejects
+    the pair."""
+    obs, n = spec.observations, spec.n
+    logs = np.log(obs)
+
+    def log_lik(p0, p1):
+        if spec.family == Family.NORMAL:
+            return float(-0.5 * n * math.log(2 * math.pi * p1) - 0.5 * np.add.reduce((obs - p0) ** 2) / p1)
+        lt = logs - math.log(p0)
+        return float(n * math.log(p1 / p0) + (p1 - 1) * np.add.reduce(lt) - np.add.reduce(np.exp(p1 * lt)))
+
+    def target(psi):
+        try:
+            return log_prior(params_from_array(spec.family, psi), prior) + log_lik(*psi)
+        except ValueError:
+            return -math.inf
+
+    return target
+
+
+@pytest.mark.parametrize("prior_name", sorted(GRID_PRIORS))
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_float_target_equals_the_numpy_formula(family, prior_name):
+    # 500 random rows around the MLE, within 1e-13 relative; the conjugate
+    # Weibull prior's rows sit at its fixed shape
+    spec = _grid_spec(family)
+    prior = GRID_PRIORS[prior_name](spec)
+    target, reference = log_posterior_target(spec, prior), numpy_log_posterior(spec, prior)
+    p0, p1 = mle_fit(spec).as_array()
+    rng = np.random.default_rng(41)
+    spread = np.exp(rng.normal(0.0, 0.5, size=(500, 2)))
+    if family == Family.NORMAL:
+        rows = np.column_stack([p0 + rng.normal(0.0, 2.0, size=500), p1 * spread[:, 1]])
+    else:
+        rows = np.array([p0, p1]) * spread
+        if prior.kind == PriorKind.CONJUGATE:
+            rows[:, 1] = prior.beta0
+    for psi in rows.tolist():
+        expected = reference(psi)
+        assert math.isfinite(expected), psi
+        assert abs(target(psi) - expected) <= 1e-13 * abs(expected), psi
+    for psi in _invalid_rows(family, p0, p1):
+        assert target(psi) == reference(psi) == -math.inf, psi
 
 
 def test_sample_weibull_inverse_cdf_point():

@@ -14,7 +14,9 @@ alone: no other module imports ``multiprocessing`` or ``concurrent.futures``
 or calls ``os.fork``.  So does the setting of BLAS threads: no other module
 imports ``ctypes`` or names an OpenBLAS ``set_num_threads`` symbol.  A
 design is shared across stack members in ``gp.GpStack`` alone: no other
-code calls ``np.broadcast_to``.
+code calls ``np.broadcast_to``.  The sampler draws at one site: ``mcmc``
+calls a generator's ``standard_normal`` and ``random`` once each, in its
+window draw.
 """
 
 import ast
@@ -254,3 +256,19 @@ def test_designs_are_shared_in_gpstack_alone():
             )
         ]
     assert not found, "np.broadcast_to outside gp.GpStack: " + ", ".join(found)
+
+
+def test_sampler_draws_at_one_site():
+    """mcmc calls a generator's standard_normal and random at one site each,
+    the window draw, and names them nowhere else: a second sampling path,
+    or a draw through an alias, fails here.  ``np.random``, the module, is
+    not a draw."""
+    tree = ast.parse((ROOT / "src" / "reliagp" / "mcmc.py").read_text())
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    sites = {"standard_normal": [], "random": []}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in sites:
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                sites[node.attr].append((node.lineno, id(node) in called))
+    for name, found in sites.items():
+        assert [is_call for _, is_call in found] == [True], f"mcmc.py names {name} at {found}; expected one call"

@@ -238,6 +238,104 @@ def test_look_ahead_needs_one_chain():
         )
 
 
+# ------------------------------------------------------ the reference loop
+
+
+def reference_am(target, init, cov, settings, rng):
+    """Adaptive Metropolis one step at a time: draw standard_normal(d), then
+    random(); propose x + L z; accept on log u; fold the state into the
+    moments; refresh L every t1 steps after t0; retain every t2-th state.
+    Returns (retained draws, accepted count, None), or (None, None, the
+    RuntimeError) at the first refresh whose factor fails."""
+    d, t0, t1, t2 = settings.d, settings.t0, settings.t1, settings.t2
+    x = np.array(init, dtype=float)
+    lp = float(target(x))
+    L = np.linalg.cholesky(settings.s_d * np.asarray(cov, dtype=float))
+    s1, s2 = x.copy(), np.outer(x, x)
+    draws, accepted = [], 0
+    for step in range(1, settings.t + 1):
+        z = rng.standard_normal(d)
+        u = rng.random()
+        prop = x + (L @ z[:, None])[:, 0]
+        lp_prop = float(target(prop))
+        if lp_prop - lp > math.log(max(u, 1e-300)):
+            x, lp, accepted = prop, lp_prop, accepted + 1
+        s1, s2 = s1 + x, s2 + np.outer(x, x)
+        if step > t0 and step % t1 == 0:
+            count = step + 1
+            cov = (s2 - np.outer(s1, s1) / count) / (count - 1)
+            try:
+                L = np.linalg.cholesky(settings.s_d * (cov + settings.epsilon * np.eye(d)))
+            except np.linalg.LinAlgError:
+                L = np.full((d, d), np.nan)
+            if not np.isfinite(L).all():
+                return None, None, RuntimeError("proposal covariance lost positive definiteness")
+        if step % t2 == 0:
+            draws.append(x)
+    return np.array(draws), accepted, None
+
+
+def drawn_for(seed, steps, d):
+    """The state of generator ``seed`` after ``steps`` steps' draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        rng.standard_normal(d)
+        rng.random()
+    return rng.bit_generator.state
+
+
+# t1 = 7 divides neither t0 nor t, and far_target's refresh fails
+REFERENCE_SETTINGS = AmSettings(d=2, t=2000, t0=100, t1=7, t2=10)
+REFERENCE_CHAINS = [
+    (std_normal_target, np.zeros(2), np.eye(2), 1),
+    (far_target, np.full(2, 1e8), 1e-6 * np.eye(2), 2),
+    (lambda x: -0.5 * float((x - 1.0) @ (x - 1.0)) / 4.0, np.ones(2), 2.0 * np.eye(2), 3),
+]
+
+
+def assert_matches_reference(chain, rng, target, init, cov, seed):
+    ref_rng = np.random.default_rng(seed)
+    draws, accepted, error = reference_am(target, init, cov, REFERENCE_SETTINGS, ref_rng)
+    if error is not None:
+        assert isinstance(chain, RuntimeError)
+    else:
+        assert chain.draws.tobytes() == draws.tobytes()
+        assert chain.acceptance_rate == accepted / REFERENCE_SETTINGS.t
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stack"])
+@pytest.mark.parametrize("k", range(len(REFERENCE_CHAINS)))
+def test_am_sample_equals_the_reference_loop(k, stacked):
+    target, init, cov, seed = REFERENCE_CHAINS[k]
+    f = target
+    if stacked:
+        f = lambda x: target(x)
+        f.stack = lambda X: np.array([target(x) for x in X])
+    rng = np.random.default_rng(seed)
+    try:
+        chain = am_sample(f, init, cov, REFERENCE_SETTINGS, rng)
+    except RuntimeError as e:
+        chain = e
+    assert_matches_reference(chain, rng, target, init, cov, seed)
+
+
+def test_lockstep_chains_equal_the_reference_loop():
+    targets, inits, covs, seeds = zip(*REFERENCE_CHAINS)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    chains = am_sample_lockstep(
+        lambda X: [f(x) for f, x in zip(targets, X)], inits, covs, REFERENCE_SETTINGS, rngs
+    )
+    for chain, rng, chain_args in zip(chains, rngs, REFERENCE_CHAINS):
+        if isinstance(chain, Exception):
+            # a stopped chain draws on to the last step, beside the others
+            assert isinstance(chain, RuntimeError)
+            assert rng.bit_generator.state == drawn_for(chain_args[3], REFERENCE_SETTINGS.t, 2)
+        else:
+            assert_matches_reference(chain, rng, *chain_args)
+    assert [isinstance(c, Exception) for c in chains] == [False, True, False]
+
+
 def scalar_fd_hessian(f, x, step):
     """fd_hessian on Python scalars, one entry at a time."""
     d = len(x)
