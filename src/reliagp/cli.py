@@ -89,9 +89,13 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _finite(value, low=-math.inf, high=math.inf) -> bool:
-    """A finite JSON number in [low, high)."""
-    return _is_a(value, (int, float)) and -math.inf < value < high and value >= low
+def _finite(value, low=-math.inf) -> bool:
+    """A finite JSON number >= low."""
+    return _is_a(value, (int, float)) and -math.inf < value < math.inf and value >= low
+
+
+BURN_IN = 0.2  # the fraction of every chain's retained draws dropped as burn-in
+LAM_WITHOUT_CV = 2.0  # the ridge penalty fit-gp fits at when tune-lambda did not run
 
 
 @dataclass
@@ -102,17 +106,14 @@ class PipelineConfig:
     setting: str = "B"  # "A" (fixed REML theta) or "B" (theta posterior)
     input_prior: str = "jeffreys"
     jeffreys_normal_variant: str = "joint"
-    burn_in: float = 0.2
-    lam: float = 2.0
     lambda_grid: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0, 8.0])
     tau_candidates: list | None = None  # defaults to a grid around the EB estimate
-    nu_sq: float | None = None  # defaults to the Hessian-based estimate
     z_crit: float = 3.0
     N: int = 2000
     M: int = 1000
-    standardize: bool = True
     restarts: int = 8
     cv_restarts: int = 4
+    # adaptive-Metropolis blocks: t, t0 and t2 only (AmSettings keeps epsilon and t1)
     am_inputs: dict = field(default_factory=dict)
     am_theta: dict = field(default_factory=dict)
     am_cv: dict = field(default_factory=lambda: {"t": 10_000, "t0": 1_000})
@@ -129,16 +130,15 @@ class PipelineConfig:
         def fail(key, valid):
             raise ConfigError(f"{key} must be {valid}, got {getattr(self, key)!r}")
 
-        for key, kind in (("manifest", str), ("out_dir", str), ("standardize", bool)):
-            if not isinstance(getattr(self, key), kind):
-                fail(key, f"a {kind.__name__}")
+        for key in ("manifest", "out_dir"):
+            if not isinstance(getattr(self, key), str):
+                fail(key, "a str")
         # seed is mandatory: no wall-clock seeding
         for key, low in (("seed", 0), ("N", 1), ("M", 1), ("restarts", 1), ("cv_restarts", 1)):
             if not (_is_a(getattr(self, key), int) and getattr(self, key) >= low):
                 fail(key, f"an integer >= {low}")
-        for key, low, high in (("z_crit", -math.inf, math.inf), ("lam", 0, math.inf), ("burn_in", 0, 1)):
-            if not _finite(getattr(self, key), low, high):
-                fail(key, f"a finite number in [{low}, {high})")
+        if not _finite(self.z_crit):
+            fail("z_crit", "a finite number")
         for key, allowed in (
             ("setting", ("A", "B")),
             ("input_prior", ("flat", "jeffreys", "conjugate")),
@@ -152,25 +152,21 @@ class PipelineConfig:
         taus = self.tau_candidates
         if not (taus is None or (isinstance(taus, list) and taus and all(map(_finite, taus)))):
             fail("tau_candidates", "null or a non-empty list of finite numbers")
-        if not (self.nu_sq is None or (_finite(self.nu_sq) and self.nu_sq > 0)):
-            fail("nu_sq", "null or a finite number > 0")
         for which in ("inputs", "theta", "cv"):
             block = getattr(self, f"am_{which}")
             # the stage sets the dimension d from its target
-            if not isinstance(block, dict) or "d" in block:
-                fail(f"am_{which}", "an object without a 'd' key")
-            for key in ("t", "t0", "t1", "t2"):
-                if key in block and not _is_a(block[key], int):
-                    raise ConfigError(f"am_{which}: {key} must be an integer, got {block[key]!r}")
+            if not (isinstance(block, dict) and set(block) <= {"t", "t0", "t2"}):
+                fail(f"am_{which}", "an object with no keys but 't', 't0' and 't2'")
+            for key, value in block.items():
+                if not _is_a(value, int):
+                    raise ConfigError(f"am_{which}: {key} must be an integer, got {value!r}")
             try:
                 self.am_settings(1, which)
-            except (TypeError, ValueError) as e:
+            except ValueError as e:
                 raise ConfigError(f"am_{which}: {e}") from e
 
     def am_settings(self, d: int, which: str) -> AmSettings:
-        base = {"d": d}
-        base.update(getattr(self, f"am_{which}"))
-        return AmSettings(**base)
+        return AmSettings(d=d, **getattr(self, f"am_{which}"))
 
     def hash_subset(self, keys) -> str:
         subset = {k: getattr(self, k) for k in sorted(keys)}
@@ -252,7 +248,7 @@ def _read_json(cfg: PipelineConfig, rel: str, *keys: str) -> list:
 
 def _draws(cfg: PipelineConfig, rel: str) -> np.ndarray:
     """Retained draws of the chain at ``rel`` under ``out_dir``, after burn-in."""
-    return _read_upstream(cfg, rel, lambda path: remove_burn_in(load_chain(path), cfg.burn_in).draws)
+    return _read_upstream(cfg, rel, lambda path: remove_burn_in(load_chain(path), BURN_IN).draws)
 
 
 def _mean_ci(col: np.ndarray) -> list[float]:
@@ -278,27 +274,27 @@ def _fit_inputs(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> N
     """One adaptive Metropolis chain per input.
 
     One default_init_cov call over all inputs gives the chains' initial
-    covariances.  The chains run in contiguous blocks over the worker
-    processes (workers.fork_blocks), one am_sample_lockstep call per block
-    on a target over the block's inputs.  Chain k starts at input k's MLE
+    covariances.  The chains are dealt out over the worker processes
+    (workers.fork_blocks), one am_sample_lockstep call per share on a
+    target over the share's inputs.  Chain k starts at input k's MLE
     and draws from stage_rng(seed, "fit-inputs", k), so it is the chain
     am_sample gives it alone.  The first failed chain in variable order
     fails the stage, named."""
     specs = dataset.variables
     targets = [dists.log_posterior_target(spec, _prior_for(cfg, spec)) for spec in specs]
 
-    def target_for(block):  # row k holds the parameter pair of block[k]'s input
-        return lambda psi: np.array([t(row) for t, row in zip(block, psi.tolist())])
+    def target_for(share):  # row k holds the parameter pair of share[k]'s input
+        return lambda psi: np.array([t(row) for t, row in zip(share, psi.tolist())])
 
     inits = np.array([mle_fit(spec).as_array() for spec in specs])
     covs = default_init_cov(target_for(targets), inits)
     settings = cfg.am_settings(2, "inputs")
 
-    def run_block(lo, hi):
-        rngs = [stage_rng(cfg.seed, "fit-inputs", k) for k in range(lo, hi)]
-        return am_sample_lockstep(target_for(targets[lo:hi]), inits[lo:hi], covs[lo:hi], settings, rngs)
+    def run_share(share):
+        rngs = [stage_rng(cfg.seed, "fit-inputs", k) for k in range(len(specs))[share]]
+        return am_sample_lockstep(target_for(targets[share]), inits[share], covs[share], settings, rngs)
 
-    runs = workers.fork_blocks(run_block, len(specs))
+    runs = workers.fork_blocks(run_share, len(specs))
     for spec, rel, run in zip(specs, _input_chain_files(dataset), runs):
         if isinstance(run, Exception):
             raise NumericalError(f"fit-inputs: chain {spec.name} failed: {run}") from run
@@ -325,7 +321,7 @@ def _tune_lambda(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> 
 
 def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     has_cv = (Path(cfg.out_dir) / "cv_lambda.json").exists()
-    lam = float(_read_json(cfg, "cv_lambda.json", "winner")[0]) if has_cv else cfg.lam
+    lam = float(_read_json(cfg, "cv_lambda.json", "winner")[0]) if has_cv else LAM_WITHOUT_CV
     fit = fit_reml(design, lam=lam, restarts=cfg.restarts, rng=stage_rng(cfg.seed, "fit-gp"))
     tau_hat, nu_sq_hat = hessian_nu_estimate(fit)
     if not (math.isfinite(nu_sq_hat) and nu_sq_hat > 0):
@@ -353,16 +349,15 @@ def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
 
 def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     theta_hat, tau_hat, nu_sq_hat = _read_json(cfg, "gp_fit.json", "theta", "tau_hat", "nu_sq_hat")
-    nu_sq = cfg.nu_sq if cfg.nu_sq is not None else nu_sq_hat
     if cfg.tau_candidates is not None:
         taus = list(cfg.tau_candidates)
     else:
         taus = sorted({round(tau_hat * f, 3) for f in (0.67, 0.74, 0.84, 1.0, 1.17)})
-    candidates = [(float(t), float(nu_sq)) for t in taus]
+    candidates = [(float(t), float(nu_sq_hat)) for t in taus]
 
     cv_settings = cfg.am_settings(design.K, "cv")
     cv_seed = int(stage_rng(cfg.seed, "tune-prior-cv").integers(2**63))
-    report = cv_hyperparams(design, candidates, cv_settings, burn_in=cfg.burn_in, master_seed=cv_seed)
+    report = cv_hyperparams(design, candidates, cv_settings, burn_in=BURN_IN, master_seed=cv_seed)
     tau_star, nu_sq_star = report.candidates[report.winner]
     _write_cv(work, "tune-prior", "prior", report, tau=tau_star, nu_sq=nu_sq_star)
 
@@ -502,23 +497,11 @@ STAGE_TABLE = {
     s.name: s
     for s in (
         Stage("fit-inputs", "seed input_prior jeffreys_normal_variant am_inputs", _fit_inputs),
-        Stage("tune-lambda", "seed lambda_grid cv_restarts standardize", _tune_lambda),
-        Stage(
-            "fit-gp", "seed lam restarts standardize", _fit_gp, lambda cfg, ds: ([], ["cv_lambda.json"])
-        ),
-        Stage(
-            "tune-prior",
-            "seed tau_candidates nu_sq am_cv am_theta burn_in standardize",
-            _tune_prior,
-            lambda cfg, ds: (["gp_fit.json"], []),
-        ),
-        Stage(
-            "simulate-pf",
-            "seed setting z_crit N M burn_in standardize",
-            _simulate_pf,
-            _simulate_pf_reads,
-        ),
-        Stage("report", "burn_in standardize", _report, _report_reads),
+        Stage("tune-lambda", "seed lambda_grid cv_restarts", _tune_lambda),
+        Stage("fit-gp", "seed restarts", _fit_gp, lambda cfg, ds: ([], ["cv_lambda.json"])),
+        Stage("tune-prior", "seed tau_candidates am_cv am_theta", _tune_prior, lambda cfg, ds: (["gp_fit.json"], [])),
+        Stage("simulate-pf", "seed setting z_crit N M", _simulate_pf, _simulate_pf_reads),
+        Stage("report", "", _report, _report_reads),
     )
 }
 STAGES = list(STAGE_TABLE)
@@ -534,7 +517,7 @@ def run_stage(stage: str, cfg: PipelineConfig) -> None:
         dataset = ingest.load_dataset(manifest)
         if dataset.n < 3:  # leave-one-out and the REML fit need at least 3 rows
             raise ValueError(f"the design has {dataset.n} rows; at least 3 are needed")
-        return dataset, GpDesign(S=dataset.design, Z=dataset.outputs, standardize=cfg.standardize)
+        return dataset, GpDesign(S=dataset.design, Z=dataset.outputs, standardize=True)
 
     dataset, design = _read(Path(cfg.manifest), load, "dataset")
     out = Path(cfg.out_dir)
@@ -582,7 +565,7 @@ def run_all(cfg: PipelineConfig):
 
 
 def cmd_synth(args) -> int:
-    for flag, value, low in (("--n", args.n, 3), ("--n-obs", args.n_obs, 2)):
+    for flag, value, low in (("--seed", args.seed, 0), ("--n", args.n, 3), ("--n-obs", args.n_obs, 2)):
         if value < low:
             raise ConfigError(f"synth {flag} must be an integer >= {low}, got {value}")
     _make_dir(Path(args.out), "--out directory")

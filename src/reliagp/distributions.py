@@ -277,7 +277,8 @@ def _at_fixed_shape(beta: float, beta0: float) -> bool:
 def _log_prior(family: Family, prior: PriorSpec):
     """Log prior density as a function of a valid parameter pair, up to an
     additive constant for improper priors; a conjugate Weibull pair must
-    sit at the fixed shape.  The prior's constants are computed here, once."""
+    sit at the fixed shape.  The prior's constants are computed here, once;
+    a conjugate prior is -inf where a power in it overflows or underflows."""
     if prior.kind == PriorKind.FLAT:
         return lambda p0, p1: 0.0
 
@@ -299,7 +300,10 @@ def _log_prior(family: Family, prior: PriorSpec):
 
         def normal(mu, s2):
             lp_s2 = ig_const - (a + 1) * math.log(s2) - b / s2
-            lp_mu = -0.5 * math.log(2 * math.pi * s2 / kappa) - 0.5 * kappa * (mu - m) ** 2 / s2
+            try:  # a float ** raises OverflowError
+                lp_mu = -0.5 * math.log(2 * math.pi * s2 / kappa) - 0.5 * kappa * (mu - m) ** 2 / s2
+            except OverflowError:
+                return NEG_INF
             return lp_s2 + lp_mu
 
         return normal
@@ -310,8 +314,11 @@ def _log_prior(family: Family, prior: PriorSpec):
     ig_const, log_beta0 = a * math.log(b) - gammaln(a), math.log(beta0)
 
     def weibull(alpha, beta):
-        lam = alpha**beta0
-        lp_lam = ig_const - (a + 1) * math.log(lam) - b / lam
+        try:  # a float ** raises OverflowError, and log raises ValueError at an underflowed 0
+            lam = alpha**beta0
+            lp_lam = ig_const - (a + 1) * math.log(lam) - b / lam
+        except (OverflowError, ValueError):
+            return NEG_INF
         # change of variables lam = alpha^beta0 so this is a density in alpha
         jac = log_beta0 + (beta0 - 1) * math.log(alpha)
         return lp_lam + jac

@@ -244,7 +244,7 @@ def load_dataset(manifest_path) -> StudyDataset:
         isinstance(variables, list)
         and all(isinstance(v, dict) and isinstance(v.get("name"), str) for v in variables)
         and all(isinstance(manifest.get(key), str) for key in files)
-        and isinstance(manifest.get("rescale_factor", 1.0), (int, float))
+        and type(manifest.get("rescale_factor", 1.0)) in (int, float)  # a JSON true is a bool, not 1
     ):
         raise ValueError(f"manifest {manifest_path} needs file names, named variables and a numeric rescale_factor")
     base = manifest_path.parent

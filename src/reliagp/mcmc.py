@@ -9,11 +9,13 @@ output, so a run of t steps yields t/t2 draws.  ``am_sample_lockstep`` runs
 many independent chains side by side in this process, with one target call
 per step, and ``am_sample`` is its one-chain case.  The pipeline's input
 chains (one per input variable) and tune-prior's cross-validation chains go
-through am_sample_lockstep, one call per block of chains that their callers
-spread over worker processes (``workers.fork_blocks``); tune-prior's final
-theta chain runs in am_sample.  A chain that cannot start (a non-finite
-target at its start) or whose proposal covariance fails stops alone: the
-call returns its exception in its place, and am_sample raises it.
+through am_sample_lockstep, one call per share of chains that their
+callers deal out over worker processes (``workers.fork_blocks``);
+tune-prior's final theta chain runs in am_sample.  The pipeline sets only
+t, t0 and t2; epsilon and t1 are AmSettings' constants.  A chain that
+cannot start (a non-finite target at its start) or whose proposal
+covariance fails stops alone: the call returns its exception in its
+place, and am_sample raises it.
 
 A chain draws one adaptation window at a time, a window running from one
 possible refresh of the proposal covariance to the next (the first ends

@@ -11,7 +11,7 @@ fold's theta rows are found:
   the adaptive Metropolis sampler on the integrated-likelihood target; its
   theta rows are the retained draws.  The (candidate, fold) chains run on
   likelihood stacks: one default_init_cov call gives every chain's initial
-  covariance, and they run in one am_sample_lockstep call per block of
+  covariance, and they run in one am_sample_lockstep call per share of
   ``workers.fork_blocks``.  A chain that cannot start fails its fold.
 
 One scorer, ``_score_folds``, then kriges each held-out point in this
@@ -145,13 +145,13 @@ def cv_hyperparams(
 
     The n reduced designs are built once.  One default_init_cov call, on a
     bayes_log_posterior_stack target over every (candidate, fold) pair,
-    gives the chains' initial covariances.  The chains run in contiguous
-    blocks over the worker processes (workers.fork_blocks), one
-    am_sample_lockstep call per block on a target over the block's pairs,
-    each chain on its own fold_rng stream.  A chain that cannot start, or
-    whose proposal covariance fails, is its fold's error.  The report
-    therefore equals that of running the chains one after another, folds in
-    order, and stopping a candidate at its first failed fold.
+    gives the chains' initial covariances.  The chains are dealt out over
+    the worker processes (workers.fork_blocks), one am_sample_lockstep call
+    per share on a target over the share's pairs, each chain on its own
+    fold_rng stream.  A chain that cannot start, or whose proposal
+    covariance fails, is its fold's error.  The report therefore equals
+    that of running the chains one after another, folds in order, and
+    stopping a candidate at its first failed fold.
     """
     candidates = [tuple(c) for c in candidates]
     if not candidates or design.n < 3:
@@ -159,17 +159,18 @@ def cv_hyperparams(
     n = design.n
     tau, nu_sq = np.repeat(np.array(candidates, dtype=float), n, axis=0).T  # pair k = q * n + i
     reduced = [design.drop_row(i) for i in range(n)]
+    pairs = range(tau.size)
 
-    def target_for(lo, hi):  # over the pairs lo, ..., hi - 1
-        return bayes_log_posterior_stack([reduced[k % n] for k in range(lo, hi)], tau[lo:hi], nu_sq[lo:hi], 0.0)
+    def target_for(share):  # over pairs[share]
+        return bayes_log_posterior_stack([reduced[k % n] for k in pairs[share]], tau[share], nu_sq[share], 0.0)
 
     inits = np.repeat(tau[:, None], design.K, axis=1)
-    covs = default_init_cov(target_for(0, tau.size), inits)
+    covs = default_init_cov(target_for(slice(None)), inits)
 
-    def run_block(lo, hi):
-        rngs = [fold_rng(master_seed, *divmod(k, n)) for k in range(lo, hi)]
-        return am_sample_lockstep(target_for(lo, hi), inits[lo:hi], covs[lo:hi], am_settings, rngs)
+    def run_share(share):
+        rngs = [fold_rng(master_seed, *divmod(k, n)) for k in pairs[share]]
+        return am_sample_lockstep(target_for(share), inits[share], covs[share], am_settings, rngs)
 
-    chains = workers.fork_blocks(run_block, tau.size)
+    chains = workers.fork_blocks(run_share, tau.size)
     fold_thetas = [c if isinstance(c, Exception) else (remove_burn_in(c, burn_in).draws, 0.0) for c in chains]
     return _score_folds(design, candidates, fold_thetas)

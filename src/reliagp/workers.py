@@ -1,14 +1,16 @@
 """Run independent jobs in forked worker processes.
 
 ``fork_map(job, count)`` returns ``[job(i) for i in range(count)]`` in index
-order.  ``fork_blocks(job, count)`` splits ``range(count)`` into one
-contiguous block [lo, hi) per worker, runs ``job(lo, hi)`` on each through
-fork_map and joins the lists they return in order.  The jobs run on a pool
-of ``fork``-context processes, one per CPU in this process's affinity mask,
-so ``taskset`` limits them.  Forking lets a job be a closure over in-memory
-state (a design, the input posteriors), which ``spawn`` would have to
-pickle and rebuild; only the job index goes to a worker, and only the
-job's result comes back.  The library starts no threads of its own, and
+order.  ``fork_blocks(job, count)`` deals ``range(count)`` out over W
+workers, worker k taking the items k, k + W, k + 2W, ..., runs
+``job(slice(k, count, W))`` on each share through fork_map and puts the
+items the shares return back in index order, so neighbours that cost
+alike (the input chains of one family) go to different workers.  The
+jobs run on a pool of ``fork``-context processes, one per CPU in this
+process's affinity mask, so ``taskset`` limits them.  Forking lets a job
+be a closure over in-memory state (a design, the input posteriors), which
+``spawn`` would have to pickle and rebuild; only the job index goes to a
+worker, and only the job's result comes back.  The library starts no threads of its own, and
 OpenBLAS shuts its thread pool down around a fork, so forking is safe
 here.  With one CPU, or inside a worker, the jobs run in this process.
 
@@ -66,12 +68,15 @@ def fork_map(job, count: int) -> list:
 
 
 def fork_blocks(job, count: int) -> list:
-    """job(0, count) as the concatenation of job(lo, hi) over
-    min(count, worker_count()) contiguous blocks [lo, hi), one fork_map job
-    each; job(lo, hi) returns a list of hi - lo items."""
-    blocks = min(count, worker_count())
-    parts = fork_map(lambda k: job(k * count // blocks, (k + 1) * count // blocks), blocks)
-    return [item for part in parts for item in part]
+    """job(slice(0, count)) as the items of job(slice(k, count, W)) over the
+    W = min(count, worker_count()) shares k < W, one fork_map job each, put
+    back in index order; job(share) returns one item per index of
+    range(count)[share]."""
+    shares = min(count, worker_count())
+    items = [None] * count
+    for k, part in enumerate(fork_map(lambda k: job(slice(k, count, shares)), shares)):
+        items[k::shares] = part
+    return items
 
 
 def _start_worker(job) -> None:

@@ -152,6 +152,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("fit-inputs", {"am_inputs": {"t": 1000.0, "t0": 100, "t2": 100}}),
         ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t1": True, "t2": 100}}),
         ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t2": 100, "d": 1}}),
+        ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t2": 100, "epsilon": float("nan")}}),
+        ("fit-inputs", {"am_inputs": {"t": 1000, "t0": 100, "t2": 100, "epsilon": True}}),
         ("fit-gp", {"lam": "x"}),
         ("tune-lambda", {"lambda_grid": "ab"}),
         ("tune-lambda", {"lambda_grid": []}),
@@ -169,11 +171,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("fit-gp", {"scale": "reml"}),
     ],
     ids=[
-        "not_an_object", "seed_str", "burn_in_str", "am_unknown_key", "seed_negative", "am_t2",
-        "restarts_zero", "am_t_float", "am_t1_bool", "am_d_key", "lam_str", "lambda_grid_str",
-        "lambda_grid_empty", "z_crit_str", "out_dir_int", "z_crit_nan", "standardize_str",
-        "jeffreys_variant_str", "nu_sq_str", "nu_sq_negative", "tau_candidates_str", "tau_candidates_empty",
-        "lam_negative", "lambda_grid_negative", "scale_removed",
+        "not_an_object", "seed_str", "burn_in_str_removed", "am_unknown_key", "seed_negative", "am_t2",
+        "restarts_zero", "am_t_float", "am_t1_removed", "am_d_key", "am_epsilon_nan", "am_epsilon_true",
+        "lam_str_removed", "lambda_grid_str", "lambda_grid_empty", "z_crit_str", "out_dir_int", "z_crit_nan",
+        "standardize_str_removed", "jeffreys_variant_str", "nu_sq_str_removed", "nu_sq_negative_removed",
+        "tau_candidates_str", "tau_candidates_empty", "lam_negative_removed", "lambda_grid_negative",
+        "scale_removed",
     ],
 )
 def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
@@ -184,7 +187,9 @@ def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
         cfg_path.write_text("[1, 2]")
     capsys.readouterr()
     assert main([stage, "--config", str(cfg_path)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert all(key in err for key in fields or {}), err  # names the field, or its am_* block
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.PipelineConfig)])
@@ -543,12 +548,13 @@ def _config_as_directory(root: Path) -> None:
         (_repeat_first_design_row, "data/manifest.json"),
         (lambda root: _edit_manifest(root, lambda m: {**m, "rescale_factor": 0}), "data/manifest.json"),
         (lambda root: _edit_manifest(root, lambda m: {**m, "rescale_factor": -1000}), "data/manifest.json"),
+        (lambda root: _edit_manifest(root, lambda m: {**m, "rescale_factor": True}), "data/manifest.json"),
         (_keep_two_design_rows, "data/manifest.json"),
     ],
     ids=[
         "manifest_variables_strings", "manifest_list", "manifest_observations_number", "config_directory",
         "out_dir_file", "config_not_utf8", "design_rows_repeat", "rescale_factor_zero",
-        "rescale_factor_negative", "design_two_rows",
+        "rescale_factor_negative", "rescale_factor_true", "design_two_rows",
     ],
 )
 def test_bad_outside_input_exits_config_before_any_write(tmp_path, capsys, spoil, named):
@@ -583,8 +589,9 @@ def test_blocked_output_path_exits_config(tmp_path, capsys):
         (["--out", "data", "--n-obs", "1"], "--n-obs"),
         (["--out", "data", "--n-obs", "0"], "--n-obs"),
         (["--out", "taken"], "taken"),
+        (["--out", "data", "--seed", "-1"], "--seed"),
     ],
-    ids=["n_zero", "n_two", "n_obs_one", "n_obs_zero", "out_file"],
+    ids=["n_zero", "n_two", "n_obs_one", "n_obs_zero", "out_file", "seed_negative"],
 )
 def test_bad_synth_argument_exits_config(tmp_path, monkeypatch, capsys, args, named):
     monkeypatch.chdir(tmp_path)

@@ -21,6 +21,7 @@ from reliagp.distributions import (
     params_from_array,
     sample,
 )
+from reliagp.ingest import synth_study
 
 
 def test_log_density_weibull_exponential_case():
@@ -285,6 +286,21 @@ def test_float_target_equals_the_numpy_formula(family, prior_name):
         assert abs(target(psi) - expected) <= 1e-13 * abs(expected), psi
     for psi in _invalid_rows(family, p0, p1):
         assert target(psi) == reference(psi) == -math.inf, psi
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_conjugate_target_is_minus_inf_where_a_prior_power_overflows(index):
+    # far out, (mu - m) ** 2 and alpha ** beta0 raise OverflowError, and near
+    # alpha = 0 alpha ** beta0 underflows to 0: the prior density is 0 there
+    spec = synth_study(seed=8000).variables[index]
+    prior = PriorSpec.conjugate_for(spec)
+    target = log_posterior_target(spec, prior)
+    if spec.family == Family.NORMAL:
+        rows = [[1e200, 1.0], [-1e200, 1.0]]
+    else:
+        rows = [[1e200, prior.beta0], [1e-200, prior.beta0]]
+    for psi in rows:
+        assert target(psi) == -math.inf, psi
 
 
 def test_sample_weibull_inverse_cdf_point():

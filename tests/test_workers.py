@@ -130,21 +130,32 @@ def test_job_exception_reaches_the_caller(n, monkeypatch):
 @pytest.mark.parametrize("n", COUNTS)
 @pytest.mark.parametrize("count", range(6))
 def test_fork_blocks_joins_contiguous_blocks_in_order(n, count, monkeypatch):
+    # fork_blocks deals the items out, worker k taking k, k + W, ..., and
+    # joins what the shares return in index order
     force_workers(monkeypatch, n)
-    assert workers.fork_blocks(lambda lo, hi: list(range(lo, hi)), count) == list(range(count))
+    assert workers.fork_blocks(lambda share: list(range(count)[share]), count) == list(range(count))
 
-    def job(lo, hi):
-        # no block is empty, so count == 0 runs no job at all, as
+    def job(share):
+        # no share is empty, so count == 0 runs no job at all, as
         # cv_hyperparams needs when it keeps no chain
-        assert lo < hi, f"job({lo}, {hi})"
-        return [(i, lo, hi) for i in range(lo, hi)]
+        assert range(count)[share], f"job({share})"
+        return [(i, share.start, share.step) for i in range(count)[share]]
 
     out = workers.fork_blocks(job, count)
     assert [i for i, _, _ in out] == list(range(count))
-    blocks = list(dict.fromkeys((lo, hi) for _, lo, hi in out))
-    bounds = [lo for lo, _ in blocks] + [count]
-    assert len(blocks) == min(count, n)
-    assert bounds[0] == 0 and blocks == list(zip(bounds, bounds[1:]))
+    shares = min(count, n)
+    assert all(start == i % shares and step == shares for i, start, step in out)
+
+
+def test_fork_blocks_splits_the_weibull_inputs(monkeypatch):
+    # at 2 workers fit-inputs' two Weibull chains, the costlier, fall in
+    # different shares
+    force_workers(monkeypatch, 2)
+    families = [v.family for v in synth_study(seed=5, n=8, n_obs=8).variables]
+    weibull = [k for k, family in enumerate(families) if family == distributions.Family.WEIBULL]
+    assert len(weibull) == 2
+    share_of = workers.fork_blocks(lambda share: [share.start] * len(range(len(families))[share]), len(families))
+    assert share_of[weibull[0]] != share_of[weibull[1]]
 
 
 def _lockstep_run():
