@@ -43,8 +43,6 @@ from reliagp.gp import (
     GpFit,
     bayes_log_posterior,
     covariance_matrix,
-    gls_beta,
-    nll_profile,
     nll_reml,
     nll_reml_regularized,
     nll_bayes,
@@ -54,7 +52,6 @@ from reliagp.gp import (
 from reliagp.kriging import (
     KrigingModel,
     KrigingPrediction,
-    predict,
     loo_diagnostics,
     loo_predictions,
 )
@@ -85,8 +82,6 @@ __all__ = [
     "GpFit",
     "bayes_log_posterior",
     "covariance_matrix",
-    "gls_beta",
-    "nll_profile",
     "nll_reml",
     "nll_reml_regularized",
     "nll_bayes",
@@ -94,7 +89,6 @@ __all__ = [
     "hessian_nu_estimate",
     "KrigingModel",
     "KrigingPrediction",
-    "predict",
     "loo_diagnostics",
     "loo_predictions",
     "CvReport",

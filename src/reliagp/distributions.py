@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -77,6 +78,17 @@ class InputVariableSpec:
     @property
     def n(self) -> int:
         return self.observations.size
+
+    @cached_property
+    def sufficient_stats(self) -> tuple:
+        """What _log_likelihood reads of the sample, as Python numbers:
+        (n, xbar, SS) of a Normal one, (n, logs, sum logs) of a Weibull one."""
+        obs = self.observations
+        if self.family == Family.NORMAL:
+            xbar = float(np.mean(obs))
+            return obs.size, xbar, float(np.sum((obs - xbar) ** 2))
+        logs = tuple(np.log(obs).tolist())
+        return obs.size, logs, sum(logs)
 
 
 def _normal_valid(mu: float, sigma2: float) -> bool:
@@ -190,16 +202,14 @@ def log_density(x: float, params: ParamVector) -> float:
     """Log density of one observation under the given parameter pair."""
     if not params.valid():
         raise ValueError(f"invalid parameters: {params}")
-    if params.family == Family.WEIBULL and x <= 0:
-        raise ValueError(f"Weibull support is x > 0, got {x}")
-    return _log_likelihood(params.family, np.array([x], dtype=float))(*astuple(params))
+    sample = InputVariableSpec("x", params.family, [x])  # checks x's support
+    return _log_likelihood(params.family, sample.sufficient_stats)(*astuple(params))
 
 
-def _log_likelihood(family: Family, obs: np.ndarray):
-    """Sum of the log densities of ``obs`` as a function of a valid
-    parameter pair; a Weibull sample must be positive.  The sample's
-    sufficient statistics are computed here, once, so that each call is
-    plain arithmetic on Python floats, with no NumPy call:
+def _log_likelihood(family: Family, stats: tuple):
+    """Sum of the log densities of a sample, given by its sufficient_stats,
+    as a function of a valid parameter pair: plain arithmetic on Python
+    floats, with no NumPy call.
 
     * Normal, from n, the mean xbar and SS = sum (x_i - xbar)^2:
       -n/2 log(2 pi s2) - (SS + n (xbar - mu)^2) / (2 s2);
@@ -207,19 +217,16 @@ def _log_likelihood(family: Family, obs: np.ndarray):
       n log(b/a) + (b - 1)(sum l_i - n log a) - sum exp(b (l_i - log a)),
       which is -inf where a term of the last sum overflows.
     """
-    n = obs.size
     if family == Family.NORMAL:
+        n, xbar, ss = stats
         half_n, two_pi = -0.5 * n, 2 * math.pi
-        xbar = float(np.mean(obs))
-        ss = float(np.sum((obs - xbar) ** 2))
 
         def normal(mu, s2):
             dev = xbar - mu  # dev * dev, not dev ** 2: a float product overflows to inf without raising
             return half_n * math.log(two_pi * s2) - 0.5 * (ss + n * dev * dev) / s2
 
         return normal
-    logs = np.log(obs).tolist()
-    sum_logs = sum(logs)
+    n, logs, sum_logs = stats
 
     def weibull(a, b):
         log_a = math.log(a)
@@ -340,10 +347,10 @@ def log_prior(params: ParamVector, prior: PriorSpec) -> float:
 def log_posterior_target(spec: InputVariableSpec, prior: PriorSpec):
     """Unnormalized log posterior of ``spec``'s parameters under ``prior`` as
     a function of a parameter pair, (mu, sigma2) or (alpha, beta); -inf
-    outside the support.  What depends only on the data or the prior is
-    computed once here, so each call works on plain floats."""
+    outside the support.  What depends only on the data (once per spec) or
+    the prior is computed before any call, so each call works on plain floats."""
     log_pi = _log_prior(spec.family, prior)
-    log_lik = _log_likelihood(spec.family, spec.observations)
+    log_lik = _log_likelihood(spec.family, spec.sufficient_stats)
     valid = _normal_valid if spec.family == Family.NORMAL else _weibull_valid
     if spec.family == Family.WEIBULL and prior.kind == PriorKind.CONJUGATE:
         # out-of-support rather than an error inside MCMC: the shape is fixed

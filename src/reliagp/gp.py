@@ -5,10 +5,11 @@ exponential
 
     v_ij = exp( - sum_k (x_ik - x_jk)^2 / exp(theta_k)^2 )
 
-where theta_k are per-dimension log range parameters.  The mean is a linear
-model X beta (constant by default).  Four negative log likelihoods over
-theta are provided: profile, REML, ridge-regularized REML, and the Bayesian
-integrated likelihood with a Normal prior on the theta_k.
+where theta_k are per-dimension log range parameters.  The kernel lives in
+``correlation`` alone, which covariances, cross covariances and kriging call.
+The mean is a linear model X beta (constant by default).  Three negative log
+likelihoods over theta are provided: REML, ridge-regularized REML, and the
+Bayesian integrated likelihood with a Normal prior on the theta_k.
 
 All linear algebra goes through Cholesky factors; the likelihoods never
 form an explicit inverse (only the REML gradient needs the projection P,
@@ -35,10 +36,9 @@ __all__ = [
     "GpDesign",
     "GpFit",
     "GpStack",
+    "correlation",
     "covariance_matrix",
     "cholesky_with_nugget",
-    "gls_beta",
-    "nll_profile",
     "nll_reml",
     "nll_reml_regularized",
     "nll_reml_regularized_grad",
@@ -158,6 +158,12 @@ class GpDesign:
         return d
 
 
+def correlation(d2: np.ndarray) -> np.ndarray:
+    """The squared-exponential correlations exp(-d2) of squared scaled
+    distances ``d2``, computed in d2's memory."""
+    return np.exp(np.negative(d2, out=d2), out=d2)
+
+
 def covariance_matrix(S: np.ndarray, theta: np.ndarray, nugget: float = 0.0) -> np.ndarray:
     """Anisotropic squared-exponential correlation matrix plus nugget*I."""
     if nugget < 0:
@@ -175,7 +181,7 @@ def _covariance_stack(S: np.ndarray, theta: np.ndarray, nugget: float) -> np.nda
     sq = np.sum(W**2, axis=2)
     d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (W @ W.transpose(0, 2, 1))
     np.maximum(d2, 0.0, out=d2)
-    V = np.exp(-d2)
+    V = correlation(d2)
     # enforce exact symmetry and unit pre-nugget diagonal
     V = 0.5 * (V + V.transpose(0, 2, 1))
     diag = np.arange(S.shape[1])
@@ -208,8 +214,7 @@ def cross_covariance(S: np.ndarray, S_new: np.ndarray, theta: np.ndarray) -> np.
     """Correlations between the training rows of S (n, K) and the new points,
     the columns of S_new (K, m) as GpDesign.transform returns them; shape (n, m)."""
     scale = np.exp(np.asarray(theta, dtype=float).ravel())
-    d2 = sq_distances(np.atleast_2d(S) / scale, S_new / scale[:, None])
-    return np.exp(np.negative(d2, out=d2), out=d2)
+    return correlation(sq_distances(np.atleast_2d(S) / scale, S_new / scale[:, None]))
 
 
 def cholesky_with_nugget(
@@ -326,21 +331,10 @@ class GpWork:
         self.beta_hat = stack.beta_hat[b]
         self.G_sq = float(stack.G_sq[b])
 
-
-def gls_beta(design: GpDesign, theta, nugget: float = NUGGET_START):
-    """GLS coefficients beta_hat(theta) and the residual quadratic form
-    G^2 = (Z - X beta_hat)^T V^-1 (Z - X beta_hat) = Z^T H Z."""
-    w = GpWork(design, theta, nugget)
-    return w.beta_hat, w.G_sq
-
-
-def nll_profile(design: GpDesign, theta, nugget: float = NUGGET_START) -> float:
-    """Profile negative log likelihood with beta and alpha concentrated out."""
-    w = GpWork(design, theta, nugget)
-    n = design.n
-    if w.G_sq <= 0:
-        raise ValueError("degenerate data: zero GLS residual, profile NLL is -inf")
-    return 0.5 * n * math.log(2 * math.pi) + 0.5 * n * math.log(w.G_sq / n) + 0.5 * w.logdet_V + 0.5 * n
+    @property
+    def range_scale(self) -> np.ndarray:
+        """exp(theta), the range of each input dimension."""
+        return np.exp(self.theta)
 
 
 def _nll_reml_from_work(w: GpWork) -> float:
@@ -401,7 +395,9 @@ def nll_reml_regularized_grad(design: GpDesign, theta, lam: float) -> tuple[floa
     A = L_inv.T @ dtrtrs(w.L_xtvx, w.Xw.T, lower=1)[0].T
     P = L_inv.T @ L_inv - A @ A.T
     Pz = L_inv.T @ (w.Zw - w.Xw @ w.beta_hat)
-    V = w.L @ w.L.T  # the diagonal does not matter: D_k vanishes there
+    # dV_k's factor -dk/dd2 is k itself for the squared exponential, so the
+    # factorized V serves; its diagonal does not matter: D_k vanishes there
+    V = w.L @ w.L.T
     terms = np.stack([P * V, np.outer(Pz, Pz) * V]).reshape(2, n * n) @ design.sq_diffs
     grad = np.exp(-2.0 * theta) * (terms[0] - (n - q) * terms[1] / w.G_sq)
     return value, grad + 2.0 * lam * (theta - theta.mean())
@@ -590,7 +586,10 @@ def fit_reml(
 def hessian_nu_estimate(fit: GpFit) -> tuple[float, float]:
     """Empirical-Bayes prior hyperparameters from a REML fit:
     tau_hat = mean(theta), nu_sq_hat = mean of diag(H^-1).  nu_sq_hat is
-    NaN, with a RuntimeWarning, when H is not positive definite."""
+    NaN, with a RuntimeWarning, when H is not positive definite, and a fit
+    made without H raises ValueError."""
+    if fit.hessian is None:
+        raise ValueError("the fit has no Hessian: fit_reml was called with hessian=False")
     tau_hat = float(np.mean(fit.theta))
     try:
         np.linalg.cholesky(fit.hessian)

@@ -22,7 +22,8 @@ One kriging body, ``krige``, returns (z_hat, S0, mspe_raw) and does only that
 work.  It carries the m new points as K contiguous rows, so every
 elementwise pass runs along the points, and each member's scaled design
 coordinates and their squared norms are computed once, when the stack is
-built.  The kriged mean takes the same operations in the same order as the
+built; gp.correlation maps their squared distances to cross covariances.
+The kriged mean takes the same operations in the same order as the
 row-layout formula, so it keeps its bits.  The MSPE's triangular solves
 run from the right on the Fortran-ordered (m, n) view of the cross
 covariances, one BLAS trsm call in place, with no copy.  That is the same
@@ -44,10 +45,10 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dtrtrs
 
-from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, sq_distances
+from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, correlation, sq_distances
 
 __all__ = [
-    "KrigingPrediction", "KrigingStack", "KrigingModel", "predict",
+    "KrigingPrediction", "KrigingStack", "KrigingModel",
     "held_out_predictions", "loo_predictions", "loo_diagnostics",
 ]
 
@@ -103,7 +104,7 @@ class KrigingStack:
             resid_w = w.Zw - w.Xw @ w.beta_hat
             # L^T x = resid_w; the kriged mean's bits, and the CV scores, rest on this LAPACK call
             c_inv_resid = dtrtrs(w.L.T, resid_w, lower=0)[0]
-            range_scale = np.exp(w.theta)
+            range_scale = w.range_scale
             scaled = coords / range_scale
             sq_scaled = np.add.reduce(scaled * scaled, axis=1)
             self.members[b] = w, a, c_inv_resid, range_scale[:, None], scaled, sq_scaled
@@ -133,8 +134,7 @@ class KrigingStack:
 
         z_hat, mspe = np.full((2, len(self.error), m), np.nan)
         for b, (w, alpha, c_inv_resid, range_scale, scaled, sq_scaled) in self.members.items():
-            v0 = sq_distances(scaled, cols / range_scale, sq_scaled)  # (n, m)
-            v0 = np.exp(np.negative(v0, out=v0), out=v0)
+            v0 = correlation(sq_distances(scaled, cols / range_scale, sq_scaled))  # (n, m)
             z_hat[b] = x0 @ w.beta_hat + v0.T @ c_inv_resid
             v0w = _solve_lower(w.L, v0)  # (n, m), in v0's memory
             u0 = w.Xw.T @ v0w  # (q, m)
@@ -195,11 +195,6 @@ class KrigingModel:
             min_design_distance=float(dist[0]),
             mspe_raw=float(mspe[0]),
         )
-
-
-def predict(fit: GpFit, design: GpDesign, s0) -> KrigingPrediction:
-    """One-shot prediction at a new point from a REML fit."""
-    return KrigingModel.from_fit(fit, design).predict(s0)
 
 
 def held_out_predictions(design: GpDesign, i: int, thetas, nugget: float = 0.0):

@@ -44,6 +44,8 @@ def test_log_density_outside_support():
         log_density(-1.0, WeibullParams(alpha=1, beta=2))
     with pytest.raises(ValueError):
         log_density(1.0, NormalParams(mu=0, sigma2=-1))
+    with pytest.raises(ValueError):
+        log_density(math.nan, NormalParams(mu=0, sigma2=1))
 
 
 def test_mle_normal_closed_form():

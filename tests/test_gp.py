@@ -14,10 +14,8 @@ from reliagp.gp import (
     bayes_log_posterior_stack,
     covariance_matrix,
     fit_reml,
-    gls_beta,
     hessian_nu_estimate,
     nll_bayes,
-    nll_profile,
     nll_reml,
     nll_reml_regularized,
     nll_reml_regularized_grad,
@@ -76,7 +74,8 @@ def test_gls_reduces_to_mean_when_independent():
     # theta = -10: correlations vanish, V = I
     d = random_design(rng, n=8)
     theta = np.full(2, -10.0)
-    beta, g_sq = gls_beta(d, theta, nugget=0.0)
+    w = GpWork(d, theta, nugget=0.0)
+    beta, g_sq = w.beta_hat, w.G_sq
     assert beta[0] == pytest.approx(d.Z.mean(), abs=1e-10)
     assert g_sq == pytest.approx(np.sum((d.Z - d.Z.mean()) ** 2), rel=1e-10)
 
@@ -85,7 +84,7 @@ def test_gls_reduces_to_ols():
     rng = np.random.default_rng(3)
     d = random_design(rng, n=10, q=2)
     theta = np.full(2, -10.0)
-    beta, _ = gls_beta(d, theta, nugget=0.0)
+    beta = GpWork(d, theta, nugget=0.0).beta_hat
     ols = np.linalg.lstsq(d.X, d.Z, rcond=None)[0]
     assert np.allclose(beta, ols, atol=1e-9)
 
@@ -94,7 +93,7 @@ def test_g_sq_equals_explicit_h_quadratic_form():
     rng = np.random.default_rng(4)
     d = random_design(rng, n=6)
     theta = np.array([0.2, -0.4])
-    _, g_sq = gls_beta(d, theta, nugget=0.0)
+    g_sq = GpWork(d, theta, nugget=0.0).G_sq
     V = covariance_matrix(d.S, theta)
     Vi = np.linalg.inv(V)
     X = d.X
@@ -106,55 +105,17 @@ def test_gls_equivariance_under_mean_shift():
     rng = np.random.default_rng(5)
     d = random_design(rng, n=7, q=2)
     theta = np.array([0.0, 0.5])
-    beta0, g0 = gls_beta(d, theta)
+    w0 = GpWork(d, theta)
+    beta0, g0 = w0.beta_hat, w0.G_sq
     c = np.array([1.5, -2.0])
     shifted = GpDesign(S=d.S, Z=d.Z + d.X @ c, X=d.X)
-    beta1, g1 = gls_beta(shifted, theta)
+    w1 = GpWork(shifted, theta)
+    beta1, g1 = w1.beta_hat, w1.G_sq
     assert np.allclose(beta1, beta0 + c, atol=1e-10)
     assert g1 == pytest.approx(g0, abs=1e-10)
 
 
 # --------------------------------------------------------------------- NLLs
-
-
-def test_profile_nll_independent_case():
-    rng = np.random.default_rng(6)
-    d = random_design(rng, n=9)
-    theta = np.full(2, -10.0)
-    n = d.n
-    s2 = np.sum((d.Z - d.Z.mean()) ** 2) / n
-    expected = 0.5 * n * math.log(2 * math.pi) + 0.5 * n * math.log(s2) + 0.5 * n
-    assert nll_profile(d, theta, nugget=0.0) == pytest.approx(expected, abs=1e-8)
-
-
-def test_profile_nll_degenerate_outputs():
-    d = GpDesign(S=np.array([[0.0], [1.0]]), Z=np.zeros(2))
-    with pytest.raises(ValueError):
-        nll_profile(d, np.array([0.0]), nugget=0.0)
-
-
-def test_profile_nll_equals_maximized_density():
-    # exp(-l*) must equal the Gaussian density maximized over (beta, alpha)
-    rng = np.random.default_rng(7)
-    d = random_design(rng, n=5, K=1)
-    theta = np.array([0.3])
-    V = covariance_matrix(d.S, theta)
-    X, Z, n = d.X, d.Z, d.n
-
-    def density(beta, alpha):
-        sigma = alpha * V
-        resid = Z - X @ [beta]
-        _, logdet = np.linalg.slogdet(sigma)
-        return -0.5 * n * math.log(2 * math.pi) - 0.5 * logdet - 0.5 * resid @ np.linalg.solve(sigma, resid)
-
-    # inner closed forms: beta = GLS, alpha = G^2/n
-    Vi = np.linalg.inv(V)
-    beta_hat = ((X.T @ Vi @ Z) / (X.T @ Vi @ X)).item()
-    resid = Z - X @ [beta_hat]
-    alpha_hat = float(resid @ Vi @ resid) / n
-    assert nll_profile(d, theta, nugget=0.0) == pytest.approx(
-        -density(beta_hat, alpha_hat), abs=1e-8
-    )
 
 
 def _contrast_nll(design, theta, nugget=0.0):
@@ -339,7 +300,6 @@ def test_nll_permutation_invariance():
     perm = rng.permutation(7)
     dp = GpDesign(S=d.S[perm], Z=d.Z[perm], X=d.X[perm])
     assert nll_reml(dp, theta) == pytest.approx(nll_reml(d, theta), abs=1e-9)
-    assert nll_profile(dp, theta) == pytest.approx(nll_profile(d, theta), abs=1e-9)
     assert nll_bayes(dp, theta, 0.5, 1.0) == pytest.approx(
         nll_bayes(d, theta, 0.5, 1.0), abs=1e-9
     )
@@ -668,6 +628,16 @@ def test_hessian_nu_non_spd_is_nan():
         tau, nu_sq = hessian_nu_estimate(fit)
     assert tau == 1.5
     assert math.isnan(nu_sq)
+
+
+def test_hessian_nu_estimate_rejects_a_fit_without_hessian():
+    # a fit made with hessian=False has no curvature to read, which is not
+    # the same as a Hessian that is not SPD
+    d = random_design(np.random.default_rng(21), n=8)
+    fit = fit_reml(d, lam=1.0, restarts=1, hessian=False)
+    assert fit.hessian is None
+    with pytest.raises(ValueError, match="no Hessian"):
+        hessian_nu_estimate(fit)
 
 
 def _fake_fit(theta, hessian):

@@ -16,7 +16,8 @@ imports ``ctypes`` or names an OpenBLAS ``set_num_threads`` symbol.  A
 design is shared across stack members in ``gp.GpStack`` alone: no other
 code calls ``np.broadcast_to``.  The sampler draws at one site: ``mcmc``
 calls a generator's ``standard_normal`` and ``random`` once each, in its
-window draw.
+window draw.  The correlation is evaluated at one site, ``gp.correlation``:
+no other code takes the exp of a negated array, and ``kriging`` calls no exp.
 """
 
 import ast
@@ -272,3 +273,38 @@ def test_sampler_draws_at_one_site():
                 sites[node.attr].append((node.lineno, id(node) in called))
     for name, found in sites.items():
         assert [is_call for _, is_call in found] == [True], f"mcmc.py names {name} at {found}; expected one call"
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` calls a function named ``name``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _negated(node: ast.expr) -> bool:
+    """Whether an expression is written as a negation: ``-x`` or ``np.negative(x)``."""
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) or _calls(node, "negative")
+
+
+def test_correlation_is_evaluated_at_one_site():
+    """gp.correlation alone turns squared distances into correlations: every
+    exp of a negated array in the library lies inside it, and kriging, which
+    gets its cross covariances from it, calls no exp at all.  A second copy
+    of the kernel, which a change of correlation function would miss, fails
+    here."""
+    found = []
+    for path in sorted((ROOT / "src" / "reliagp").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(inner)
+            for node in tree.body
+            if path.name == "gp.py" and isinstance(node, ast.FunctionDef) and node.name == "correlation"
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _calls(node, "exp")
+            and id(node) not in allowed
+            and (path.name == "kriging.py" or any(_negated(arg) for arg in node.args))
+        ]
+    assert not found, "correlations evaluated outside gp.correlation: " + ", ".join(found)

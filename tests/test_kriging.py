@@ -14,7 +14,6 @@ from reliagp.kriging import (
     held_out_predictions,
     loo_diagnostics,
     loo_predictions,
-    predict,
 )
 
 
@@ -161,17 +160,6 @@ def test_min_design_distance():
     model = KrigingModel(d, np.array([0.0]), alpha=1.0)
     p = model.predict(np.array([1.75]))
     assert p.min_design_distance == pytest.approx(0.75)
-
-
-def test_predict_function_wrapper():
-    rng = np.random.default_rng(5)
-    d = random_design(rng, n=10, K=1)
-    fit = fit_reml(d, lam=1.0, restarts=3, rng=np.random.default_rng(1))
-    p = predict(fit, d, np.array([1.0]))
-    model = KrigingModel.from_fit(fit, d)
-    q = model.predict(np.array([1.0]))
-    assert p.z_hat == q.z_hat
-    assert p.S0 == q.S0
 
 
 def test_batch_matches_pointwise():
