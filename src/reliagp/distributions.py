@@ -12,7 +12,7 @@ density f(x) = (beta/alpha) (x/alpha)^(beta-1) exp(-(x/alpha)^beta).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Union
@@ -203,7 +203,7 @@ def log_density(x: float, params: ParamVector) -> float:
     if not params.valid():
         raise ValueError(f"invalid parameters: {params}")
     sample = InputVariableSpec("x", params.family, [x])  # checks x's support
-    return _log_likelihood(params.family, sample.sufficient_stats)(*astuple(params))
+    return _log_likelihood(params.family, sample.sufficient_stats)(*vars(params).values())
 
 
 def _log_likelihood(family: Family, stats: tuple):
@@ -341,7 +341,7 @@ def log_prior(params: ParamVector, prior: PriorSpec) -> float:
     if params.family == Family.WEIBULL and prior.kind == PriorKind.CONJUGATE:
         if not _at_fixed_shape(params.beta, prior.beta0):
             raise ValueError(f"conjugate Weibull prior fixes the shape at {prior.beta0}, got {params.beta}")
-    return log_pi(*astuple(params))
+    return log_pi(*vars(params).values())
 
 
 def log_posterior_target(spec: InputVariableSpec, prior: PriorSpec):
@@ -370,7 +370,7 @@ def log_posterior_unnorm(
 ) -> float:
     """Unnormalized log posterior; -inf when the parameters violate support.
     Builds log_posterior_target(spec, prior) for one call."""
-    return log_posterior_target(spec, prior)(astuple(params))
+    return log_posterior_target(spec, prior)(tuple(vars(params).values()))
 
 
 def sample(params: ParamVector, rng: np.random.Generator, size=None):

@@ -176,14 +176,14 @@ def covariance_matrix(S: np.ndarray, theta: np.ndarray, nugget: float = 0.0) -> 
 
 
 def _covariance_stack(S: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
-    """covariance_matrix for B (S, theta) pairs: S (B, n, K), theta (B, K)."""
+    """covariance_matrix for B (S, theta) pairs: S (B, n, K), or (1, n, K)
+    shared by every row of theta (B, K).  V is exactly symmetric: NumPy's
+    W @ W^T is a symmetric rank-K update and the rest is elementwise."""
     W = S / np.exp(theta)[:, None, :]  # scale each column by its range
     sq = np.sum(W**2, axis=2)
     d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (W @ W.transpose(0, 2, 1))
     np.maximum(d2, 0.0, out=d2)
     V = correlation(d2)
-    # enforce exact symmetry and unit pre-nugget diagonal
-    V = 0.5 * (V + V.transpose(0, 2, 1))
     diag = np.arange(S.shape[1])
     V[:, diag, diag] = 1.0 + nugget
     return V
@@ -257,15 +257,14 @@ class GpStack:
 
     def __init__(self, S, X, Z, theta, nugget: float = NUGGET_START):
         B, (n, q) = len(theta), X.shape[1:]
-        if len(X) < B:  # one design shared by every theta row
-            S, X, Z = (np.broadcast_to(a, (B, *a.shape[1:])) for a in (S, X, Z))
+        design_row = [0] * B if len(X) == 1 else range(B)
         self.nugget = np.full(B, float(nugget))
         self.error: list[Exception | None] = [None] * B
         L, ok = cholesky_stack(_covariance_stack(S, theta, nugget))
         # a member that fails the ladder carries the identity so the stack stays finite
         for b in np.flatnonzero(~ok):
             try:
-                L[b], self.nugget[b] = cholesky_with_nugget(S[b], theta[b], nugget)
+                L[b], self.nugget[b] = cholesky_with_nugget(S[design_row[b]], theta[b], nugget)
             except FactorizationError as e:
                 L[b], self.error[b] = np.eye(n), e
         self.L = L
@@ -275,10 +274,10 @@ class GpStack:
         # same strides as on a lone member
         XwT = np.empty((B, q, n))
         self.Zw = np.empty((B, n))
-        for b in range(B):
+        for b, d in enumerate(design_row):
             Lt = L[b].T
-            XwT[b] = dtrtrs(Lt, X[b], lower=0, trans=1)[0].T
-            self.Zw[b] = dtrtrs(Lt, Z[b], lower=0, trans=1)[0]
+            XwT[b] = dtrtrs(Lt, X[d], lower=0, trans=1)[0].T
+            self.Zw[b] = dtrtrs(Lt, Z[d], lower=0, trans=1)[0]
         self.Xw = Xw = XwT.transpose(0, 2, 1)
         self.L_xtvx, ok = cholesky_stack(XwT @ Xw)
         for b in np.flatnonzero(~ok):

@@ -248,9 +248,6 @@ def load_dataset(manifest_path) -> StudyDataset:
     ):
         raise ValueError(f"manifest {manifest_path} needs file names, named variables and a numeric rescale_factor")
     base = manifest_path.parent
-    for key in files:
-        if not (base / manifest[key]).exists():
-            raise FileNotFoundError(f"{key} file missing: {base / manifest[key]}")
 
     declared = {v["name"]: Family(v.get("family")) for v in variables}
 

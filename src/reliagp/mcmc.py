@@ -281,12 +281,14 @@ def am_sample_lockstep(
     chol[~alive] = 0.0  # a stopped chain proposes its own state
     stopped = not alive.all()
 
-    # Running first/second moments over the full history (init included).
-    # The states of t1 steps are buffered in rows 1..t1 and folded into row
-    # 0 at every t1-th step by a cumulative sum down the rows, which adds
-    # them in the order one += per step would.
-    hist = np.empty((t1 + 1, B, d))
-    outer = np.empty((t1 + 1, B, d, d))
+    # Running first/second moments over the full history (init included),
+    # each step's x and x x^T side by side in one row of ``moments``.  The
+    # rows of t1 steps are buffered in rows 1..t1 and folded into row 0 at
+    # every t1-th step by one sum down the rows, which adds them in the order
+    # one += per step would: a row holds d + d^2 >= 2 entries, so NumPy adds
+    # row to row and never sums a lone column pairwise.
+    moments = np.empty((t1 + 1, B, d + d * d))
+    hist, outer = moments[..., :d], moments[..., d:].reshape(t1 + 1, B, d, d)
     hist[0] = x
     outer[0] = x[:, :, None] * x[:, None, :]
     eps_eye = settings.epsilon * np.eye(d)
@@ -336,8 +338,7 @@ def am_sample_lockstep(
             if row == t1:
                 row = 0
                 np.multiply(hist[1:, :, :, None], hist[1:, :, None, :], out=outer[1:])
-                hist[0] = np.add.accumulate(hist, axis=0)[-1]
-                outer[0] = np.add.accumulate(outer, axis=0)[-1]
+                moments[0] = np.add.reduce(moments, axis=0)
                 if step > t0:
                     count = step + 1
                     s1, s2 = hist[0], outer[0]

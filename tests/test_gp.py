@@ -414,6 +414,30 @@ def _failing_ladder(monkeypatch, theta0):
     monkeypatch.setattr(gp, "cholesky_with_nugget", failing)
 
 
+def test_covariance_is_exactly_symmetric():
+    # what a symmetrising pass would force holds without one: V equals
+    # 0.5 * (V + V^T) bit for bit, stacked and lone, for a design given once
+    # at B = 1 and 4, the fixture's 25 folds at B = 62, a K = 1 design and
+    # a 25-row one
+    rng = np.random.default_rng(23)
+    ds = synth_study(seed=8000)
+    coords = GpDesign(S=ds.design, Z=ds.outputs, standardize=True).coords
+    folds = fixture_folds()
+    cases = {
+        "once B=1": (coords[None], rng.normal(0.5, 1.0, size=(1, 4))),
+        "once B=4": (coords[None], rng.normal(0.5, 1.0, size=(4, 4))),
+        "folds B=62": (np.stack([folds[b % 25].coords for b in range(62)]), rng.normal(3.0, 0.6, size=(62, 4))),
+        "K=1": (rng.uniform(size=(1, 9, 1)), rng.normal(-1.0, 0.5, size=(3, 1))),
+        "n=25": (rng.uniform(size=(2, 25, 3)), rng.normal(-1.0, 0.5, size=(2, 3))),
+    }
+    for name, (S, thetas) in cases.items():
+        V = gp._covariance_stack(S, thetas, 0.0)
+        assert V.tobytes() == (0.5 * (V + V.transpose(0, 2, 1))).tobytes(), name
+        for b, theta in enumerate(thetas):
+            V = covariance_matrix(S[b % len(S)], theta)
+            assert V.tobytes() == (0.5 * (V + V.T)).tobytes(), name
+
+
 STACK_FIELDS = ("nugget", "L", "logdet_V", "Xw", "Zw", "L_xtvx", "logdet_xtvx", "beta_hat", "G_sq")
 
 

@@ -13,10 +13,10 @@ one of its bases.  Worker processes live in ``reliagp.workers``
 alone: no other module imports ``multiprocessing`` or ``concurrent.futures``
 or calls ``os.fork``.  So does the setting of BLAS threads: no other module
 imports ``ctypes`` or names an OpenBLAS ``set_num_threads`` symbol.  A
-design is shared across stack members in ``gp.GpStack`` alone: no other
-code calls ``np.broadcast_to``.  The sampler draws at one site: ``mcmc``
-calls a generator's ``standard_normal`` and ``random`` once each, in its
-window draw.  The correlation is evaluated at one site, ``gp.correlation``:
+design given once to ``gp.GpStack`` is read in place by every stack member:
+no library module names ``broadcast_to``.  The sampler draws at one site:
+``mcmc`` calls a generator's ``standard_normal`` and ``random`` once each,
+in its window draw.  The correlation is evaluated at one site, ``gp.correlation``:
 no other code takes the exp of a negated array, and ``kriging`` calls no exp.
 """
 
@@ -234,29 +234,18 @@ def test_blas_threads_are_set_in_workers(path):
     assert not found, "BLAS threads set outside reliagp.workers: " + ", ".join(found)
 
 
-def test_designs_are_shared_in_gpstack_alone():
-    """Only GpStack broadcasts a design given once to its theta rows; every
-    other caller passes designs as they are."""
-    found = []
-    for path in sorted((ROOT / "src" / "reliagp").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        allowed = {
-            id(inner)
-            for node in tree.body
-            if path.name == "gp.py" and isinstance(node, ast.ClassDef) and node.name == "GpStack"
-            for inner in ast.walk(node)
-        }
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if id(node) not in allowed
-            and (
-                isinstance(node, ast.Attribute) and node.attr == "broadcast_to"
-                or isinstance(node, ast.Name) and node.id == "broadcast_to"
-                or isinstance(node, ast.alias) and node.name == "broadcast_to"
-            )
-        ]
-    assert not found, "np.broadcast_to outside gp.GpStack: " + ", ".join(found)
+def test_no_module_broadcasts_a_design():
+    """GpStack reads a design given once in place for every theta row, so
+    no library module names ``broadcast_to``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "reliagp").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "broadcast_to"
+        or isinstance(node, ast.Name) and node.id == "broadcast_to"
+        or isinstance(node, ast.alias) and node.name == "broadcast_to"
+    ]
+    assert not found, "broadcast_to named in " + ", ".join(found)
 
 
 def test_sampler_draws_at_one_site():

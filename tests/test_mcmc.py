@@ -336,6 +336,19 @@ def test_lockstep_chains_equal_the_reference_loop():
     assert [isinstance(c, Exception) for c in chains] == [False, True, False]
 
 
+def test_one_coordinate_chain_equals_the_reference_loop():
+    # one chain of one coordinate: each moment fold sums t1 + 1 = 11 states
+    # per entry, where NumPy would sum a lone column pairwise, not in order
+    settings = AmSettings(d=1, t=2000, t0=100, t2=10)
+    target = lambda x: -0.5 * float(x[0]) ** 2 - 0.1 * abs(float(x[0])) ** 3
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    chain = am_sample(target, np.zeros(1), np.eye(1), settings, rng)
+    draws, accepted, error = reference_am(target, np.zeros(1), np.eye(1), settings, ref_rng)
+    assert error is None and settings.t1 == 10
+    assert chain.draws.tobytes() == draws.tobytes()
+    assert chain.acceptance_rate == accepted / settings.t
+
+
 def scalar_fd_hessian(f, x, step):
     """fd_hessian on Python scalars, one entry at a time."""
     d = len(x)
