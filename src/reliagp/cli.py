@@ -26,10 +26,11 @@ the stage name and loop indices, so identical configs produce byte-identical
 numeric artifacts.
 
 Exit codes: 0 success, 3 numerical failure, 2 config or data error: a
-config, dataset or upstream artifact that ``_read`` cannot read, a design
-with fewer than 3 rows or that GpDesign rejects, an out_dir or synth --out
-that cannot be created, a stage output that cannot be written, or a bad
-synth argument.
+config, dataset or upstream artifact that ``_read`` cannot read (an
+upstream value of the wrong kind or shape, or a chain with no draws or of
+the wrong width, included), a design with fewer than 3 rows or that
+GpDesign rejects, an out_dir or synth --out that cannot be created, a
+stage output that cannot be written, or a bad synth argument.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def _is_a(value, kind) -> bool:
 
 
 def _finite(value, low=-math.inf) -> bool:
-    """A finite JSON number >= low."""
-    return _is_a(value, (int, float)) and -math.inf < value < math.inf and value >= low
+    """A finite JSON number >= low; an integer past the largest float is not."""
+    return _is_a(value, (int, float)) and abs(value) <= sys.float_info.max and value >= low
 
 
 BURN_IN = 0.2  # the fraction of every chain's retained draws dropped as burn-in
@@ -222,8 +223,9 @@ def _with_sidecars(chain_files: list[str]) -> list[str]:
 
 def _read(path: Path, read, what: str):
     """``read(path)`` of a file from outside the program; a missing or
-    malformed file, a missing JSON key or JSON of the wrong shape is a
-    ConfigError that names ``what`` and the path."""
+    malformed file, a missing JSON key, JSON of the wrong shape or a value
+    that ``read`` rejects is a ConfigError that names ``what`` and the
+    path."""
     try:
         return read(path)
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -241,14 +243,60 @@ def _read_upstream(cfg: PipelineConfig, rel: str, read):
     return _read(Path(cfg.out_dir) / rel, read, "upstream artifact")
 
 
-def _read_json(cfg: PipelineConfig, rel: str, *keys: str) -> list:
-    """The entries ``keys`` of the JSON object at ``rel`` under ``out_dir``."""
-    return _read_upstream(cfg, rel, lambda path: [json.loads(path.read_text())[k] for k in keys])
+def _numbers(*shape: int, ok=_finite, valid="a finite number"):
+    """A reader ``read(value, key)`` of the JSON value at ``key``: nested
+    lists of ``shape`` whose entries pass ``ok``, as a float array, or for
+    no shape a lone number, as a float; any other value is a ValueError that
+    names the key and says what it must be (each entry ``valid``)."""
+
+    def fits(value, shape) -> bool:
+        if not shape:
+            return ok(value)
+        return isinstance(value, list) and len(value) == shape[0] and all(fits(v, shape[1:]) for v in value)
+
+    def read(value, key: str):
+        if not fits(value, shape):
+            raise ValueError(f"{key} must be {f'of shape {shape}, each entry ' if shape else ''}{valid}: {value!r}")
+        return np.array(value, dtype=float) if shape else float(value)
+
+    return read
 
 
-def _draws(cfg: PipelineConfig, rel: str) -> np.ndarray:
-    """Retained draws of the chain at ``rel`` under ``out_dir``, after burn-in."""
-    return _read_upstream(cfg, rel, lambda path: remove_burn_in(load_chain(path), BURN_IN).draws)
+def _read_json(cfg: PipelineConfig, rel: str, **kinds) -> list:
+    """The entries of the JSON object at ``rel`` under ``out_dir`` that the
+    keywords name, each read by its reader (see _numbers)."""
+
+    def read(path):
+        entries = json.loads(path.read_text())
+        return [kind(entries[key], key) for key, kind in kinds.items()]
+
+    return _read_upstream(cfg, rel, read)
+
+
+def _cv_curve(path: Path) -> list:
+    """The (candidate, score) pairs of a cv_*.json, whose candidates and
+    scores are lists of equal length, each score a number (inf for a failed
+    candidate)."""
+    entries = json.loads(path.read_text())
+    candidates = entries["candidates"]
+    if not isinstance(candidates, list):
+        raise ValueError(f"candidates must be a list: {candidates!r}")
+    read_scores = _numbers(len(candidates), ok=lambda v: _is_a(v, float) or _finite(v), valid="a number")
+    return list(zip(candidates, read_scores(entries["scores"], "scores")))
+
+
+def _draws(cfg: PipelineConfig, rel: str, width: int) -> np.ndarray:
+    """Retained draws of the chain at ``rel`` under ``out_dir``, after
+    burn-in; a chain with no draws, or not ``width`` columns wide, is a
+    ValueError."""
+
+    def read(path):
+        draws = remove_burn_in(load_chain(path), BURN_IN).draws
+        if draws.shape[1] != width or not len(draws):
+            raise ValueError(f"the chain has {len(draws)} draws of {draws.shape[1]} columns, expected {width} columns")
+        return draws
+
+    return _read_upstream(cfg, rel, read)
 
 
 def _mean_ci(col: np.ndarray) -> list[float]:
@@ -321,7 +369,8 @@ def _tune_lambda(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> 
 
 def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     has_cv = (Path(cfg.out_dir) / "cv_lambda.json").exists()
-    lam = float(_read_json(cfg, "cv_lambda.json", "winner")[0]) if has_cv else LAM_WITHOUT_CV
+    non_negative = _numbers(ok=lambda v: _finite(v, 0), valid="a finite number >= 0")
+    lam = _read_json(cfg, "cv_lambda.json", winner=non_negative)[0] if has_cv else LAM_WITHOUT_CV
     fit = fit_reml(design, lam=lam, restarts=cfg.restarts, rng=stage_rng(cfg.seed, "fit-gp"))
     tau_hat, nu_sq_hat = hessian_nu_estimate(fit)
     if not (math.isfinite(nu_sq_hat) and nu_sq_hat > 0):
@@ -348,7 +397,10 @@ def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
 
 
 def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
-    theta_hat, tau_hat, nu_sq_hat = _read_json(cfg, "gp_fit.json", "theta", "tau_hat", "nu_sq_hat")
+    positive = _numbers(ok=lambda v: _finite(v) and v > 0, valid="a finite number > 0")
+    theta_hat, tau_hat, nu_sq_hat = _read_json(
+        cfg, "gp_fit.json", theta=_numbers(design.K), tau_hat=_numbers(), nu_sq_hat=positive
+    )
     if cfg.tau_candidates is not None:
         taus = list(cfg.tau_candidates)
     else:
@@ -375,13 +427,13 @@ def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> N
 
 def _simulate_pf(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     input_chains = [
-        (spec.family, _draws(cfg, rel))
+        (spec.family, _draws(cfg, rel, 2))
         for spec, rel in zip(dataset.variables, _input_chain_files(dataset))
     ]
     if cfg.setting == "A":
-        theta_source = np.asarray(_read_json(cfg, "gp_fit.json", "theta")[0], dtype=float)
+        theta_source = _read_json(cfg, "gp_fit.json", theta=_numbers(design.K))[0]
     else:
-        theta_source = _draws(cfg, "theta_chain.csv")
+        theta_source = _draws(cfg, "theta_chain.csv", design.K)
     posterior = simulate_pf(
         input_chains,
         theta_source,
@@ -407,7 +459,7 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     # per-variable posterior mean with 95% CI
     rows = []
     for spec, rel in zip(dataset.variables, _input_chain_files(dataset)):
-        draws = _draws(cfg, rel)
+        draws = _draws(cfg, rel, 2)
         for j, pname in enumerate(PARAM_NAMES[spec.family]):
             rows.append([spec.name, pname, *_mean_ci(draws[:, j])])
     header = ["variable", "parameter", "mean", "ci_lower", "ci_upper"]
@@ -416,16 +468,12 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     # CV curves, when the tuning stages ran
     for name in ("cv_lambda", "cv_prior"):
         if (out / f"{name}.json").exists():
-            candidates, scores = _read_json(cfg, f"{name}.json", "candidates", "scores")
-            write_table(
-                report_dir / f"{name}_curve.csv",
-                ["candidate", "score"],
-                ([json.dumps(c), float(s)] for c, s in zip(candidates, scores)),
-            )
+            curve = _read_upstream(cfg, f"{name}.json", _cv_curve)
+            rows = ([json.dumps(c), s] for c, s in curve)
+            write_table(report_dir / f"{name}_curve.csv", ["candidate", "score"], rows)
 
     # observed vs expected at the REML theta
-    theta, hessian = _read_json(cfg, "gp_fit.json", "theta", "hessian")
-    theta = np.asarray(theta, dtype=float)
+    theta, hessian = _read_json(cfg, "gp_fit.json", theta=_numbers(design.K), hessian=_numbers(design.K, design.K))
     z_hat, s0 = loo_predictions(design, theta)
     write_table(
         report_dir / "observed_vs_expected.csv", ["observed", "expected", "rmspe"], zip(design.Z, z_hat, s0)
@@ -434,9 +482,9 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
 
     # REML vs Bayesian range-parameter comparison, when the chain exists
     if (out / "theta_chain.csv").exists():
-        draws = _draws(cfg, "theta_chain.csv")
+        draws = _draws(cfg, "theta_chain.csv", design.K)
         try:
-            hess_inv = np.linalg.inv(np.asarray(hessian))
+            hess_inv = np.linalg.inv(hessian)
             half = 1.96 * np.sqrt(np.clip(np.diag(hess_inv), 0.0, None))
         except np.linalg.LinAlgError:
             half = np.full(design.K, np.nan)

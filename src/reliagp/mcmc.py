@@ -20,8 +20,8 @@ place, and am_sample raises it.
 A chain draws one adaptation window at a time, a window running from one
 possible refresh of the proposal covariance to the next (the first ends
 at the first refresh after t0, the last at t).  At the start of a window
-each chain draws the window's standard_normal(d) and random() values step
-by step from its own generator, the order a step at a time takes, so
+each live chain draws the window's standard_normal(d) and random() values
+step by step from its own generator, the order a step at a time takes, so
 every generator ends in the state it would; one stacked product then
 gives all the window's proposal increments chol @ z, each bit for bit the
 product of its step alone, and the per-step loop only adds, scores and
@@ -254,8 +254,9 @@ def am_sample_lockstep(
     PosteriorChain per chain, or the exception am_sample would raise for a
     chain whose target at its start is not finite (ValueError) or whose
     proposal covariance is not finite and positive definite; such a chain
-    stops moving and the others run on.  The accept test compares Python
-    floats, so a stopped chain at -inf raises no RuntimeWarning.
+    stops moving and drawing, so its generator ends where am_sample leaves
+    it, and the others run on.  The accept test compares Python floats, so
+    a stopped chain at -inf raises no RuntimeWarning.
 
     With ``ahead`` > 1 there must be one chain, and one call of
     ``log_target`` scores an (m, d) stack of its next m <= ``ahead``
@@ -303,11 +304,14 @@ def am_sample_lockstep(
         last = max(first, t0 + 1)
         last = min(last - last % -t1, settings.t)
         width = last + 1 - first
-        # random() is uniform() without the identity map 0 + 1*u, the same
-        # double from the same draw
-        z = np.empty((width, B, d))
+        # only live chains draw (alive changes at a window's last step only);
+        # a stopped chain's z rows stay zero, since its zero chol times
+        # uninitialised memory can be NaN.  random() is uniform() without the
+        # identity map 0 + 1*u, the same double from the same draw
+        z = np.zeros((width, B, d))
         u = [[0.0] * width for _ in range(B)]
-        for rng, z_b, u_b in zip(rngs, z.transpose(1, 0, 2), u):
+        for b in np.flatnonzero(alive):
+            rng, z_b, u_b = rngs[b], z[:, b], u[b]
             for j in range(width):
                 rng.standard_normal(out=z_b[j])
                 u_b[j] = rng.random()

@@ -5,8 +5,8 @@ fold's theta rows are found:
 
 * ``cv_lambda``: for each candidate ridge penalty, each leave-one-out fold
   refits the regularized REML range parameters; its theta is that point
-  fit.  The Q * n fold fits are independent jobs on the worker processes
-  of ``workers.fork_map``, and each returns its fit.
+  fit.  The Q * n fold fits are dealt out over the worker processes by
+  ``workers.fork_blocks``, and each returns its fit.
 * ``cv_hyperparams``: for each candidate (tau, nu^2) prior, each fold runs
   the adaptive Metropolis sampler on the integrated-likelihood target; its
   theta rows are the retained draws.  The (candidate, fold) chains run on
@@ -106,8 +106,8 @@ def cv_lambda(design: GpDesign, lambdas, restarts: int = 8, master_seed: int = 0
     fold refits theta by fit_reml, and _score_folds kriges the held-out
     point at that point fit.
 
-    The Q * n fold fits are fork_map jobs, each returning its (theta,
-    nugget) or its RuntimeError or ValueError; any other exception
+    The Q * n fold fits are dealt out by fork_blocks, each returning its
+    (theta, nugget) or its RuntimeError or ValueError; any other exception
     propagates.  Every fold draws from its own stream, so the report does
     not depend on the worker count."""
     lambdas = list(lambdas)
@@ -125,7 +125,9 @@ def cv_lambda(design: GpDesign, lambdas, restarts: int = 8, master_seed: int = 0
             return e
         return fit.theta, fit.nugget
 
-    return _score_folds(design, lambdas, workers.fork_map(fold_fit, len(lambdas) * n))
+    folds = range(len(lambdas) * n)
+    fits = workers.fork_blocks(lambda share: [fold_fit(k) for k in folds[share]], len(folds))
+    return _score_folds(design, lambdas, fits)
 
 
 def cv_hyperparams(

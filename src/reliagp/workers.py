@@ -1,32 +1,32 @@
 """Run independent jobs in forked worker processes.
 
-``fork_map(job, count)`` returns ``[job(i) for i in range(count)]`` in index
-order.  ``fork_blocks(job, count)`` deals ``range(count)`` out over W
-workers, worker k taking the items k, k + W, k + 2W, ..., runs
-``job(slice(k, count, W))`` on each share through fork_map and puts the
+``fork_blocks(job, count)`` deals ``range(count)`` out over W =
+min(count, worker_count()) shares, share k taking the items k, k + W,
+k + 2W, ..., runs ``job(slice(k, count, W))`` for each share and puts the
 items the shares return back in index order, so neighbours that cost
 alike (the input chains of one family) go to different workers.  The
-jobs run on a pool of ``fork``-context processes, one per CPU in this
+shares run on a pool of ``fork``-context processes, one per CPU in this
 process's affinity mask, so ``taskset`` limits them.  Forking lets a job
 be a closure over in-memory state (a design, the input posteriors), which
-``spawn`` would have to pickle and rebuild; only the job index goes to a
-worker, and only the job's result comes back.  The library starts no threads of its own, and
-OpenBLAS shuts its thread pool down around a fork, so forking is safe
-here.  With one CPU, or inside a worker, the jobs run in this process.
+``spawn`` would have to pickle and rebuild; only the share index goes to a
+worker, and only the share's items come back.  The library starts no
+threads of its own, and OpenBLAS shuts its thread pool down around a fork,
+so forking is safe here.  With one CPU, or inside a worker, the share runs
+in this process.  A job's exception reaches the caller as the exception of
+the first failing share, in share order; a worker that dies makes the call
+raise BrokenProcessPool.
 
-Each worker sets every loaded OpenBLAS to one thread before its first job
+Each worker sets every loaded OpenBLAS to one thread before its share
 (one_blas_thread): two workers with default BLAS threading oversubscribe
 the CPUs and run slower than one process.  ``cli.main`` sets its own
 process the same way before it runs a command: on the pipeline's small
 matrices (one row per simulator run) a second BLAS thread costs far more
-CPU than the wall time it saves.  A job's exception is raised in the caller, the
-first in index order; a worker that dies makes the call raise
-BrokenProcessPool.
+CPU than the wall time it saves.
 
-These two functions are the library's one parallel path: no other module
-forks or imports ``multiprocessing`` or ``concurrent.futures``, and
-one_blas_thread is the one place that sets BLAS threads: no other module
-imports ``ctypes``.
+fork_blocks is the library's one parallel path: no other module forks or
+imports ``multiprocessing`` or ``concurrent.futures``, and one_blas_thread
+is the one place that sets BLAS threads: no other module imports
+``ctypes``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["fork_blocks", "fork_map", "one_blas_thread", "worker_count"]
+__all__ = ["fork_blocks", "one_blas_thread", "worker_count"]
 
 # set in a worker process only, by _start_worker
 _worker_job = None
@@ -49,32 +49,27 @@ _SET_THREADS = [
 
 
 def worker_count() -> int:
-    """Processes fork_map runs jobs on: the CPUs this process may run on, or
-    1 inside a worker."""
+    """Processes fork_blocks runs shares on: the CPUs this process may run
+    on, or 1 inside a worker."""
     return 1 if _worker_job is not None else len(os.sched_getaffinity(0))
-
-
-def fork_map(job, count: int) -> list:
-    """[job(i) for i in range(count)], with the jobs spread over
-    min(count, worker_count()) forked processes.  cv_lambda runs one job per
-    fold through it, and fork_blocks one job per block."""
-    workers = min(count, worker_count())
-    if workers <= 1:
-        return [job(i) for i in range(count)]
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(job,)
-    ) as pool:
-        return list(pool.map(_run_job, range(count)))
 
 
 def fork_blocks(job, count: int) -> list:
     """job(slice(0, count)) as the items of job(slice(k, count, W)) over the
-    W = min(count, worker_count()) shares k < W, one fork_map job each, put
-    back in index order; job(share) returns one item per index of
-    range(count)[share]."""
+    W = min(count, worker_count()) shares k < W, each on its own forked
+    process when W > 1, put back in index order; job(share) returns one
+    item per index of range(count)[share]."""
     shares = min(count, worker_count())
+    slices = [slice(k, count, shares) for k in range(shares)]
+    if shares <= 1:
+        parts = [job(share) for share in slices]
+    else:
+        with ProcessPoolExecutor(
+            shares, mp_context=multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(job,)
+        ) as pool:
+            parts = list(pool.map(_run_job, slices))
     items = [None] * count
-    for k, part in enumerate(fork_map(lambda k: job(slice(k, count, shares)), shares)):
+    for k, part in enumerate(parts):
         items[k::shares] = part
     return items
 
@@ -85,8 +80,8 @@ def _start_worker(job) -> None:
     one_blas_thread()
 
 
-def _run_job(i: int):
-    return _worker_job(i)
+def _run_job(share: slice):
+    return _worker_job(share)
 
 
 def one_blas_thread() -> None:

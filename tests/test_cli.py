@@ -169,6 +169,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("fit-gp", {"lam": -1.0}),
         ("tune-lambda", {"lambda_grid": [-1.0]}),
         ("fit-gp", {"scale": "reml"}),
+        ("fit-gp", {"z_crit": 10**400}),
     ],
     ids=[
         "not_an_object", "seed_str", "burn_in_str_removed", "am_unknown_key", "seed_negative", "am_t2",
@@ -176,7 +177,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
         "lam_str_removed", "lambda_grid_str", "lambda_grid_empty", "z_crit_str", "out_dir_int", "z_crit_nan",
         "standardize_str_removed", "jeffreys_variant_str", "nu_sq_str_removed", "nu_sq_negative_removed",
         "tau_candidates_str", "tau_candidates_empty", "lam_negative_removed", "lambda_grid_negative",
-        "scale_removed",
+        "scale_removed", "z_crit_past_float",
     ],
 )
 def test_malformed_config_field_exits_config(tmp_path, capsys, stage, fields):
@@ -444,6 +445,29 @@ def test_damaged_provenance_record_reruns_stage(tmp_path, capsys, corrupt):
     assert "up to date" in capsys.readouterr().out
 
 
+def _set_key(path: Path, key: str, value) -> None:
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+
+
+def _first_three(path: Path, key: str) -> None:
+    """Cut the JSON list (or square matrix) at ``key`` to its first three entries (rows and columns)."""
+    value = json.loads(path.read_text())[key]
+    _set_key(path, key, [v[:3] if isinstance(v, list) else v for v in value[:3]])
+
+
+def _edit_columns(path: Path, edit) -> None:
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(edit(row) for row in rows)
+
+
+def _keep_header(path: Path) -> None:
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
 def _spoil_first_row(path: Path) -> None:
     header, _, *rest = path.read_text().splitlines(keepends=True)
     path.write_text(header + ",".join(["x"] * len(header.split(","))) + "\n" + "".join(rest))
@@ -468,10 +492,31 @@ def _add_unknown_setting(path: Path) -> None:
         ("gp_fit.json", lambda p: p.write_text(json.dumps([json.loads(p.read_text())])), ["simulate-pf", "--setting", "A"]),
         ("inputs/X0001.json", _add_unknown_setting, ["simulate-pf"]),
         ("inputs/X0001.json", lambda p: p.write_text(json.dumps([json.loads(p.read_text())])), ["simulate-pf"]),
+        ("gp_fit.json", lambda p: _set_key(p, "tau_hat", "x"), ["tune-prior"]),
+        ("gp_fit.json", lambda p: _first_three(p, "hessian"), ["report"]),
+        ("gp_fit.json", lambda p: _set_key(p, "hessian", "x"), ["report"]),
+        ("gp_fit.json", lambda p: _first_three(p, "theta"), ["simulate-pf", "--setting", "A"]),
+        ("gp_fit.json", lambda p: _set_key(p, "nu_sq_hat", -1.0), ["tune-prior"]),
+        ("cv_lambda.json", lambda p: _set_key(p, "winner", [1]), ["fit-gp"]),
+        ("cv_lambda.json", lambda p: _set_key(p, "winner", -1.0), ["fit-gp"]),
+        ("cv_lambda.json", lambda p: _set_key(p, "candidates", 5), ["report"]),
+        ("theta_chain.csv", lambda p: _edit_columns(p, lambda row: row[:3]), ["report"]),
+        ("theta_chain.csv", lambda p: _edit_columns(p, lambda row: row[:3]), ["simulate-pf", "--setting", "B"]),
+        ("inputs/X0001.csv", lambda p: _edit_columns(p, lambda row: row[:1]), ["report"]),
+        ("inputs/X0001.csv", lambda p: _edit_columns(p, lambda row: row[:1]), ["simulate-pf"]),
+        ("inputs/X0001.csv", lambda p: _edit_columns(p, lambda row: row + row[:1]), ["report"]),
+        ("theta_chain.csv", _keep_header, ["report"]),
+        ("theta_chain.csv", _keep_header, ["simulate-pf"]),
+        ("gp_fit.json", lambda p: _set_key(p, "tau_hat", 10**400), ["tune-prior"]),
     ],
     ids=[
         "sidecar_deleted_A", "sidecar_deleted_B", "key_removed", "invalid_json", "chain_cell", "pf_cell",
         "summary_invalid_json", "json_list", "sidecar_unknown_setting", "sidecar_list",
+        "tau_hat_string", "hessian_3x3", "hessian_string", "theta_length_3", "nu_sq_hat_negative",
+        "winner_list", "winner_negative", "candidates_number", "theta_chain_3_columns_report",
+        "theta_chain_3_columns_B", "input_chain_1_column_report", "input_chain_1_column_pf",
+        "input_chain_3_columns_report", "theta_chain_no_rows_report", "theta_chain_no_rows_B",
+        "tau_hat_past_float",
     ],
 )
 def test_bad_upstream_artifact_exits_config(tmp_path, capsys, artifact, corrupt, argv):

@@ -197,7 +197,7 @@ PARALLEL_MODULES = ("multiprocessing", "concurrent")
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "workers.py"], ids=lambda p: p.name)
 def test_worker_processes_live_in_workers(path):
-    """Only reliagp.workers starts processes: one parallel path, fork_map."""
+    """Only reliagp.workers starts processes: one parallel path, fork_blocks."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):

@@ -275,15 +275,6 @@ def reference_am(target, init, cov, settings, rng):
     return np.array(draws), accepted, None
 
 
-def drawn_for(seed, steps, d):
-    """The state of generator ``seed`` after ``steps`` steps' draws."""
-    rng = np.random.default_rng(seed)
-    for _ in range(steps):
-        rng.standard_normal(d)
-        rng.random()
-    return rng.bit_generator.state
-
-
 # t1 = 7 divides neither t0 nor t, and far_target's refresh fails
 REFERENCE_SETTINGS = AmSettings(d=2, t=2000, t0=100, t1=7, t2=10)
 REFERENCE_CHAINS = [
@@ -326,14 +317,27 @@ def test_lockstep_chains_equal_the_reference_loop():
     chains = am_sample_lockstep(
         lambda X: [f(x) for f, x in zip(targets, X)], inits, covs, REFERENCE_SETTINGS, rngs
     )
+    # a stopped chain stops drawing at its failed refresh, as it does alone
     for chain, rng, chain_args in zip(chains, rngs, REFERENCE_CHAINS):
-        if isinstance(chain, Exception):
-            # a stopped chain draws on to the last step, beside the others
-            assert isinstance(chain, RuntimeError)
-            assert rng.bit_generator.state == drawn_for(chain_args[3], REFERENCE_SETTINGS.t, 2)
-        else:
-            assert_matches_reference(chain, rng, *chain_args)
+        assert_matches_reference(chain, rng, *chain_args)
     assert [isinstance(c, Exception) for c in chains] == [False, True, False]
+
+
+def test_unstartable_lockstep_chain_draws_nothing():
+    # the chain starting at -inf leaves its generator untouched, and the
+    # others are the reference loop's chains
+    unstartable = (lambda x: -math.inf, np.zeros(2), np.eye(2), 9)
+    chain_args = [REFERENCE_CHAINS[0], unstartable, REFERENCE_CHAINS[2]]
+    targets, inits, covs, seeds = zip(*chain_args)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    untouched = np.random.default_rng(9).bit_generator.state
+    chains = am_sample_lockstep(
+        lambda X: [f(x) for f, x in zip(targets, X)], inits, covs, REFERENCE_SETTINGS, rngs
+    )
+    assert isinstance(chains[1], ValueError)
+    assert rngs[1].bit_generator.state == untouched
+    for b in (0, 2):
+        assert_matches_reference(chains[b], rngs[b], *chain_args[b])
 
 
 def test_one_coordinate_chain_equals_the_reference_loop():

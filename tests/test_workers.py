@@ -3,12 +3,13 @@ worker count.
 
 Each test forces the worker count to 1, 2 or 3 by patching
 ``workers.worker_count`` and compares against the one-worker run, which
-takes fork_map's in-process path.
+takes fork_blocks' in-process path.
 """
 
 import ctypes
 import math
 import os
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -45,19 +46,22 @@ def small_design():
 
 
 @pytest.mark.parametrize("n", COUNTS)
-def test_fork_map_keeps_index_order(n, monkeypatch):
+def test_fork_blocks_keeps_index_order(n, monkeypatch):
     force_workers(monkeypatch, n)
     parent = os.getpid()
-    out = workers.fork_map(lambda i: (i * i, os.getpid()), 7)
+    out = workers.fork_blocks(lambda share: [(i * i, os.getpid()) for i in range(7)[share]], 7)
     assert [v for v, _ in out] == [i * i for i in range(7)]
-    # one worker runs the jobs here, more run them in forked processes
+    # one worker runs the share here, more run the shares in forked processes
     assert all((pid == parent) == (n == 1) for _, pid in out)
 
 
-def test_fork_map_runs_in_process_inside_a_worker():
-    # a job that calls fork_map runs the inner jobs in its own process
-    inner = workers.fork_map(lambda i: workers.fork_map(lambda j: os.getpid(), 3), 2)
-    assert all(len(set(pids)) == 1 for pids in inner)
+def test_fork_blocks_runs_in_process_inside_a_worker():
+    # a share that calls fork_blocks runs the inner shares in its own process
+    def pids(share):
+        return [os.getpid() for _ in range(3)[share]]
+
+    out = workers.fork_blocks(lambda share: [workers.fork_blocks(pids, 3) for _ in range(2)[share]], 2)
+    assert all(len(set(inner)) == 1 for inner in out)
 
 
 def _openblas_threads() -> list[int]:
@@ -80,7 +84,7 @@ def test_workers_run_one_blas_thread(monkeypatch):
     if not _openblas_threads():
         pytest.skip("NumPy and SciPy load no OpenBLAS here")
     force_workers(monkeypatch, 2)
-    per_worker = workers.fork_map(lambda i: _openblas_threads(), 2)
+    per_worker = workers.fork_blocks(lambda share: [_openblas_threads()], 2)
     assert all(counts == [1] * len(counts) for counts in per_worker)
 
 
@@ -111,20 +115,23 @@ def test_main_runs_one_blas_thread(tmp_path):
 def test_dead_worker_raises(n, monkeypatch):
     force_workers(monkeypatch, n)
     with pytest.raises(BrokenProcessPool):
-        workers.fork_map(lambda i: os._exit(1) if i == 1 else i, 4)
+        workers.fork_blocks(lambda share: os._exit(1) if 1 in range(4)[share] else list(range(4)[share]), 4)
 
 
 @pytest.mark.parametrize("n", COUNTS)
 def test_job_exception_reaches_the_caller(n, monkeypatch):
     force_workers(monkeypatch, n)
 
-    def job(i):
-        if i == 2:
-            raise KeyError("job 2")
-        return i
+    def job(share):
+        # with more than one share, every share but the first fails, and
+        # share 1 after share 2: the first in share order reaches the caller
+        if share.start == 0 and n > 1:
+            return list(range(5)[share])
+        time.sleep(0.2 if share.start == 1 else 0.0)
+        raise KeyError(f"share {share.start}")
 
-    with pytest.raises(KeyError, match="job 2"):
-        workers.fork_map(job, 5)
+    with pytest.raises(KeyError, match="share 0" if n == 1 else "share 1"):
+        workers.fork_blocks(job, 5)
 
 
 @pytest.mark.parametrize("n", COUNTS)
