@@ -27,8 +27,9 @@ numeric artifacts.
 
 Exit codes: 0 success, 3 numerical failure, 2 config or data error: a
 config, dataset or upstream artifact that ``_read`` cannot read (an
-upstream value of the wrong kind or shape, or a chain with no draws or of
-the wrong width, included), a design with fewer than 3 rows or that
+upstream value of the wrong kind or shape or outside its support, or a
+chain with no draws, of the wrong width or with a draw outside its
+support, included), a design with fewer than 3 rows or that
 GpDesign rejects, an out_dir or synth --out that cannot be created, a
 stage output that cannot be written, or a bad synth argument.
 """
@@ -52,7 +53,7 @@ from reliagp import distributions as dists
 from reliagp import ingest, workers
 from reliagp.distributions import Family, InputVariableSpec, PriorSpec, mle_fit
 from reliagp.failure import simulate_pf, summarize
-from reliagp.gp import GpDesign, bayes_log_posterior, fit_reml, hessian_nu_estimate
+from reliagp.gp import THETA_BOUNDS, GpDesign, bayes_log_posterior, fit_reml, hessian_nu_estimate, in_theta_box
 from reliagp.kriging import loo_diagnostics, loo_predictions
 from reliagp.mcmc import (
     AmSettings,
@@ -95,7 +96,6 @@ def _finite(value, low=-math.inf) -> bool:
     return _is_a(value, (int, float)) and abs(value) <= sys.float_info.max and value >= low
 
 
-BURN_IN = 0.2  # the fraction of every chain's retained draws dropped as burn-in
 LAM_WITHOUT_CV = 2.0  # the ridge penalty fit-gp fits at when tune-lambda did not run
 
 
@@ -262,6 +262,26 @@ def _numbers(*shape: int, ok=_finite, valid="a finite number"):
     return read
 
 
+def _theta(K: int):
+    """A reader of a theta K-vector inside THETA_BOUNDS (see _numbers)."""
+    return _numbers(K, ok=lambda v: _finite(v) and in_theta_box(v), valid=f"a number in {list(THETA_BOUNDS)}")
+
+
+def _spd(K: int):
+    """A reader of a symmetric positive definite K x K matrix (see _numbers);
+    a matrix that Cholesky cannot factorize raises LinAlgError, a ValueError."""
+    read_matrix = _numbers(K, K)
+
+    def read(value, key: str):
+        matrix = read_matrix(value, key)
+        if not np.array_equal(matrix, matrix.T):
+            raise ValueError(f"{key} must be symmetric: {value!r}")
+        np.linalg.cholesky(matrix)
+        return matrix
+
+    return read
+
+
 def _read_json(cfg: PipelineConfig, rel: str, **kinds) -> list:
     """The entries of the JSON object at ``rel`` under ``out_dir`` that the
     keywords name, each read by its reader (see _numbers)."""
@@ -285,18 +305,47 @@ def _cv_curve(path: Path) -> list:
     return list(zip(candidates, read_scores(entries["scores"], "scores")))
 
 
-def _draws(cfg: PipelineConfig, rel: str, width: int) -> np.ndarray:
+def _draws(cfg: PipelineConfig, rel: str, width: int, inside, support: str) -> np.ndarray:
     """Retained draws of the chain at ``rel`` under ``out_dir``, after
-    burn-in; a chain with no draws, or not ``width`` columns wide, is a
-    ValueError."""
+    burn-in; a chain with no draws, not ``width`` columns wide, or with a
+    draw that ``inside(draws)`` finds outside ``support``, is a ValueError."""
 
     def read(path):
-        draws = remove_burn_in(load_chain(path), BURN_IN).draws
-        if draws.shape[1] != width or not len(draws):
-            raise ValueError(f"the chain has {len(draws)} draws of {draws.shape[1]} columns, expected {width} columns")
-        return draws
+        chain = load_chain(path)
+        rows, cols = chain.draws.shape
+        if cols != width or not rows:
+            raise ValueError(f"the chain has {rows} draws of {cols} columns, expected {width} columns")
+        if not inside(chain.draws):
+            raise ValueError(f"the chain has a draw outside {support}")
+        return remove_burn_in(chain).draws
 
     return _read_upstream(cfg, rel, read)
+
+
+def _input_draws(cfg: PipelineConfig, dataset) -> list[np.ndarray]:
+    """_draws of each input's chain, in variable order: pairs that the
+    input's family admits (distributions.SUPPORT)."""
+
+    def read(spec, rel):
+        valid = dists.SUPPORT[spec.family]
+        return _draws(cfg, rel, 2, lambda draws: all(map(valid, *draws.T.tolist())), f"the {spec.family.value} support")
+
+    return [read(spec, rel) for spec, rel in zip(dataset.variables, _input_chain_files(dataset))]
+
+
+def _theta_draws(cfg: PipelineConfig, K: int) -> np.ndarray:
+    """_draws of the theta chain: K-vectors inside THETA_BOUNDS."""
+    inside = lambda draws: in_theta_box(draws).all()
+    return _draws(cfg, "theta_chain.csv", K, inside, f"THETA_BOUNDS {list(THETA_BOUNDS)}")
+
+
+def _pf_draws(path: Path) -> np.ndarray:
+    """The P_f draws of a pf_setting_*.csv; a table that is not one column of
+    draws in [0, 1] is a ValueError."""
+    _, p = read_table(path)
+    if p.shape[1] != 1 or not np.all((0 <= p) & (p <= 1)):
+        raise ValueError(f"the table must be one column of P_f draws in [0, 1], got {p.shape[1]} columns")
+    return p[:, 0]
 
 
 def _mean_ci(col: np.ndarray) -> list[float]:
@@ -399,7 +448,7 @@ def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
 def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     positive = _numbers(ok=lambda v: _finite(v) and v > 0, valid="a finite number > 0")
     theta_hat, tau_hat, nu_sq_hat = _read_json(
-        cfg, "gp_fit.json", theta=_numbers(design.K), tau_hat=_numbers(), nu_sq_hat=positive
+        cfg, "gp_fit.json", theta=_theta(design.K), tau_hat=_numbers(), nu_sq_hat=positive
     )
     if cfg.tau_candidates is not None:
         taus = list(cfg.tau_candidates)
@@ -409,31 +458,25 @@ def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> N
 
     cv_settings = cfg.am_settings(design.K, "cv")
     cv_seed = int(stage_rng(cfg.seed, "tune-prior-cv").integers(2**63))
-    report = cv_hyperparams(design, candidates, cv_settings, burn_in=BURN_IN, master_seed=cv_seed)
+    report = cv_hyperparams(design, candidates, cv_settings, master_seed=cv_seed)
     tau_star, nu_sq_star = report.candidates[report.winner]
     _write_cv(work, "tune-prior", "prior", report, tau=tau_star, nu_sq=nu_sq_star)
 
     # final theta posterior chain under the winning prior (used by Setting B)
     target = bayes_log_posterior(design, tau_star, nu_sq_star)
-    init = np.asarray(theta_hat, dtype=float)
-    if not math.isfinite(target(init)):
-        init = np.full(design.K, tau_star)
     settings = cfg.am_settings(design.K, "theta")
     rng = stage_rng(cfg.seed, "tune-prior-chain")
-    chain = am_sample(target, init, default_init_cov(target, init), settings, rng)
+    chain = am_sample(target, theta_hat, default_init_cov(target, theta_hat), settings, rng)
     _save_checked_chain(chain, work / "theta_chain.csv", [f"theta_{k}" for k in range(design.K)])
     print(f"tune-prior: winner tau={tau_star}, nu_sq={nu_sq_star:.4f}")
 
 
 def _simulate_pf(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
-    input_chains = [
-        (spec.family, _draws(cfg, rel, 2))
-        for spec, rel in zip(dataset.variables, _input_chain_files(dataset))
-    ]
+    input_chains = [(spec.family, draws) for spec, draws in zip(dataset.variables, _input_draws(cfg, dataset))]
     if cfg.setting == "A":
-        theta_source = _read_json(cfg, "gp_fit.json", theta=_numbers(design.K))[0]
+        theta_source = _read_json(cfg, "gp_fit.json", theta=_theta(design.K))[0]
     else:
-        theta_source = _draws(cfg, "theta_chain.csv", design.K)
+        theta_source = _theta_draws(cfg, design.K)
     posterior = simulate_pf(
         input_chains,
         theta_source,
@@ -458,8 +501,7 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
 
     # per-variable posterior mean with 95% CI
     rows = []
-    for spec, rel in zip(dataset.variables, _input_chain_files(dataset)):
-        draws = _draws(cfg, rel, 2)
+    for spec, draws in zip(dataset.variables, _input_draws(cfg, dataset)):
         for j, pname in enumerate(PARAM_NAMES[spec.family]):
             rows.append([spec.name, pname, *_mean_ci(draws[:, j])])
     header = ["variable", "parameter", "mean", "ci_lower", "ci_upper"]
@@ -473,7 +515,7 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
             write_table(report_dir / f"{name}_curve.csv", ["candidate", "score"], rows)
 
     # observed vs expected at the REML theta
-    theta, hessian = _read_json(cfg, "gp_fit.json", theta=_numbers(design.K), hessian=_numbers(design.K, design.K))
+    theta, hessian = _read_json(cfg, "gp_fit.json", theta=_theta(design.K), hessian=_spd(design.K))
     z_hat, s0 = loo_predictions(design, theta)
     write_table(
         report_dir / "observed_vs_expected.csv", ["observed", "expected", "rmspe"], zip(design.Z, z_hat, s0)
@@ -482,12 +524,8 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
 
     # REML vs Bayesian range-parameter comparison, when the chain exists
     if (out / "theta_chain.csv").exists():
-        draws = _draws(cfg, "theta_chain.csv", design.K)
-        try:
-            hess_inv = np.linalg.inv(hessian)
-            half = 1.96 * np.sqrt(np.clip(np.diag(hess_inv), 0.0, None))
-        except np.linalg.LinAlgError:
-            half = np.full(design.K, np.nan)
+        draws = _theta_draws(cfg, design.K)
+        half = 1.96 * np.sqrt(np.diag(np.linalg.inv(hessian)))
         rows = []
         for k in range(design.K):
             reml = (theta[k], theta[k] - half[k], theta[k] + half[k])
@@ -501,8 +539,8 @@ def _report(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     # P_f histogram data and summary echo
     for setting in ("A", "B"):
         if (out / f"pf_setting_{setting}.csv").exists():
-            _, p = _read_upstream(cfg, f"pf_setting_{setting}.csv", read_table)
-            counts, edges = np.histogram(p[:, 0], bins=40)
+            p = _read_upstream(cfg, f"pf_setting_{setting}.csv", _pf_draws)
+            counts, edges = np.histogram(p, bins=40)
             rows = zip(edges[:-1], edges[1:], counts)
             write_table(report_dir / f"pf_setting_{setting}_hist.csv", ["bin_left", "bin_right", "count"], rows)
             summary = f"pf_setting_{setting}_summary.json"

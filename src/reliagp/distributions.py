@@ -99,6 +99,11 @@ def _weibull_valid(alpha: float, beta: float) -> bool:
     return math.isfinite(alpha) and math.isfinite(beta) and alpha > 0 and beta > 0
 
 
+# SUPPORT[family](p0, p1): whether the pair lies in the family's parameter
+# space, the rule that NormalParams.valid and WeibullParams.valid apply
+SUPPORT = {Family.NORMAL: _normal_valid, Family.WEIBULL: _weibull_valid}
+
+
 @dataclass(frozen=True)
 class NormalParams:
     """Normal location/variance pair (mu, sigma2)."""
@@ -351,7 +356,7 @@ def log_posterior_target(spec: InputVariableSpec, prior: PriorSpec):
     the prior is computed before any call, so each call works on plain floats."""
     log_pi = _log_prior(spec.family, prior)
     log_lik = _log_likelihood(spec.family, spec.sufficient_stats)
-    valid = _normal_valid if spec.family == Family.NORMAL else _weibull_valid
+    valid = SUPPORT[spec.family]
     if spec.family == Family.WEIBULL and prior.kind == PriorKind.CONJUGATE:
         # out-of-support rather than an error inside MCMC: the shape is fixed
         valid = lambda alpha, beta: _weibull_valid(alpha, beta) and _at_fixed_shape(beta, prior.beta0)

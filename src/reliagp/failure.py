@@ -38,6 +38,8 @@ __all__ = [
     "summarize",
 ]
 
+TARGET = 1e-6  # the one-in-a-million failure probability that P_f is judged against
+
 
 @dataclass(frozen=True)
 class LhsDesign:
@@ -158,16 +160,16 @@ def simulate_pf(
     return FailurePosterior(p=p, z_crit=z_crit, N=N, M=M)
 
 
-def summarize(posterior: FailurePosterior, target: float = 1e-6) -> dict:
+def summarize(posterior: FailurePosterior) -> dict:
     """Posterior summaries with the 2.5%/97.5% credible-interval convention,
-    also expressed in units of the one-in-a-million target."""
+    also expressed in units of the one-in-a-million TARGET."""
     p = posterior.p
     if p.size == 0:
         raise ValueError("empty posterior")
     mean = float(np.mean(p))
     median = float(np.median(p))
     lo, hi = (float(v) for v in np.quantile(p, [0.025, 0.975]))
-    scale = 1.0 / target
+    scale = 1.0 / TARGET
     return {
         "mean": mean,
         "median": median,
@@ -177,9 +179,9 @@ def summarize(posterior: FailurePosterior, target: float = 1e-6) -> dict:
         "median_per_target": median * scale,
         "ci_lower_per_target": lo * scale,
         "ci_upper_per_target": hi * scale,
-        "target": target,
-        "median_below_target": median < target,
-        "mean_below_target": mean < target,
+        "target": TARGET,
+        "median_below_target": median < TARGET,
+        "mean_below_target": mean < TARGET,
         "z_crit": posterior.z_crit,
         "N": posterior.N,
         "M": posterior.M,

@@ -47,11 +47,17 @@ __all__ = [
     "bayes_log_posterior_stack",
     "fit_reml",
     "hessian_nu_estimate",
+    "in_theta_box",
 ]
 
 NUGGET_START = 1e-8
 NUGGET_MAX = 1e-4
 THETA_BOUNDS = (-10.0, 10.0)
+
+
+def in_theta_box(theta):
+    """Whether each entry of ``theta`` lies in THETA_BOUNDS (NaN does not)."""
+    return (theta >= THETA_BOUNDS[0]) & (theta <= THETA_BOUNDS[1])
 
 
 class FactorizationError(RuntimeError):
@@ -255,7 +261,7 @@ class GpStack:
     member's other entries are meaningless.
     """
 
-    def __init__(self, S, X, Z, theta, nugget: float = NUGGET_START):
+    def __init__(self, S, X, Z, theta, nugget: float):
         B, (n, q) = len(theta), X.shape[1:]
         design_row = [0] * B if len(X) == 1 else range(B)
         self.nugget = np.full(B, float(nugget))
@@ -459,7 +465,7 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
 
     def log_target(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        live = np.all((theta >= THETA_BOUNDS[0]) & (theta <= THETA_BOUNDS[1]), axis=1) & (nu_sq > 0)
+        live = np.all(in_theta_box(theta), axis=1) & (nu_sq > 0)
         rows = np.flatnonzero(live).tolist()
         sq_dev = np.sum((theta - tau) ** 2, axis=1).tolist()
         out = np.full(len(theta), -math.inf)

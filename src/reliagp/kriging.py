@@ -31,8 +31,8 @@ forward substitution as a solve from the left, with the same backward-error
 bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 8.1), in
 another order; S0 and the raw MSPE therefore differ from a left-side LAPACK
 solve at rounding level.  A non-finite point raises ValueError before any
-solve.  Only ``predict_batch`` and ``predict`` add the minimum distance to
-the design, for extrapolation diagnostics; the failure-probability
+solve.  Only KrigingModel's ``predict_batch`` and ``predict`` add the
+minimum distance to the design, for extrapolation diagnostics; the P_f
 simulation and the held-out predictions call ``krige`` and never build it.
 """
 
@@ -144,14 +144,6 @@ class KrigingStack:
             mspe[b] = alpha * ((1.0 + w.nugget) - quad_v + quad_u)
         return z_hat, np.sqrt(np.maximum(mspe, 0.0)), mspe
 
-    def predict_batch(self, pts, x0=None):
-        """``krige`` plus the minimum distance from each point to the design
-        in the distance coordinates, an (m,) array, for extrapolation
-        diagnostics: (z_hat, S0, mspe_raw, min_dist)."""
-        z_hat, s0, mspe = self.krige(pts, x0)
-        min_dist = np.sqrt(sq_distances(self.design.coords, self.design.transform(pts)).min(axis=0))
-        return z_hat, s0, mspe, min_dist
-
 
 class KrigingModel:
     """Predictor at a fixed theta: the one-row KrigingStack."""
@@ -175,10 +167,11 @@ class KrigingModel:
         return z_hat[0], s0[0], mspe[0]
 
     def predict_batch(self, pts, x0=None):
-        """KrigingStack.predict_batch of the one row: (z_hat, S0, mspe_raw,
-        min_dist) as arrays over the rows of ``pts``."""
-        z_hat, s0, mspe, min_dist = self.stack.predict_batch(pts, x0)
-        return z_hat[0], s0[0], mspe[0], min_dist
+        """``krige`` plus each point's minimum distance to the design in the
+        distance coordinates: (z_hat, S0, mspe_raw, min_dist) over ``pts``."""
+        z_hat, s0, mspe = self.krige(pts, x0)
+        min_dist = np.sqrt(sq_distances(self.design.coords, self.design.transform(pts)).min(axis=0))
+        return z_hat, s0, mspe, min_dist
 
     def predict(self, s0, x0=None) -> KrigingPrediction:
         s0 = np.asarray(s0, dtype=float).ravel()
@@ -210,22 +203,13 @@ def held_out_predictions(design: GpDesign, i: int, thetas, nugget: float = 0.0):
     return z_hat[:, 0], s0[:, 0]
 
 
-def loo_predictions(design: GpDesign, theta_source, nugget: float = 0.0):
-    """Leave-one-out predictions at fixed theta or over posterior theta draws.
-
-    ``theta_source`` is either a K-vector (fixed-theta path: one prediction
-    per held-out row) or a (T, K) matrix of posterior draws (one prediction
-    per draw per row).  Returns (z_hat, s0) arrays of shape (n,) or (n, T).
-    """
-    if design.n < 3:
-        raise ValueError("need n >= 3 for leave-one-out")
-    theta_source = np.asarray(theta_source, dtype=float)
-    draws = np.atleast_2d(theta_source)
-    folds = [held_out_predictions(design, i, draws, nugget) for i in range(design.n)]
-    z_hat, s0 = np.stack(folds, axis=1)  # (2, n, T)
-    if theta_source.ndim == 1:
-        return z_hat[:, 0], s0[:, 0]
-    return z_hat, s0
+def loo_predictions(design: GpDesign, theta):
+    """Leave-one-out predictions at the K-vector ``theta``: row i kriged
+    from the design without it.  Returns (z_hat, s0), each of shape (n,)."""
+    if design.n < 3 or np.shape(theta) != (design.K,):
+        raise ValueError(f"leave-one-out needs n >= 3 and a theta K-vector: n={design.n}, theta {np.shape(theta)}")
+    folds = [held_out_predictions(design, i, theta) for i in range(design.n)]
+    return tuple(np.concatenate(column) for column in zip(*folds))
 
 
 def loo_diagnostics(observed: np.ndarray, predicted: np.ndarray) -> dict:

@@ -65,6 +65,8 @@ __all__ = [
 # call to the fixture's theta target costs 1.4 times a 1-row call
 LOOKAHEAD = 4
 
+BURN_IN = 0.2  # the fraction of every chain's retained draws dropped as burn-in
+
 
 @dataclass(frozen=True)
 class AmSettings:
@@ -368,7 +370,7 @@ def am_sample_lockstep(
     ]
 
 
-def remove_burn_in(chain: PosteriorChain, fraction: float = 0.2) -> PosteriorChain:
+def remove_burn_in(chain: PosteriorChain, fraction: float = BURN_IN) -> PosteriorChain:
     """Drop the first floor(fraction*rows) retained draws."""
     if not (0 <= fraction < 1):
         raise ValueError(f"burn-in fraction must be in [0, 1), got {fraction}")
@@ -397,10 +399,9 @@ def geweke(chain: PosteriorChain) -> np.ndarray:
     return z
 
 
-def save_chain(chain: PosteriorChain, csv_path, names=None) -> None:
-    """CSV of retained draws plus a JSON sidecar with run metadata."""
+def save_chain(chain: PosteriorChain, csv_path, names: list[str]) -> None:
+    """CSV of retained draws under the column ``names`` plus a JSON sidecar with run metadata."""
     csv_path = Path(csv_path)
-    names = list(names) if names is not None else [f"coord_{j}" for j in range(chain.d)]
     write_table(csv_path, names, chain.draws)
     meta = {
         "columns": names,

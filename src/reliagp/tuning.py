@@ -37,7 +37,7 @@ import numpy as np
 from reliagp import workers
 from reliagp.gp import GpDesign, bayes_log_posterior_stack, fit_reml
 from reliagp.kriging import held_out_predictions
-from reliagp.mcmc import AmSettings, am_sample_lockstep, default_init_cov, remove_burn_in
+from reliagp.mcmc import BURN_IN, AmSettings, am_sample_lockstep, default_init_cov, remove_burn_in
 from reliagp.mcmc import am_sample  # noqa: F401 -- perfbench/spans.py wraps tuning.am_sample
 
 __all__ = ["CvReport", "cv_lambda", "cv_hyperparams", "fold_rng"]
@@ -134,7 +134,7 @@ def cv_hyperparams(
     design: GpDesign,
     candidates,
     am_settings: AmSettings,
-    burn_in: float = 0.2,
+    burn_in: float = BURN_IN,
     master_seed: int = 0,
 ) -> CvReport:
     """Leave-one-out CV over (tau, nu^2) prior candidates.

@@ -12,6 +12,7 @@ from reliagp.distributions import PriorSpec, log_posterior_unnorm, mle_fit, para
 from reliagp.mcmc import AmSettings, am_sample, default_init_cov, load_chain
 from reliagp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from reliagp.gp import GpFit
+from reliagp.tables import read_table, write_table
 
 
 def write_config(tmp_path: Path, manifest: Path, out_dir: Path, /, **overrides) -> Path:
@@ -479,6 +480,22 @@ def _add_unknown_setting(path: Path) -> None:
     path.write_text(json.dumps(data))
 
 
+def _edit_hessian(path: Path, row: int, col: int, edit) -> None:
+    hessian = json.loads(path.read_text())["hessian"]
+    hessian[row][col] = edit(hessian[row][col])
+    _set_key(path, "hessian", hessian)
+
+
+def _edit_draws(path: Path, edit) -> None:
+    """Replace the draws of the table at ``path`` by ``edit(draws)``; the header stays."""
+    header, draws = read_table(path)
+    write_table(path, header, edit(draws))
+
+
+def _move_theta_to_50(path: Path) -> None:
+    _edit_draws(path, lambda draws: np.full_like(draws, 50.0))
+
+
 @pytest.mark.parametrize(
     "artifact, corrupt, argv",
     [
@@ -508,6 +525,16 @@ def _add_unknown_setting(path: Path) -> None:
         ("theta_chain.csv", _keep_header, ["report"]),
         ("theta_chain.csv", _keep_header, ["simulate-pf"]),
         ("gp_fit.json", lambda p: _set_key(p, "tau_hat", 10**400), ["tune-prior"]),
+        ("gp_fit.json", lambda p: _edit_hessian(p, 0, 0, lambda v: -v), ["report"]),
+        ("gp_fit.json", lambda p: _edit_hessian(p, 0, 1, lambda v: v + 1.0), ["report"]),
+        ("gp_fit.json", lambda p: _set_key(p, "theta", [50.0] * 4), ["tune-prior"]),
+        ("gp_fit.json", lambda p: _set_key(p, "theta", [50.0] * 4), ["simulate-pf", "--setting", "A"]),
+        ("inputs/X0001.csv", lambda p: _edit_draws(p, lambda d: d * [1.0, -1.0]), ["simulate-pf"]),
+        ("inputs/X0001.csv", lambda p: _edit_draws(p, lambda d: d * [1.0, -1.0]), ["report"]),
+        ("theta_chain.csv", _move_theta_to_50, ["simulate-pf", "--setting", "B"]),
+        ("theta_chain.csv", _move_theta_to_50, ["report"]),
+        ("pf_setting_B.csv", lambda p: _edit_draws(p, lambda d: np.vstack([[7.5], [-2.0], d[2:]])), ["report"]),
+        ("pf_setting_A.csv", lambda p: p.write_text("\n"), ["report"]),
     ],
     ids=[
         "sidecar_deleted_A", "sidecar_deleted_B", "key_removed", "invalid_json", "chain_cell", "pf_cell",
@@ -516,7 +543,10 @@ def _add_unknown_setting(path: Path) -> None:
         "winner_list", "winner_negative", "candidates_number", "theta_chain_3_columns_report",
         "theta_chain_3_columns_B", "input_chain_1_column_report", "input_chain_1_column_pf",
         "input_chain_3_columns_report", "theta_chain_no_rows_report", "theta_chain_no_rows_B",
-        "tau_hat_past_float",
+        "tau_hat_past_float", "hessian_not_positive_definite", "hessian_asymmetric", "theta_outside_box_tune_prior",
+        "theta_outside_box_A", "input_variance_negative_pf", "input_variance_negative_report",
+        "theta_chain_outside_box_B", "theta_chain_outside_box_report", "pf_draws_outside_unit_report",
+        "pf_no_columns",
     ],
 )
 def test_bad_upstream_artifact_exits_config(tmp_path, capsys, artifact, corrupt, argv):
@@ -527,6 +557,19 @@ def test_bad_upstream_artifact_exits_config(tmp_path, capsys, artifact, corrupt,
     capsys.readouterr()
     assert main([*argv, "--config", str(cfg_path)]) == EXIT_CONFIG
     assert Path(artifact).name in capsys.readouterr().err
+
+
+def test_all_setting_a_skips_tune_prior(tmp_path, capsys):
+    # Setting A never reads the theta posterior, so with no tau candidates
+    # asked for, `all` runs no tune-prior and report compares no theta
+    cfg_path, out = _study(tmp_path, tau_candidates=None)
+    capsys.readouterr()
+    assert main(["all", "--config", str(cfg_path), "--setting", "A"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "tune-prior" not in printed and "simulate-pf (A)" in printed
+    assert not (out / "cv_prior.json").exists() and not (out / "theta_chain.csv").exists()
+    assert (out / "report" / "report_index.json").exists()
+    assert not (out / "report" / "theta_comparison.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -268,7 +268,7 @@ def test_summarize_small_example():
     post = FailurePosterior(
         p=np.array([0.0, 0.0, 0.0, 4e-6]), z_crit=3.0, N=4, M=10
     )
-    s = summarize(post, target=1e-6)
+    s = summarize(post)
     assert s["mean"] == pytest.approx(1e-6)
     assert s["median"] == 0.0
     assert s["mean_per_target"] == pytest.approx(1.0)

@@ -5,7 +5,8 @@ line says why it stays (``# noqa: F401 -- reason``), as for a name another
 module patches.  A module-level ``_private`` name that nothing reads is
 dead: not its module, another library module, a test, a demo or the
 benchmark.  So is a parameter default of a module-level function that no
-call of that name there overrides.  The CSV table format lives in ``reliagp.tables`` alone: no other
+call of that name there overrides: a call that passes the default's own
+literal does not count.  The CSV table format lives in ``reliagp.tables`` alone: no other
 module calls ``csv.writer`` or formats a cell with ``repr(float(``.  No
 library module swallows exceptions with a bare ``except:`` or a handler for
 Exception or BaseException, and no ``except`` tuple names a class next to
@@ -77,25 +78,35 @@ def _module_privates(tree: ast.Module):
 
 
 def _defaulted_params(fn: ast.FunctionDef):
-    """(name, position) of each parameter with a default; keyword-only ones
-    have position None."""
+    """(name, position, default expression) of each parameter with a
+    default; keyword-only ones have position None."""
     positional = [*fn.args.posonlyargs, *fn.args.args]
     first = len(positional) - len(fn.args.defaults)
-    for i in range(first, len(positional)):
-        yield positional[i].arg, i
+    for i, default in enumerate(fn.args.defaults, first):
+        yield positional[i].arg, i, default
     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
-def _sets(call: ast.Call, name: str, position) -> bool:
-    """Whether ``call`` may pass the parameter ``name`` at ``position``:
-    by keyword, by position, or through *args or **kwargs."""
-    return (
-        any(kw.arg in (name, None) for kw in call.keywords)
-        or any(isinstance(a, ast.Starred) for a in call.args)
-        or (position is not None and len(call.args) > position)
-    )
+def _same_literal(a: ast.expr, b: ast.expr) -> bool:
+    """Whether both expressions are literals of equal value."""
+    try:
+        return ast.literal_eval(a) == ast.literal_eval(b)
+    except (ValueError, TypeError):
+        return False
+
+
+def _sets(call: ast.Call, name: str, position, default: ast.expr) -> bool:
+    """Whether ``call`` may pass the parameter ``name`` at ``position`` a
+    value other than ``default``: by keyword or by position, unless it
+    passes the default's own literal, or through *args or **kwargs."""
+    if any(kw.arg is None for kw in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    passed = [kw.value for kw in call.keywords if kw.arg == name]
+    if position is not None and len(call.args) > position:
+        passed.append(call.args[position])
+    return any(not _same_literal(value, default) for value in passed)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -146,8 +157,8 @@ def test_every_parameter_default_is_overridden_somewhere():
         for path in MODULES
         for fn in ast.parse(path.read_text()).body
         if isinstance(fn, ast.FunctionDef)
-        for param, position in _defaulted_params(fn)
-        if not any(_sets(call, param, position) for call in calls.get(fn.name, []))
+        for param, position, default in _defaulted_params(fn)
+        if not any(_sets(call, param, position, default) for call in calls.get(fn.name, []))
     ]
     assert not never_set, "parameters that no caller sets: " + ", ".join(never_set)
 

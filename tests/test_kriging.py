@@ -184,7 +184,7 @@ def test_non_finite_point_raises_value_error(bad):
     stack = KrigingStack(d, thetas, alpha=1.0)
     pts = rng.uniform(0, 2, (4, 2))
     pts[2, 1] = bad
-    for call in (model.predict_batch, model.krige, stack.predict_batch, stack.krige):
+    for call in (model.predict_batch, model.krige, stack.krige):
         with pytest.raises(ValueError, match="infs or NaNs"):
             call(pts)
     with pytest.raises(ValueError, match="infs or NaNs"):
@@ -203,8 +203,6 @@ def test_min_dist_is_brute_force_distance_in_standardized_coordinates():
     brute = np.sqrt(np.sum((new[:, None, :] - coords[None, :, :]) ** 2, axis=2)).min(axis=1)
     assert min_dist == pytest.approx(brute, rel=1e-9, abs=1e-6)
     assert brute[1:].min() > 1e-3
-    *_, stack_dist = KrigingStack(d, np.zeros((2, 3)), alpha=1.0).predict_batch(pts)
-    assert stack_dist.tolist() == min_dist.tolist()
 
 
 # ----------------------------------------------- the K=4 fixture study
@@ -304,14 +302,14 @@ def test_loo_constant_outputs():
     rng = np.random.default_rng(8)
     S = rng.uniform(0, 1, (5, 1))
     d = GpDesign(S=S, Z=np.full(5, 7.0))
-    z_hat, s0 = loo_predictions(d, np.array([0.0]), nugget=0.0)
+    z_hat, s0 = loo_predictions(d, np.array([0.0]))
     assert np.allclose(z_hat, 7.0, atol=1e-9)
 
 
 def test_loo_three_points_manual():
     d = GpDesign(S=np.array([[0.0], [1.0], [2.0]]), Z=np.array([1.0, 3.0, 2.0]))
     theta = np.array([0.5])
-    z_hat, s0 = loo_predictions(d, theta, nugget=0.0)
+    z_hat, s0 = loo_predictions(d, theta)
     for i in range(3):
         keep = np.arange(3) != i
         reduced = GpDesign(S=d.S[keep], Z=d.Z[keep])
@@ -319,18 +317,6 @@ def test_loo_three_points_manual():
         p = model.predict(d.S[i])
         assert z_hat[i] == pytest.approx(p.z_hat, abs=1e-12)
         assert s0[i] == pytest.approx(p.S0, abs=1e-12)
-
-
-def test_loo_draws_shape():
-    rng = np.random.default_rng(9)
-    d = random_design(rng, n=5, K=2)
-    draws = rng.uniform(-0.5, 0.5, (4, 2))
-    z_hat, s0 = loo_predictions(d, draws, nugget=0.0)
-    assert z_hat.shape == (5, 4)
-    assert s0.shape == (5, 4)
-    # first column equals the fixed-theta path with the first draw
-    z_fixed, _ = loo_predictions(d, draws[0], nugget=0.0)
-    assert np.allclose(z_hat[:, 0], z_fixed)
 
 
 def test_held_out_stack_equals_lone_models_bit_for_bit(monkeypatch):
@@ -361,7 +347,7 @@ def test_held_out_stack_equals_lone_models_bit_for_bit(monkeypatch):
             assert [type(e) for e in stack.error] == [type(None)] * 5 + [FactorizationError]
             with pytest.raises(FactorizationError):
                 KrigingModel(fold, thetas[5], nugget=0.0)
-            z, s0, _, _ = stack.predict_batch(pt, x0)
+            z, s0, _ = stack.krige(pt, x0)
             assert np.isnan(z[5]).all() and np.isnan(s0[5]).all()
             members = range(5)
         else:
