@@ -462,8 +462,9 @@ def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> N
     tau_star, nu_sq_star = report.candidates[report.winner]
     _write_cv(work, "tune-prior", "prior", report, tau=tau_star, nu_sq=nu_sq_star)
 
-    # final theta posterior chain under the winning prior (used by Setting B)
-    target = bayes_log_posterior(design, tau_star, nu_sq_star)
+    # final theta posterior chain under the winning prior (used by Setting B),
+    # on the nugget-0 likelihood the CV scored the prior on
+    target = bayes_log_posterior(design, tau_star, nu_sq_star, 0.0)
     settings = cfg.am_settings(design.K, "theta")
     rng = stage_rng(cfg.seed, "tune-prior-chain")
     chain = am_sample(target, theta_hat, default_init_cov(target, theta_hat), settings, rng)

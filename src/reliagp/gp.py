@@ -17,6 +17,19 @@ which it builds from the inverse Cholesky factor).  One core, GpStack,
 computes the GLS quantities for a stack of (design, theta) pairs, a design
 given once serving every theta row; the likelihoods use its one-member case,
 and kriging and sampling many chains at once use the whole stack.
+
+V is built from each design's squared coordinate differences D_k
+(GpDesign.sq_diffs, formed in _sq_diffs alone) as exp(-sum_k D_k
+exp(-2 theta_k)): each entry is the square of one difference, so close rows
+keep the digits that the expanded form |a|^2 + |b|^2 - 2 a.b cancels.
+GpStack factorizes every member's V bordered by its mean design X and
+outputs Z, [[V, X, Z], [X^T, c I, 0], [Z^T, 0, c]], in one batched Cholesky
+call: the factor's leading block is L, and its last q + 1 rows are the
+whitened design and outputs L^-1 X and L^-1 Z, with no triangular solve.
+The border constant c (BORDER) lies far above every |L^-1 [X Z]|^2 of
+data whose G^2 is finite, so the factor's trailing block, that of
+c I - [L^-1 X, L^-1 Z]^T [L^-1 X, L^-1 Z], stays positive and the bordered
+matrix factorizes whenever V does; c enters no number that is read.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
 from reliagp.mcmc import cholesky_stack, fd_hessian
 
@@ -52,6 +65,10 @@ __all__ = [
 
 NUGGET_START = 1e-8
 NUGGET_MAX = 1e-4
+# the diagonal of GpStack's border: it enters only the trailing diagonal of
+# the factor, which is never read, so as large a c as stays finite bounds
+# |L^-1 [X Z]|^2 the least
+BORDER = 1e300
 THETA_BOUNDS = (-10.0, 10.0)
 
 
@@ -140,10 +157,10 @@ class GpDesign:
 
     @cached_property
     def sq_diffs(self) -> np.ndarray:
-        """(n*n, K) squared coordinate differences D_k[i, j] = (c_ik - c_jk)^2,
-        row i*n + j, for the derivative of V in theta_k."""
-        c = self.coords
-        return ((c[:, None, :] - c[None, :, :]) ** 2).reshape(-1, self.K)
+        """(K, n*n) squared coordinate differences: D_k[i, j] at column i*n + j
+        of row k (see _sq_diffs), from which V and its derivatives in theta
+        are built."""
+        return _sq_diffs(self.coords)
 
     def transform(self, pts: np.ndarray) -> np.ndarray:
         """Map new input points, the rows of an (m, K) array, into the
@@ -164,10 +181,21 @@ class GpDesign:
         return d
 
 
-def correlation(d2: np.ndarray) -> np.ndarray:
+def _sq_diffs(c: np.ndarray) -> np.ndarray:
+    """(K, n*n) squared differences D_k[i, j] = (c_ik - c_jk)^2 of the rows
+    of the coordinates c (n, K), at column i*n + j of row k: the one site
+    where pairwise coordinate differences are formed.  Each is the square of
+    one difference, so close rows keep their digits, and D_k is exactly
+    symmetric with a zero diagonal."""
+    ct = c.T
+    d = ct[:, :, None] - ct[:, None, :]
+    return np.square(d, out=d).reshape(len(ct), -1)
+
+
+def correlation(d2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The squared-exponential correlations exp(-d2) of squared scaled
-    distances ``d2``, computed in d2's memory."""
-    return np.exp(np.negative(d2, out=d2), out=d2)
+    distances ``d2``, computed in d2's memory, or written to ``out``."""
+    return np.exp(np.negative(d2, out=d2), out=d2 if out is None else out)
 
 
 def covariance_matrix(S: np.ndarray, theta: np.ndarray, nugget: float = 0.0) -> np.ndarray:
@@ -181,16 +209,25 @@ def covariance_matrix(S: np.ndarray, theta: np.ndarray, nugget: float = 0.0) -> 
     return _covariance_stack(S[None], theta[None], nugget)[0]
 
 
-def _covariance_stack(S: np.ndarray, theta: np.ndarray, nugget: float) -> np.ndarray:
+def _covariance_stack(
+    S: np.ndarray, theta: np.ndarray, nugget: float, D: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """covariance_matrix for B (S, theta) pairs: S (B, n, K), or (1, n, K)
-    shared by every row of theta (B, K).  V is exactly symmetric: NumPy's
-    W @ W^T is a symmetric rank-K update and the rest is elementwise."""
-    W = S / np.exp(theta)[:, None, :]  # scale each column by its range
-    sq = np.sum(W**2, axis=2)
-    d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (W @ W.transpose(0, 2, 1))
-    np.maximum(d2, 0.0, out=d2)
-    V = correlation(d2)
-    diag = np.arange(S.shape[1])
+    shared by every row of theta (B, K).  ``D`` holds the designs' squared
+    coordinate differences (B or 1, K, n*n) when the caller keeps them;
+    else they are formed from S.  V is written to ``out`` (B, n, n) when
+    given, which may be a block of a larger array.
+
+    d2 for member b is one vector-matrix product exp(-2 theta_b) @ D_b,
+    batched over the stack, so each member's row rounds as it does alone (a
+    single (B, K) @ (K, n*n) GEMM would round a row differently as B
+    changes).  D is exactly symmetric, so V is too."""
+    if D is None:
+        D = np.stack([_sq_diffs(s) for s in S])
+    B, n = len(theta), S.shape[1]
+    d2 = np.matmul(np.exp(-2.0 * theta)[:, None, :], D).reshape(B, n, n)
+    V = correlation(d2, out)
+    diag = np.arange(n)
     V[:, diag, diag] = 1.0 + nugget
     return V
 
@@ -245,62 +282,83 @@ def cholesky_with_nugget(
 
 class GpStack:
     """GLS quantities for B (design, theta) pairs of one size at once, from
-    the Cholesky factor L of each V: beta_hat, G^2, log|V| and log|X^T V^-1 X|.
+    one bordered Cholesky factorization per member: L, log|V|, the whitened
+    design Xw = L^-1 X and outputs Zw = L^-1 Z, beta_hat, G^2 and
+    log|X^T V^-1 X|.
 
     ``S`` (B, n, K) holds each design's distance coordinates, ``X`` (B, n, q)
-    its mean design, ``Z`` (B, n) its outputs and ``theta`` (B, K) the range
-    parameters; a design given once, with a leading axis of 1, is shared by
-    every theta row.  Each member goes through exactly the floating-point
-    operations of a lone evaluation, so its numbers do not depend on B or on
-    the other members: NumPy's Cholesky (mcmc.cholesky_stack) and matmul
-    over the whole stack, and per member the LAPACK triangular and Cholesky
-    solves as ``scipy.linalg.solve_triangular`` and ``cho_solve`` call them
-    for a C-ordered factor; only a member that fails at ``nugget`` goes up
-    cholesky_with_nugget's ladder.  ``error[b]`` is the FactorizationError
-    or ValueError a lone evaluation of member b raises, else None; a failed
-    member's other entries are meaningless.
+    its mean design, ``Z`` (B, n) its outputs, ``theta`` (B, K) the range
+    parameters and ``D`` (B, K, n*n) each design's sq_diffs, formed from S
+    when not given; a design given once, with a leading axis of 1, is shared
+    by every theta row.
+
+    Each member's V is bordered as [[V, X, Z], [X^T, c I, 0], [Z^T, 0, c]]
+    with c = BORDER, and one NumPy Cholesky call (mcmc.cholesky_stack)
+    factorizes the whole stack.  The factor's leading n x n block is L, and
+    its last q + 1 rows, left of the diagonal, are Xw^T and Zw.  Its trailing
+    block, the factor of c I - [Xw Zw]^T [Xw Zw], is not read: c only keeps
+    it positive, which holds while |Xw|^2 and |Zw|^2 stay below c = 1e300,
+    near where G^2 itself would overflow.
+    ``V`` holds each member's factorized V, the bordered matrix's leading
+    block.
+
+    Every operation is a batched matmul or a batched LAPACK call, each of
+    which works on one member alone, so a member's numbers do not depend on
+    B or on the other members.  Only a member that fails at ``nugget`` goes
+    up cholesky_with_nugget's ladder, and its bordered matrix is factorized
+    again at the nugget the ladder settles on.  ``error[b]`` is the
+    FactorizationError or ValueError a lone evaluation of member b raises,
+    else None; a failed member's other entries are meaningless.
     """
 
-    def __init__(self, S, X, Z, theta, nugget: float):
+    def __init__(self, S, X, Z, theta, nugget: float, D=None):
         B, (n, q) = len(theta), X.shape[1:]
+        N = n + q + 1
         design_row = [0] * B if len(X) == 1 else range(B)
         self.nugget = np.full(B, float(nugget))
         self.error: list[Exception | None] = [None] * B
-        L, ok = cholesky_stack(_covariance_stack(S, theta, nugget))
-        # a member that fails the ladder carries the identity so the stack stays finite
+        M = np.empty((B, N, N))
+        self.V = _covariance_stack(S, theta, nugget, D, out=M[:, :n, :n])
+        M[:, :n, n:-1] = X
+        M[:, :n, -1] = Z
+        M[:, n:, :n] = M[:, :n, n:].transpose(0, 2, 1)
+        M[:, n:, n:] = 0.0
+        M.reshape(B, N * N)[:, n * (N + 1) :: N + 1] = BORDER  # the border's diagonal
+        F, ok = cholesky_stack(M)
         for b in np.flatnonzero(~ok):
+            # the ladder finds the member's nugget; its bordered matrix is
+            # factorized again there
             try:
-                L[b], self.nugget[b] = cholesky_with_nugget(S[design_row[b]], theta[b], nugget)
-            except FactorizationError as e:
-                L[b], self.error[b] = np.eye(n), e
-        self.L = L
-        self.logdet_V = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-        # whitened design and outputs, L a = X and L b = Z; each member's Xw is
-        # Fortran-ordered as trtrs returns it, so the products below see the
-        # same strides as on a lone member
-        XwT = np.empty((B, q, n))
-        self.Zw = np.empty((B, n))
-        for b, d in enumerate(design_row):
-            Lt = L[b].T
-            XwT[b] = dtrtrs(Lt, X[d], lower=0, trans=1)[0].T
-            self.Zw[b] = dtrtrs(Lt, Z[d], lower=0, trans=1)[0]
+                self.nugget[b] = cholesky_with_nugget(S[design_row[b]], theta[b], nugget)[1]
+                np.fill_diagonal(self.V[b], 1.0 + self.nugget[b])
+                F[b] = np.linalg.cholesky(M[b])
+            except (FactorizationError, np.linalg.LinAlgError) as e:
+                # the identity's factor keeps the failed member finite
+                F[b] = np.eye(N)
+                F[b, n:, :n] = M[b, n:, :n]
+                self.error[b] = e
+        self.L = F[:, :n, :n]
+        self.logdet_V = 2.0 * np.sum(np.log(np.diagonal(self.L, axis1=1, axis2=2)), axis=1)
+        XwT = F[:, n:-1, :n]
         self.Xw = Xw = XwT.transpose(0, 2, 1)
-        self.L_xtvx, ok = cholesky_stack(XwT @ Xw)
+        self.Zw = F[:, -1, :n]
+        xtvx = XwT @ Xw
+        self.L_xtvx, ok = cholesky_stack(xtvx)
         for b in np.flatnonzero(~ok):
-            self.L_xtvx[b] = np.eye(q)
+            self.L_xtvx[b] = xtvx[b] = np.eye(q)
             self.error[b] = self.error[b] or FactorizationError("X^T V^-1 X is singular")
         self.logdet_xtvx = 2.0 * np.sum(
             np.log(np.diagonal(self.L_xtvx, axis1=1, axis2=2)), axis=1
         )
-        rhs = XwT @ self.Zw[:, :, None]
-        self.beta_hat = np.empty((B, q))
-        for b in range(B):
-            self.beta_hat[b] = dpotrs(self.L_xtvx[b], rhs[b, :, 0], lower=1)[0]
+        # NaN or inf in the data or a factor reaches log|V|, log|X^T V^-1 X|
+        # or G^2, and the member fails with ValueError
+        finite = np.isfinite(self.logdet_V) & np.isfinite(self.logdet_xtvx)
+        if not finite.all():
+            xtvx[~finite] = np.eye(q)  # a non-finite member must not fail the batched solve
+        self.beta_hat = np.linalg.solve(xtvx, XwT @ self.Zw[:, :, None])[:, :, 0]
         resid_w = self.Zw - (Xw @ self.beta_hat[:, :, None])[:, :, 0]
         self.G_sq = (resid_w[:, None, :] @ resid_w[:, :, None])[:, 0, 0]
-        # NaN or inf in a factor or the data reaches these three; a lone
-        # evaluation through SciPy's checked solves raised ValueError there
-        finite = np.isfinite(self.logdet_V) & np.isfinite(self.logdet_xtvx) & np.isfinite(self.G_sq)
+        finite &= np.isfinite(self.G_sq)
         for b in np.flatnonzero(~finite):
             self.error[b] = self.error[b] or ValueError("array must not contain infs or NaNs")
 
@@ -311,7 +369,7 @@ class GpWork:
 
     def __init__(self, design: GpDesign, theta, nugget: float = NUGGET_START):
         theta = np.asarray(theta, dtype=float).ravel()
-        stack = GpStack(design.coords[None], design.X[None], design.Z[None], theta[None], nugget)
+        stack = GpStack(design.coords[None], design.X[None], design.Z[None], theta[None], nugget, design.sq_diffs[None])
         self._take(design, theta, stack, 0)
 
     @classmethod
@@ -327,6 +385,7 @@ class GpWork:
         self.design = design
         self.theta = theta
         self.nugget = float(stack.nugget[b])
+        self.V = stack.V[b]
         self.L = stack.L[b]
         self.logdet_V = float(stack.logdet_V[b])
         self.Xw = stack.Xw[b]
@@ -402,8 +461,7 @@ def nll_reml_regularized_grad(design: GpDesign, theta, lam: float) -> tuple[floa
     Pz = L_inv.T @ (w.Zw - w.Xw @ w.beta_hat)
     # dV_k's factor -dk/dd2 is k itself for the squared exponential, so the
     # factorized V serves; its diagonal does not matter: D_k vanishes there
-    V = w.L @ w.L.T
-    terms = np.stack([P * V, np.outer(Pz, Pz) * V]).reshape(2, n * n) @ design.sq_diffs
+    terms = np.stack([P * w.V, np.outer(Pz, Pz) * w.V]).reshape(2, n * n) @ design.sq_diffs.T
     grad = np.exp(-2.0 * theta) * (terms[0] - (n - q) * terms[1] / w.G_sq)
     return value, grad + 2.0 * lam * (theta - theta.mean())
 
@@ -456,7 +514,7 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
     through one GpStack, and each row's value is -nll_bayes at it bit for
     bit, or -inf where nll_bayes raises.
     """
-    S, X, Z = (np.stack([getattr(d, a) for d in designs]) for a in ("coords", "X", "Z"))
+    S, X, Z, D = (np.stack([getattr(d, a) for d in designs]) for a in ("coords", "X", "Z", "sq_diffs"))
     tau = np.asarray(tau, dtype=float)[:, None]
     nu_sq = np.asarray(nu_sq, dtype=float)
     nu_sq_rows, shared = nu_sq.tolist(), len(designs) == 1
@@ -469,10 +527,11 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
         rows = np.flatnonzero(live).tolist()
         sq_dev = np.sum((theta - tau) ** 2, axis=1).tolist()
         out = np.full(len(theta), -math.inf)
-        arrays = (S, X, Z, theta)  # every row live: the stacks themselves, uncopied
+        arrays = (S, X, Z, theta, D)  # every row live: the stacks themselves, uncopied
         if len(rows) < len(theta):  # copy the live rows; a shared design stays as it is
-            arrays = (S, X, Z, theta[live]) if shared else tuple(a[live] for a in arrays)
-        stack = GpStack(*arrays, nugget)
+            arrays = (S, X, Z, theta[live], D) if shared else tuple(a[live] for a in arrays)
+        *arrays, sq_diffs = arrays
+        stack = GpStack(*arrays, nugget, sq_diffs)
         quantities = zip(stack.error, stack.G_sq.tolist(), stack.logdet_V.tolist(), stack.logdet_xtvx.tolist())
         for b, (error, G_sq, logdet_V, logdet_xtvx) in zip(rows, quantities):
             if error is not None:

@@ -57,9 +57,10 @@ MSPE_WARN_FLOOR = -1e-8
 
 
 def _solve_lower(L, b):
-    """L^-1 b for a C-ordered lower factor L (n, n) and a C-ordered b (n, m),
-    computed in b's memory: BLAS trsm solves x^T L^T = b^T from the right on
-    the Fortran-ordered (m, n) views of b and L^T, so nothing is copied."""
+    """L^-1 b for a lower factor L (n, n) and a C-ordered b (n, m), computed
+    in b's memory: BLAS trsm solves x^T L^T = b^T from the right on the
+    Fortran-ordered (m, n) view of b, so b is not copied (L^T is, when L is a
+    block of GpStack's bordered factor)."""
     return dtrsm(1.0, L.T, b.T, side=1, lower=0, overwrite_b=1).T
 
 
@@ -89,7 +90,7 @@ class KrigingStack:
         n, q = design.n, design.q
         if alpha is None and n <= q:
             raise ValueError("cannot estimate the scale with n <= q; pass alpha")
-        stack = GpStack(design.coords[None], design.X[None], design.Z[None], thetas, nugget)
+        stack = GpStack(design.coords[None], design.X[None], design.Z[None], thetas, nugget, design.sq_diffs[None])
         self.design = design
         self.constant_mean = np.allclose(design.X, 1.0)
         self.error = stack.error

@@ -66,6 +66,13 @@ def test_covariance_nugget_on_diagonal():
     assert V[0, 0] == pytest.approx(1.001)
 
 
+def test_covariance_keeps_its_digits_for_close_rows():
+    # two rows 1e-4 apart at coordinate 100: |a|^2 + |b|^2 - 2 a.b cancels
+    # about eight of its digits there, one squared difference cancels none
+    V = covariance_matrix(np.array([[100.0, 0.0], [100.0 + 1e-4, 0.0]]), np.zeros(2))
+    assert 1.0 - V[0, 1] == pytest.approx(-math.expm1(-1e-8), rel=1e-7, abs=0)
+
+
 # ---------------------------------------------------------------------- GLS
 
 
@@ -461,17 +468,84 @@ def test_design_given_once_equals_design_stacked(monkeypatch):
         assert getattr(once, field).tobytes() == getattr(stacked, field).tobytes(), field
 
 
+def _fold_stack(B, seed):
+    """GpStack of B fixture folds, fold b % 25 at theta row b ~ N(3, 0.6),
+    at nugget 0 as the CV scores them; returns (folds, thetas, stack)."""
+    folds = fixture_folds()
+    members = [folds[b % len(folds)] for b in range(B)]
+    thetas = np.random.default_rng(seed).normal(3.0, 0.6, size=(B, 4))
+    S, X, Z = (np.stack([getattr(d, a) for d in members]) for a in ("coords", "X", "Z"))
+    return members, thetas, GpStack(S, X, Z, thetas, nugget=0.0)
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / np.linalg.norm(b)
+
+
+def test_bordered_factor_matches_triangular_solves():
+    # the bordered factor's last q + 1 rows against LAPACK's triangular solve
+    # with its own L, and log|V| against slogdet, on a q = 2 design and on
+    # the fixture's folds at B = 62 (q = 1).  At theta ~ N(3, 0.6) the folds'
+    # V reach cond(L) ~ 5e5, where two solves that agree in exact arithmetic
+    # differ by up to cond(L) * eps, so there the bound is 1e-12 relative per
+    # unit of cond(L) (of cond(V) for log|V|), and the factor's residuals
+    # L L^T - V, L Xw - X and L Zw - Z stay within 1e-12 relative unscaled
+    d = random_design(np.random.default_rng(27), n=12, K=3, q=2)
+    d_thetas = np.random.default_rng(28).normal(-0.5, 0.5, size=(8, 3))
+    d_stack = GpStack(d.coords[None], d.X[None], d.Z[None], d_thetas, nugget=0.0)
+    members, thetas, stack = _fold_stack(62, 26)
+    cases = [(d_stack, b, d, theta) for b, theta in enumerate(d_thetas)]
+    cases += [(stack, b, members[b], thetas[b]) for b in range(len(members))]
+    for st, b, design, theta in cases:
+        assert st.error[b] is None
+        L, Xw, Zw = st.L[b], st.Xw[b], st.Zw[b]
+        V = covariance_matrix(design.coords, theta, st.nugget[b])
+        scale = 1.0 if st is d_stack else np.linalg.cond(L)
+        assert _rel_err(Xw, linalg.lapack.dtrtrs(L, design.X, lower=1)[0]) <= 1e-12 * scale
+        assert _rel_err(Zw, linalg.lapack.dtrtrs(L, design.Z, lower=1)[0]) <= 1e-12 * scale
+        sign, logdet = np.linalg.slogdet(V)
+        assert sign == 1.0 and st.logdet_V[b] == pytest.approx(logdet, rel=1e-12 * scale**2, abs=0)
+        norm_L = np.linalg.norm(L)
+        assert np.linalg.norm(L @ L.T - V) <= 1e-12 * np.linalg.norm(V)
+        assert np.linalg.norm(L @ Xw - design.X) <= 1e-12 * norm_L * np.linalg.norm(Xw)
+        assert np.linalg.norm(L @ Zw - design.Z) <= 1e-12 * norm_L * np.linalg.norm(Zw)
+
+
+def test_bordered_factor_takes_outputs_far_from_unit_scale():
+    # the border must stay above |L^-1 Z|^2: outputs scaled by 1e60 or
+    # 1e-60 scale beta_hat and G^2 and leave log|V| as it is
+    d = random_design(np.random.default_rng(30), n=8, K=2, q=2)
+    theta = np.array([-1.0, -1.0])
+    w = GpWork(d, theta)
+    for scale in (1e60, 1e-60):
+        ws = GpWork(GpDesign(S=d.S, Z=d.Z * scale, X=d.X), theta)
+        assert ws.logdet_V == w.logdet_V
+        assert ws.beta_hat == pytest.approx(w.beta_hat * scale, rel=1e-12, abs=0)
+        assert ws.G_sq == pytest.approx(w.G_sq * scale**2, rel=1e-12, abs=0)
+
+
+def test_stack_members_do_not_depend_on_stack_size():
+    # at the CV's size, B = 125 fold members: every field of every member
+    # equals the lone evaluation's bit for bit, and so does the V it factorized
+    members, thetas, stack = _fold_stack(125, 29)
+    for b, (design, theta) in enumerate(zip(members, thetas)):
+        w = GpWork(design, theta, nugget=0.0)
+        for field in (*STACK_FIELDS, "V"):
+            assert np.asarray(getattr(stack, field)[b]).tobytes() == np.asarray(getattr(w, field)).tobytes(), (b, field)
+
+
 HEALTHY_THETA = np.array([-0.4, 0.1])
 
 
 def _refuse_factorizing_at(monkeypatch, design, theta):
-    """np.linalg.cholesky refuses V(theta) plus any nugget, alone or in a
-    stack; returns the nuggets it refused on a lone V."""
+    """np.linalg.cholesky refuses any matrix whose leading n x n block is
+    V(theta) plus a nugget, alone or in a stack; returns the nuggets it
+    refused on a lone matrix."""
     v01, refused = covariance_matrix(design.S, theta)[0, 1], []
     cholesky = np.linalg.cholesky
 
     def refusing(a):
-        if a.shape[-1] == design.n and np.isclose(a[..., 0, 1], v01, rtol=1e-12, atol=0).any():
+        if a.shape[-1] >= design.n and np.isclose(a[..., 0, 1], v01, rtol=1e-12, atol=0).any():
             if a.ndim == 2:
                 refused.append(a[0, 0] - 1.0)
             raise np.linalg.LinAlgError("forced")
@@ -545,16 +619,17 @@ def test_reml_gradient_matches_central_differences(q, lam, theta):
 
 
 def test_reml_gradient_at_escalated_nugget(monkeypatch):
-    # a Cholesky that refuses every nugget short of the ladder's top: each
-    # evaluation climbs the whole ladder, and value and gradient are those of
-    # V + 1e-4 I
+    # a Cholesky that refuses every nugget short of the ladder's top on the
+    # leading n x n block of what it factorizes: each evaluation climbs the
+    # whole ladder, and value and gradient are those of V + 1e-4 I
     rng = np.random.default_rng(44)
     d = random_design(rng, n=9, K=4, q=2)
     theta = rng.uniform(-1.5, -0.5, size=4)
     cholesky = np.linalg.cholesky
 
     def refusing(a):
-        if a.shape[-1] == d.n and np.min(np.diagonal(a, axis1=-2, axis2=-1)) < 1.0 + 0.5 * gp.NUGGET_MAX:
+        leading = np.diagonal(a, axis1=-2, axis2=-1)[..., : d.n]
+        if a.shape[-1] >= d.n and np.min(leading) < 1.0 + 0.5 * gp.NUGGET_MAX:
             raise np.linalg.LinAlgError("forced")
         return cholesky(a)
 

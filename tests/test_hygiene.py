@@ -19,6 +19,10 @@ no library module names ``broadcast_to``.  The sampler draws at one site:
 ``mcmc`` calls a generator's ``standard_normal`` and ``random`` once each,
 in its window draw.  The correlation is evaluated at one site, ``gp.correlation``:
 no other code takes the exp of a negated array, and ``kriging`` calls no exp.
+V has one distance form, squared coordinate differences: the pairwise
+differences of an array's rows are formed in ``gp._sq_diffs`` alone, which
+``GpDesign.sq_diffs`` and ``covariance_matrix`` call, and no library code
+multiplies an array of input locations by its own transpose.
 """
 
 import ast
@@ -308,3 +312,96 @@ def test_correlation_is_evaluated_at_one_site():
             and (path.name == "kriging.py" or any(_negated(arg) for arg in node.args))
         ]
     assert not found, "correlations evaluated outside gp.correlation: " + ", ".join(found)
+
+
+def _transposed(node: ast.expr):
+    """The array ``node`` transposes, for ``x.T``, ``x.transpose(...)`` and
+    ``np.transpose(x)``; else None."""
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return node.value
+    if _calls(node, "transpose"):
+        func = node.func
+        method = isinstance(func, ast.Attribute) and not (isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+        return func.value if method else node.args[0]
+    return None
+
+
+COORDINATE_ATTRS = {"S", "coords"}
+
+
+def _reads_coordinates(node: ast.AST, names: set[str]) -> bool:
+    """Whether an expression reads input locations: a name in ``names`` or
+    an attribute ``S`` or ``coords``, other than through its shape or len."""
+    if isinstance(node, ast.Attribute) and node.attr == "shape" or _calls(node, "len"):
+        return False
+    if isinstance(node, ast.Name) and node.id in names or isinstance(node, ast.Attribute) and node.attr in COORDINATE_ATTRS:
+        return True
+    return any(_reads_coordinates(child, names) for child in ast.iter_child_nodes(node))
+
+
+def _coordinate_names(fn: ast.FunctionDef) -> set[str]:
+    """The names in ``fn`` that hold input locations or arrays computed from
+    them: ``S`` and ``coords``, and every name assigned from an expression
+    that reads one, to a fixed point."""
+    names, grew = set(COORDINATE_ATTRS), True
+    while grew:
+        grew = False
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+                if _reads_coordinates(node.value, names):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                        grew |= name not in names
+                        names.add(name)
+    return names
+
+
+def _outer_difference(node: ast.AST) -> bool:
+    """Whether ``node`` forms the pairwise differences of one array's rows:
+    ``x[..., None, ...] - x[..., None, ...]`` or ``np.subtract.outer(x, x)``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        sides = [node.left, node.right]
+        if all(isinstance(s, ast.Subscript) for s in sides) and ast.dump(node.left.value) == ast.dump(node.right.value):
+            return all(any(isinstance(c, ast.Constant) and c.value is None for c in ast.walk(s.slice)) for s in sides)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "outer":
+        inner = node.func.value
+        return isinstance(inner, ast.Attribute) and inner.attr == "subtract"
+    return False
+
+
+def test_one_distance_form_for_the_covariance():
+    """V is built from squared coordinate differences, formed at one site:
+    ``gp._sq_diffs``, the helper behind ``GpDesign.sq_diffs``, which
+    ``covariance_matrix`` also calls.  No other code forms the pairwise
+    differences of an array's rows, and no library code multiplies an array
+    of input locations by its own transpose, the Gram step of the expanded
+    form |a|^2 + |b|^2 - 2 a.b, which loses digits for close rows."""
+    found = []
+    for path in sorted((ROOT / "src" / "reliagp").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in (node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            coordinates = _coordinate_names(fn)
+            for node in ast.walk(fn):
+                if _outer_difference(node) and not (path.name == "gp.py" and fn.name == "_sq_diffs"):
+                    found.append(f"{path.name}:{node.lineno}: pairwise differences in {fn.name}")
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                    left, right = ast.dump(node.left), ast.dump(node.right)
+                    t_left, t_right = _transposed(node.left), _transposed(node.right)
+                    self_product = (t_right is not None and ast.dump(t_right) == left) or (
+                        t_left is not None and ast.dump(t_left) == right
+                    )
+                    if self_product and _reads_coordinates(node, coordinates):
+                        found.append(f"{path.name}:{node.lineno}: Gram product of locations in {fn.name}")
+    assert not found, "distances formed outside gp._sq_diffs: " + ", ".join(found)
+
+
+def test_covariance_and_design_share_the_difference_helper(monkeypatch):
+    """covariance_matrix and GpDesign.sq_diffs both take their differences
+    from gp._sq_diffs."""
+    gp = importlib.import_module("reliagp.gp")
+    helper, seen = gp._sq_diffs, []
+    monkeypatch.setattr(gp, "_sq_diffs", lambda c: seen.append(c.shape) or helper(c))
+    coords = [[0.0, 1.0], [2.0, 0.5], [1.0, 1.5]]
+    gp.covariance_matrix(coords, [0.0, 0.0])
+    gp.GpDesign(S=coords, Z=[0.0, 1.0, 2.0]).sq_diffs
+    assert seen == [(3, 2), (3, 2)]
