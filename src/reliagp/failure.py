@@ -7,10 +7,8 @@ inner loop simulates trial inputs, kriges them, and averages the per-trial
 exceedance probabilities 1 - Phi((z_crit - z_hat0) / S0).  Both settings run
 the same loop over one (R, K) matrix of theta rows (R = 1 for Setting A's
 fixed REML theta), and each distinct row's kriging predictor is built once.
-Each draw's trial points are sampled as K contiguous rows, one per input, the
-layout in which the predictor's lean ``krige`` body works, and passed to it
-as their transposed (M, K) view; ``krige`` computes no distances to the
-design.
+Each draw's trial points go to the predictor's lean ``krige`` body, which
+computes no minimum distances to the design.
 
 The Phi complement is computed through erfc so that probabilities at the
 1e-6 scale and far below do not cancel to zero in double precision.
@@ -146,16 +144,14 @@ def simulate_pf(
 
     models = {}  # one predictor per distinct theta row, built on first use
     p = np.empty(N)
-    trial = np.empty((K, M))  # the trial points as K contiguous rows
     for i in range(N):
         marginals = [params_from_array(fam, pick(draws)) for fam, draws in zip(families, draw_mats)]
         row = pick(theta)
         key = row.tobytes()
         if key not in models:
             models[key] = KrigingModel(design, row)
-        for k in range(K):
-            trial[k] = sample(marginals[k], rng, size=M)
-        z_hat, s0_rmspe, _ = models[key].krige(trial.T)
+        trial = np.column_stack([sample(marginal, rng, size=M) for marginal in marginals])
+        z_hat, s0_rmspe, _ = models[key].krige(trial)
         p[i] = float(np.mean(exceedance_probability(z_hat, s0_rmspe, z_crit)))
     return FailurePosterior(p=p, z_crit=z_crit, N=N, M=M)
 

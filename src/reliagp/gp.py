@@ -6,7 +6,7 @@ exponential
     v_ij = exp( - sum_k (x_ik - x_jk)^2 / exp(theta_k)^2 )
 
 where theta_k are per-dimension log range parameters.  The kernel lives in
-``correlation`` alone, which covariances, cross covariances and kriging call.
+``correlation`` alone, which the covariances and the cross covariances call.
 The mean is a linear model X beta (constant by default).  Three negative log
 likelihoods over theta are provided: REML, ridge-regularized REML, and the
 Bayesian integrated likelihood with a Normal prior on the theta_k.
@@ -18,10 +18,11 @@ computes the GLS quantities for a stack of (design, theta) pairs, a design
 given once serving every theta row; the likelihoods use its one-member case,
 and kriging and sampling many chains at once use the whole stack.
 
-V is built from each design's squared coordinate differences D_k
-(GpDesign.sq_diffs, formed in _sq_diffs alone) as exp(-sum_k D_k
-exp(-2 theta_k)): each entry is the square of one difference, so close rows
-keep the digits that the expanded form |a|^2 + |b|^2 - 2 a.b cancels.
+Every squared distance is a sum of squared coordinate differences, so close
+points keep the digits that the expanded form |a|^2 + |b|^2 - 2 a.b cancels.
+V is built from each design's differences D_k (GpDesign.sq_diffs, formed in
+_sq_diffs alone) as exp(-sum_k D_k exp(-2 theta_k)), and the cross
+covariances to new points from SciPy's cdist, in cross_covariance alone.
 GpStack factorizes every member's V bordered by its mean design X and
 outputs Z, [[V, X, Z], [X^T, c I, 0], [Z^T, 0, c]], in one batched Cholesky
 call: the factor's leading block is L, and its last q + 1 rows are the
@@ -42,6 +43,7 @@ from functools import cached_property
 import numpy as np
 from scipy import optimize
 from scipy.linalg.lapack import dtrtrs
+from scipy.spatial.distance import cdist
 
 from reliagp.mcmc import cholesky_stack, fd_hessian
 
@@ -164,13 +166,8 @@ class GpDesign:
 
     def transform(self, pts: np.ndarray) -> np.ndarray:
         """Map new input points, the rows of an (m, K) array, into the
-        training distance coordinates, returned as the K rows of a
-        C-contiguous (K, m) array, so that each elementwise pass runs along
-        the m points rather than along K."""
-        cols = np.atleast_2d(np.asarray(pts, dtype=float)).T
-        cols = np.subtract(cols, self._mu[:, None], order="C")
-        cols /= self._sd[:, None]
-        return cols
+        training distance coordinates, as (m, K) rows like ``coords``."""
+        return (np.atleast_2d(np.asarray(pts, dtype=float)) - self._mu) / self._sd
 
     def drop_row(self, i: int) -> "GpDesign":
         keep = np.arange(self.n) != i
@@ -184,9 +181,9 @@ class GpDesign:
 def _sq_diffs(c: np.ndarray) -> np.ndarray:
     """(K, n*n) squared differences D_k[i, j] = (c_ik - c_jk)^2 of the rows
     of the coordinates c (n, K), at column i*n + j of row k: the one site
-    where pairwise coordinate differences are formed.  Each is the square of
-    one difference, so close rows keep their digits, and D_k is exactly
-    symmetric with a zero diagonal."""
+    where the pairwise differences of one array's rows are formed.  Each is
+    the square of one difference, so close rows keep their digits, and D_k
+    is exactly symmetric with a zero diagonal."""
     ct = c.T
     d = ct[:, :, None] - ct[:, None, :]
     return np.square(d, out=d).reshape(len(ct), -1)
@@ -232,32 +229,13 @@ def _covariance_stack(
     return V
 
 
-def sq_distances(A: np.ndarray, B: np.ndarray, sq_a: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of A (n, K) and the
-    columns of B (K, m), an (n, m) array clipped at 0.
-
-    Each entry is (|a|^2 + |b|^2) - 2 a.b, each squared norm summed over K
-    in index order; ``sq_a`` holds A's squared row norms when the caller
-    keeps them.  The (n, m) result is assembled in place.  The products a.b
-    come from one BLAS call on B's points as C-ordered (m, K) rows: BLAS
-    rounds the tail tiles of a product differently for other operand
-    layouts, and the kriged means, with the CV scores built on them, are
-    pinned to the bits of this one.
-    """
-    if sq_a is None:
-        sq_a = np.add.reduce(A * A, axis=1)
-    d2 = np.add.outer(sq_a, np.add.reduce(B * B, axis=0))
-    g = A @ np.ascontiguousarray(B.T).T
-    g *= 2.0
-    d2 -= g
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def cross_covariance(S: np.ndarray, S_new: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Correlations between the training rows of S (n, K) and the new points,
-    the columns of S_new (K, m) as GpDesign.transform returns them; shape (n, m)."""
+    """Correlations between the training rows of S (n, K) and the rows of
+    S_new (m, K), in the same distance coordinates; shape (n, m).  Each
+    squared distance is a sum of squared coordinate differences (cdist), so
+    close points keep their digits, as in V."""
     scale = np.exp(np.asarray(theta, dtype=float).ravel())
-    return correlation(sq_distances(np.atleast_2d(S) / scale, S_new / scale[:, None]))
+    return correlation(cdist(np.atleast_2d(S) / scale, np.atleast_2d(S_new) / scale, "sqeuclidean"))
 
 
 def cholesky_with_nugget(
@@ -394,11 +372,6 @@ class GpWork:
         self.logdet_xtvx = float(stack.logdet_xtvx[b])
         self.beta_hat = stack.beta_hat[b]
         self.G_sq = float(stack.G_sq[b])
-
-    @property
-    def range_scale(self) -> np.ndarray:
-        """exp(theta), the range of each input dimension."""
-        return np.exp(self.theta)
 
 
 def _nll_reml_from_work(w: GpWork) -> float:

@@ -19,19 +19,14 @@ held_out_predictions kriges a design row from the design without it at many
 theta rows; leave-one-out diagnostics and both cross-validation drivers use it.
 
 One kriging body, ``krige``, returns (z_hat, S0, mspe_raw) and does only that
-work.  It carries the m new points as K contiguous rows, so every
-elementwise pass runs along the points, and each member's scaled design
-coordinates and their squared norms are computed once, when the stack is
-built; gp.correlation maps their squared distances to cross covariances.
-The kriged mean takes the same operations in the same order as the
-row-layout formula, so it keeps its bits.  The MSPE's triangular solves
-run from the right on the Fortran-ordered (m, n) view of the cross
-covariances, one BLAS trsm call in place, with no copy.  That is the same
-forward substitution as a solve from the left, with the same backward-error
-bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 8.1), in
-another order; S0 and the raw MSPE therefore differ from a left-side LAPACK
-solve at rounding level.  A non-finite point raises ValueError before any
-solve.  Only KrigingModel's ``predict_batch`` and ``predict`` add the
+work; it gets each member's cross covariances from gp.cross_covariance.  The
+MSPE's triangular solves run from the right on the Fortran-ordered (m, n)
+view of the cross covariances, one BLAS trsm call in place, with no copy.
+That is the same forward substitution as a solve from the left, with the
+same backward-error bound (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 8.1), in another order; S0 and the raw MSPE therefore differ
+from a left-side LAPACK solve at rounding level.  A non-finite point raises
+ValueError before any solve.  Only KrigingModel's ``predict_batch`` and ``predict`` add the
 minimum distance to the design, for extrapolation diagnostics; the P_f
 simulation and the held-out predictions call ``krige`` and never build it.
 """
@@ -44,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dtrtrs
+from scipy.spatial.distance import cdist
 
-from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, correlation, sq_distances
+from reliagp.gp import GpDesign, GpFit, GpStack, GpWork, cross_covariance
 
 __all__ = [
     "KrigingPrediction", "KrigingStack", "KrigingModel",
@@ -94,10 +90,7 @@ class KrigingStack:
         self.design = design
         self.constant_mean = np.allclose(design.X, 1.0)
         self.error = stack.error
-        # b -> (GLS quantities, alpha, Sigma^-1 (Z - X beta_hat) in correlation
-        # units, the range scales as a (K, 1) column, and the design
-        # coordinates in those scales with their squared row norms)
-        coords = design.coords
+        # b -> (GLS quantities, alpha, Sigma^-1 (Z - X beta_hat) in correlation units)
         self.members = {}
         for b in [b for b, error in enumerate(stack.error) if error is None]:
             w = GpWork.member(design, thetas[b], stack, b)
@@ -105,23 +98,19 @@ class KrigingStack:
             resid_w = w.Zw - w.Xw @ w.beta_hat
             # L^T x = resid_w; the kriged mean's bits, and the CV scores, rest on this LAPACK call
             c_inv_resid = dtrtrs(w.L.T, resid_w, lower=0)[0]
-            range_scale = w.range_scale
-            scaled = coords / range_scale
-            sq_scaled = np.add.reduce(scaled * scaled, axis=1)
-            self.members[b] = w, a, c_inv_resid, range_scale[:, None], scaled, sq_scaled
+            self.members[b] = w, a, c_inv_resid
 
     def krige(self, pts, x0=None):
         """Predict at many points at once with every member.
 
         Returns (z_hat, S0, mspe_raw) as (B, m) arrays over the members and
-        the rows of the (m, K) ``pts``, which may be a transposed view of K
-        point rows; a failed member's rows are NaN.  ``x0`` is the
-        mean-model covariate vector of the new points (all-ones for the
-        default constant mean).  A non-finite point or covariate raises
-        ValueError.
+        the rows of the (m, K) ``pts``; a failed member's rows are NaN.
+        ``x0`` is the mean-model covariate vector of the new points (all-ones
+        for the default constant mean).  A non-finite point or covariate
+        raises ValueError.
         """
-        cols = self.design.transform(pts)  # (K, m)
-        m, q = cols.shape[1], self.design.q
+        coords, new = self.design.coords, self.design.transform(pts)
+        m, q = len(new), self.design.q
         if x0 is None:
             if not self.constant_mean:
                 raise ValueError("x0 required for a non-constant mean design")
@@ -130,12 +119,12 @@ class KrigingStack:
             x0 = np.atleast_2d(np.asarray(x0, dtype=float))
             if x0.shape != (m, q):
                 raise ValueError(f"x0 has shape {x0.shape}, expected ({m}, {q})")
-        if not (np.isfinite(cols).all() and np.isfinite(x0).all()):
+        if not (np.isfinite(new).all() and np.isfinite(x0).all()):
             raise ValueError("array must not contain infs or NaNs")
 
         z_hat, mspe = np.full((2, len(self.error), m), np.nan)
-        for b, (w, alpha, c_inv_resid, range_scale, scaled, sq_scaled) in self.members.items():
-            v0 = correlation(sq_distances(scaled, cols / range_scale, sq_scaled))  # (n, m)
+        for b, (w, alpha, c_inv_resid) in self.members.items():
+            v0 = cross_covariance(coords, new, w.theta)  # (n, m)
             z_hat[b] = x0 @ w.beta_hat + v0.T @ c_inv_resid
             v0w = _solve_lower(w.L, v0)  # (n, m), in v0's memory
             u0 = w.Xw.T @ v0w  # (q, m)
@@ -171,7 +160,7 @@ class KrigingModel:
         """``krige`` plus each point's minimum distance to the design in the
         distance coordinates: (z_hat, S0, mspe_raw, min_dist) over ``pts``."""
         z_hat, s0, mspe = self.krige(pts, x0)
-        min_dist = np.sqrt(sq_distances(self.design.coords, self.design.transform(pts)).min(axis=0))
+        min_dist = cdist(self.design.coords, self.design.transform(pts)).min(axis=0)
         return z_hat, s0, mspe, min_dist
 
     def predict(self, s0, x0=None) -> KrigingPrediction:

@@ -13,6 +13,7 @@ from reliagp.gp import (
     bayes_log_posterior,
     bayes_log_posterior_stack,
     covariance_matrix,
+    cross_covariance,
     fit_reml,
     hessian_nu_estimate,
     nll_bayes,
@@ -71,6 +72,15 @@ def test_covariance_keeps_its_digits_for_close_rows():
     # about eight of its digits there, one squared difference cancels none
     V = covariance_matrix(np.array([[100.0, 0.0], [100.0 + 1e-4, 0.0]]), np.zeros(2))
     assert 1.0 - V[0, 1] == pytest.approx(-math.expm1(-1e-8), rel=1e-7, abs=0)
+
+
+def test_cross_covariance_keeps_its_digits_for_close_rows():
+    # the same two rows, one a design row and one a new point: the cross
+    # covariance must not cancel the digits that V keeps
+    design = GpDesign(S=[[100.0, 0.0]], Z=[0.0])
+    new = design.transform(np.array([[100.0 + 1e-4, 0.0]]))
+    v0 = cross_covariance(design.coords, new, np.zeros(2))
+    assert 1.0 - v0[0, 0] == pytest.approx(-math.expm1(-1e-8), rel=1e-7, abs=0)
 
 
 # ---------------------------------------------------------------------- GLS

@@ -22,7 +22,11 @@ no other code takes the exp of a negated array, and ``kriging`` calls no exp.
 V has one distance form, squared coordinate differences: the pairwise
 differences of an array's rows are formed in ``gp._sq_diffs`` alone, which
 ``GpDesign.sq_diffs`` and ``covariance_matrix`` call, and no library code
-multiplies an array of input locations by its own transpose.
+multiplies an array of input locations by its own transpose.  Cross
+distances are sums of squared coordinate differences too (SciPy's cdist),
+never the expanded |a|^2 + |b|^2 - 2 a.b: no library code sums two arrays
+pairwise (``np.add.outer``, or ``a[:, None] + b[None, :]``), and none
+multiplies an array of input locations by another or by a transposed array.
 """
 
 import ast
@@ -405,3 +409,95 @@ def test_covariance_and_design_share_the_difference_helper(monkeypatch):
     gp.covariance_matrix(coords, [0.0, 0.0])
     gp.GpDesign(S=coords, Z=[0.0, 1.0, 2.0]).sq_diffs
     assert seen == [(3, 2), (3, 2)]
+
+
+def _outer_sum(node: ast.AST) -> bool:
+    """Whether ``node`` sums two arrays pairwise: ``np.add.outer(a, b)`` or
+    ``a[..., None] + b[None, ...]``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        sides = [node.left, node.right]
+        return all(
+            isinstance(s, ast.Subscript) and any(isinstance(c, ast.Constant) and c.value is None for c in ast.walk(s.slice))
+            for s in sides
+        )
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "outer":
+        inner = node.func.value
+        return isinstance(inner, ast.Attribute) and inner.attr == "add"
+    return False
+
+
+def _location(node: ast.AST, names: set[str]) -> bool:
+    """Whether an expression is an array of input locations: ``S``,
+    ``coords``, a name in ``names`` or a design's ``transform`` of new points,
+    or one of them indexed, transposed, shifted, scaled or passed through a
+    NumPy function."""
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr in COORDINATE_ATTRS or node.attr == "T" and _location(node.value, names)
+    if isinstance(node, ast.Subscript):
+        return _location(node.value, names)
+    if isinstance(node, ast.UnaryOp):
+        return _location(node.operand, names)
+    if isinstance(node, ast.BinOp):
+        return not isinstance(node.op, ast.MatMult) and (_location(node.left, names) or _location(node.right, names))
+    if isinstance(node, ast.Call):
+        func = node.func
+        numpy = isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        method = isinstance(func, ast.Attribute) and _location(func.value, names)
+        return _calls(node, "transform") or method or numpy and any(_location(arg, names) for arg in node.args)
+    return False
+
+
+def _location_names(fn: ast.FunctionDef) -> set[str]:
+    """``S``, ``coords`` and every name in ``fn`` bound to an array of input
+    locations (see _location), alone or in a tuple, to a fixed point."""
+    names, grew = set(COORDINATE_ATTRS), True
+    while grew:
+        grew = False
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and name.id not in names and _location(value, names):
+                        names.add(name.id)
+                        grew = True
+    return names
+
+
+def _product_operands(node: ast.AST):
+    """The two operands of a matrix product ``a @ b``, ``np.matmul(a, b)`` or
+    ``np.dot(a, b)``; else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return node.left, node.right
+    if any(_calls(node, name) for name in ("matmul", "dot")) and len(node.args) >= 2:
+        return node.args[0], node.args[1]
+    return None
+
+
+def test_no_distance_from_norms_and_a_cross_product():
+    """Every cross distance is a sum of squared coordinate differences
+    (cdist, in ``gp.cross_covariance`` and ``KrigingModel.predict_batch``),
+    never the expanded form |a|^2 + |b|^2 - 2 a.b, which cancels digits for
+    close points: no library code sums two arrays pairwise, the step that
+    adds their squared norms, and none multiplies an array of input
+    locations by another or by a transposed array, the cross product."""
+    found = []
+    for path in sorted((ROOT / "src" / "reliagp").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in (node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            locations = _location_names(fn)
+            for node in ast.walk(fn):
+                if _outer_sum(node):
+                    found.append(f"{path.name}:{node.lineno}: pairwise sum in {fn.name}")
+                operands = _product_operands(node)
+                if operands and any(
+                    _location(side, locations) and (_location(other, locations) or _transposed(other) is not None)
+                    for side, other in (operands, operands[::-1])
+                ):
+                    found.append(f"{path.name}:{node.lineno}: product of locations in {fn.name}")
+    assert not found, "distances by the expanded form: " + ", ".join(sorted(set(found)))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import linalg
+from scipy.spatial.distance import cdist
 
 from reliagp import gp
 from reliagp.gp import FactorizationError, GpDesign, covariance_matrix, cross_covariance, fit_reml
@@ -225,13 +226,13 @@ def fixture_study():
 
 
 def row_layout_z_hat(design, work, pts):
-    """The kriged mean as the row-layout formula computes it: distances
-    between (m, K) point rows, then x0^T beta_hat + v0^T V^-1 (Z - X beta_hat)."""
+    """The kriged mean as the row-layout formula computes it: squared
+    distances between (m, K) point rows as sums of squared coordinate
+    differences, then x0^T beta_hat + v0^T V^-1 (Z - X beta_hat)."""
     mu, sd = design.S.mean(axis=0), design.S.std(axis=0)
     scale = np.exp(work.theta)
     A, B = ((design.S - mu) / sd) / scale, ((pts - mu) / sd) / scale
-    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
-    v0 = np.exp(-np.maximum(d2, 0.0))
+    v0 = np.exp(-cdist(A, B, "sqeuclidean"))
     c_inv_resid = linalg.solve_triangular(work.L, work.Zw - work.Xw @ work.beta_hat, lower=True, trans=1)
     return np.ones((len(pts), 1)) @ work.beta_hat + v0.T @ c_inv_resid
 
