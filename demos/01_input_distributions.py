@@ -47,7 +47,7 @@ def main():
         chain = am_sample(target, init, default_init_cov(target, init), settings, rng)
         print(f"acceptance rate: {chain.acceptance_rate:.3f}")
         print(f"Geweke z-scores: {np.round(geweke(chain), 2)}")
-        kept = remove_burn_in(chain, 0.2)
+        kept = remove_burn_in(chain)
         labels = ("mu", "sigma2") if family == Family.NORMAL else ("alpha", "beta")
         for j, label in enumerate(labels):
             col = kept.draws[:, j]

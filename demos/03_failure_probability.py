@@ -46,13 +46,13 @@ def main():
             AmSettings(d=2, t=20_000, t0=2_000),
             np.random.default_rng(100 + idx),
         )
-        input_chains.append((spec.family, remove_burn_in(chain, 0.2).draws))
+        input_chains.append((spec.family, remove_burn_in(chain).draws))
 
     # 2. surrogate fit and theta posterior
     print("fitting the GP surrogate ...")
     fit = fit_reml(design, lam=2.0, restarts=6, rng=np.random.default_rng(0))
     tau_hat, nu_sq_hat = hessian_nu_estimate(fit)
-    target = bayes_log_posterior(design, tau_hat, nu_sq_hat)
+    target = bayes_log_posterior(design, tau_hat, nu_sq_hat, 0.0)
     theta_chain = remove_burn_in(
         am_sample(
             target,
@@ -60,8 +60,7 @@ def main():
             default_init_cov(target, fit.theta),
             AmSettings(d=design.K, t=10_000, t0=1_000),
             np.random.default_rng(1),
-        ),
-        0.2,
+        )
     )
 
     # 3. nested posterior simulation of P_f under both settings

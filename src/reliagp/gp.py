@@ -23,14 +23,16 @@ points keep the digits that the expanded form |a|^2 + |b|^2 - 2 a.b cancels.
 V is built from each design's differences D_k (GpDesign.sq_diffs, formed in
 _sq_diffs alone) as exp(-sum_k D_k exp(-2 theta_k)), and the cross
 covariances to new points from SciPy's cdist, in cross_covariance alone.
-GpStack factorizes every member's V bordered by its mean design X and
-outputs Z, [[V, X, Z], [X^T, c I, 0], [Z^T, 0, c]], in one batched Cholesky
-call: the factor's leading block is L, and its last q + 1 rows are the
-whitened design and outputs L^-1 X and L^-1 Z, with no triangular solve.
-The border constant c (BORDER) lies far above every |L^-1 [X Z]|^2 of
-data whose G^2 is finite, so the factor's trailing block, that of
+GpStack takes each design's mean design X, outputs Z and differences D
+alone, and factorizes every member's V, built once and bordered by X and Z,
+[[V, X, Z], [X^T, c I, 0], [Z^T, 0, c]], in one batched Cholesky call: the
+factor's leading block is L, and its last q + 1 rows are the whitened
+design and outputs L^-1 X and L^-1 Z, with no triangular solve.  The border
+constant c (BORDER) lies far above every |L^-1 [X Z]|^2 of data whose G^2
+is finite, so the factor's trailing block, that of
 c I - [L^-1 X, L^-1 Z]^T [L^-1 X, L^-1 Z], stays positive and the bordered
-matrix factorizes whenever V does; c enters no number that is read.
+matrix factorizes whenever V does; c enters no number that is read.  A
+member that fails climbs the nugget ladder inside that bordered matrix.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ class GpDesign:
     def q(self) -> int:
         return self.X.shape[1]
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
         """Input locations in the (possibly standardized) distance coordinates."""
         return (self.S - self._mu) / self._sd
@@ -172,7 +174,8 @@ class GpDesign:
     def drop_row(self, i: int) -> "GpDesign":
         keep = np.arange(self.n) != i
         d = GpDesign(S=self.S[keep], Z=self.Z[keep], X=self.X[keep], standardize=False)
-        # inherit the parent's coordinate transform so folds share distances
+        # inherit the parent's coordinate transform so folds share distances;
+        # set before anything reads (and caches) the fold's coords
         object.__setattr__(d, "_mu", self._mu)
         object.__setattr__(d, "_sd", self._sd)
         return d
@@ -203,25 +206,20 @@ def covariance_matrix(S: np.ndarray, theta: np.ndarray, nugget: float = 0.0) -> 
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != S.shape[1]:
         raise ValueError(f"theta has {theta.size} entries for {S.shape[1]} input dimensions")
-    return _covariance_stack(S[None], theta[None], nugget)[0]
+    return _covariance_stack(_sq_diffs(S)[None], theta[None], nugget)[0]
 
 
-def _covariance_stack(
-    S: np.ndarray, theta: np.ndarray, nugget: float, D: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """covariance_matrix for B (S, theta) pairs: S (B, n, K), or (1, n, K)
-    shared by every row of theta (B, K).  ``D`` holds the designs' squared
-    coordinate differences (B or 1, K, n*n) when the caller keeps them;
-    else they are formed from S.  V is written to ``out`` (B, n, n) when
+def _covariance_stack(D: np.ndarray, theta: np.ndarray, nugget: float, out: np.ndarray | None = None) -> np.ndarray:
+    """covariance_matrix for B (design, theta) pairs from the designs'
+    squared coordinate differences D (B, K, n*n), or (1, K, n*n) shared by
+    every row of theta (B, K).  V is written to ``out`` (B, n, n) when
     given, which may be a block of a larger array.
 
     d2 for member b is one vector-matrix product exp(-2 theta_b) @ D_b,
     batched over the stack, so each member's row rounds as it does alone (a
     single (B, K) @ (K, n*n) GEMM would round a row differently as B
     changes).  D is exactly symmetric, so V is too."""
-    if D is None:
-        D = np.stack([_sq_diffs(s) for s in S])
-    B, n = len(theta), S.shape[1]
+    B, n = len(theta), math.isqrt(D.shape[2])
     d2 = np.matmul(np.exp(-2.0 * theta)[:, None, :], D).reshape(B, n, n)
     V = correlation(d2, out)
     diag = np.arange(n)
@@ -238,24 +236,24 @@ def cross_covariance(S: np.ndarray, S_new: np.ndarray, theta: np.ndarray) -> np.
     return correlation(cdist(np.atleast_2d(S) / scale, np.atleast_2d(S_new) / scale, "sqeuclidean"))
 
 
-def cholesky_with_nugget(
-    S: np.ndarray, theta: np.ndarray, nugget: float = NUGGET_START
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of V(theta) + nugget*I, escalating the nugget
-    by factors of 10 up to NUGGET_MAX on failure."""
+def cholesky_with_nugget(M: np.ndarray, n: int, nugget: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of M, a GpStack member's bordered matrix whose
+    leading n x n block is V, and the nugget it settled on.  Each rung sets
+    V's diagonal to 1 + nugget in place; the nugget escalates by factors of
+    10 (from NUGGET_START at 0) up to NUGGET_MAX, past which
+    FactorizationError is raised."""
+    diag = np.arange(n)
     while True:
-        V = covariance_matrix(S, theta, nugget)
+        M[diag, diag] = 1.0 + nugget
         try:
-            return np.linalg.cholesky(V), nugget
+            return np.linalg.cholesky(M), nugget
         except np.linalg.LinAlgError:
             if nugget == 0.0:
                 nugget = NUGGET_START
             elif nugget < NUGGET_MAX:
                 nugget = min(nugget * 10.0, NUGGET_MAX)
             else:
-                raise FactorizationError(
-                    f"Cholesky failed at theta={theta} even with nugget={nugget}"
-                )
+                raise FactorizationError(f"Cholesky failed even with nugget={nugget}")
 
 
 class GpStack:
@@ -264,11 +262,10 @@ class GpStack:
     design Xw = L^-1 X and outputs Zw = L^-1 Z, beta_hat, G^2 and
     log|X^T V^-1 X|.
 
-    ``S`` (B, n, K) holds each design's distance coordinates, ``X`` (B, n, q)
-    its mean design, ``Z`` (B, n) its outputs, ``theta`` (B, K) the range
-    parameters and ``D`` (B, K, n*n) each design's sq_diffs, formed from S
-    when not given; a design given once, with a leading axis of 1, is shared
-    by every theta row.
+    ``X`` (B, n, q) holds each design's mean design, ``Z`` (B, n) its
+    outputs, ``D`` (B, K, n*n) its sq_diffs, from which V alone is built,
+    and ``theta`` (B, K) the range parameters; a design given once, with a
+    leading axis of 1, is shared by every theta row.
 
     Each member's V is bordered as [[V, X, Z], [X^T, c I, 0], [Z^T, 0, c]]
     with c = BORDER, and one NumPy Cholesky call (mcmc.cholesky_stack)
@@ -283,20 +280,19 @@ class GpStack:
     Every operation is a batched matmul or a batched LAPACK call, each of
     which works on one member alone, so a member's numbers do not depend on
     B or on the other members.  Only a member that fails at ``nugget`` goes
-    up cholesky_with_nugget's ladder, and its bordered matrix is factorized
-    again at the nugget the ladder settles on.  ``error[b]`` is the
+    up cholesky_with_nugget's ladder, inside its own bordered matrix, and
+    keeps the factor the ladder returns.  ``error[b]`` is the
     FactorizationError or ValueError a lone evaluation of member b raises,
     else None; a failed member's other entries are meaningless.
     """
 
-    def __init__(self, S, X, Z, theta, nugget: float, D=None):
+    def __init__(self, X, Z, D, theta, nugget: float):
         B, (n, q) = len(theta), X.shape[1:]
         N = n + q + 1
-        design_row = [0] * B if len(X) == 1 else range(B)
         self.nugget = np.full(B, float(nugget))
         self.error: list[Exception | None] = [None] * B
         M = np.empty((B, N, N))
-        self.V = _covariance_stack(S, theta, nugget, D, out=M[:, :n, :n])
+        self.V = _covariance_stack(D, theta, nugget, out=M[:, :n, :n])
         M[:, :n, n:-1] = X
         M[:, :n, -1] = Z
         M[:, n:, :n] = M[:, :n, n:].transpose(0, 2, 1)
@@ -304,17 +300,15 @@ class GpStack:
         M.reshape(B, N * N)[:, n * (N + 1) :: N + 1] = BORDER  # the border's diagonal
         F, ok = cholesky_stack(M)
         for b in np.flatnonzero(~ok):
-            # the ladder finds the member's nugget; its bordered matrix is
-            # factorized again there
+            # the member climbs the ladder in its bordered matrix, whose V
+            # block (self.V[b]) ends at the nugget it settles on
             try:
-                self.nugget[b] = cholesky_with_nugget(S[design_row[b]], theta[b], nugget)[1]
-                np.fill_diagonal(self.V[b], 1.0 + self.nugget[b])
-                F[b] = np.linalg.cholesky(M[b])
-            except (FactorizationError, np.linalg.LinAlgError) as e:
+                F[b], self.nugget[b] = cholesky_with_nugget(M[b], n, nugget)
+            except FactorizationError as e:
                 # the identity's factor keeps the failed member finite
                 F[b] = np.eye(N)
                 F[b, n:, :n] = M[b, n:, :n]
-                self.error[b] = e
+                self.error[b] = FactorizationError(f"{e} at theta={theta[b]}")
         self.L = F[:, :n, :n]
         self.logdet_V = 2.0 * np.sum(np.log(np.diagonal(self.L, axis1=1, axis2=2)), axis=1)
         XwT = F[:, n:-1, :n]
@@ -347,7 +341,7 @@ class GpWork:
 
     def __init__(self, design: GpDesign, theta, nugget: float = NUGGET_START):
         theta = np.asarray(theta, dtype=float).ravel()
-        stack = GpStack(design.coords[None], design.X[None], design.Z[None], theta[None], nugget, design.sq_diffs[None])
+        stack = GpStack(design.X[None], design.Z[None], design.sq_diffs[None], theta[None], nugget)
         self._take(design, theta, stack, 0)
 
     @classmethod
@@ -487,11 +481,11 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
     through one GpStack, and each row's value is -nll_bayes at it bit for
     bit, or -inf where nll_bayes raises.
     """
-    S, X, Z, D = (np.stack([getattr(d, a) for d in designs]) for a in ("coords", "X", "Z", "sq_diffs"))
+    X, Z, D = (np.stack([getattr(d, a) for d in designs]) for a in ("X", "Z", "sq_diffs"))
     tau = np.asarray(tau, dtype=float)[:, None]
     nu_sq = np.asarray(nu_sq, dtype=float)
     nu_sq_rows, shared = nu_sq.tolist(), len(designs) == 1
-    (_, n, q), K = X.shape, S.shape[2]
+    (_, n, q), K = X.shape, D.shape[1]
     dof = n - q
 
     def log_target(theta: np.ndarray) -> np.ndarray:
@@ -500,11 +494,10 @@ def bayes_log_posterior_stack(designs, tau, nu_sq, nugget: float = NUGGET_START)
         rows = np.flatnonzero(live).tolist()
         sq_dev = np.sum((theta - tau) ** 2, axis=1).tolist()
         out = np.full(len(theta), -math.inf)
-        arrays = (S, X, Z, theta, D)  # every row live: the stacks themselves, uncopied
+        arrays = (X, Z, D, theta)  # every row live: the stacks themselves, uncopied
         if len(rows) < len(theta):  # copy the live rows; a shared design stays as it is
-            arrays = (S, X, Z, theta[live], D) if shared else tuple(a[live] for a in arrays)
-        *arrays, sq_diffs = arrays
-        stack = GpStack(*arrays, nugget, sq_diffs)
+            arrays = (X, Z, D, theta[live]) if shared else tuple(a[live] for a in arrays)
+        stack = GpStack(*arrays, nugget)
         quantities = zip(stack.error, stack.G_sq.tolist(), stack.logdet_V.tolist(), stack.logdet_xtvx.tolist())
         for b, (error, G_sq, logdet_V, logdet_xtvx) in zip(rows, quantities):
             if error is not None:

@@ -86,7 +86,7 @@ class KrigingStack:
         n, q = design.n, design.q
         if alpha is None and n <= q:
             raise ValueError("cannot estimate the scale with n <= q; pass alpha")
-        stack = GpStack(design.coords[None], design.X[None], design.Z[None], thetas, nugget, design.sq_diffs[None])
+        stack = GpStack(design.X[None], design.Z[None], design.sq_diffs[None], thetas, nugget)
         self.design = design
         self.constant_mean = np.allclose(design.X, 1.0)
         self.error = stack.error

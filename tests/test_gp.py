@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def test_design_rejects_non_finite_arrays(name, bad):
     arrays[name][3] = bad
     with pytest.raises(ValueError, match=f"design array {name} has non-finite entries"):
         GpDesign(**arrays)
+
+
+def test_design_coords_are_computed_once():
+    # the distance coordinates are cached, and a fold's, in its parent's
+    # transform, are the parent's rows without the dropped one
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    assert design.coords is design.coords
+    for i in (0, 2, design.n - 1):
+        fold = design.drop_row(i)
+        assert fold.coords is fold.coords
+        assert fold.coords.tobytes() == np.delete(design.coords, i, axis=0).tobytes()
 
 
 # ---------------------------------------------------------------- covariance
@@ -347,9 +360,9 @@ def test_stack_equals_lone_evaluations_bit_for_bit(monkeypatch):
     # climbs the nugget ladder; the others keep the stack's factors)
     ladder, climbs = gp.cholesky_with_nugget, []
 
-    def counted_ladder(S, theta, nugget=gp.NUGGET_START):
-        climbs.append(theta.tolist())
-        return ladder(S, theta, nugget)
+    def counted_ladder(M, n, nugget):
+        climbs.append(np.tril(M[:n, :n], -1))
+        return ladder(M, n, nugget)
 
     monkeypatch.setattr(gp, "cholesky_with_nugget", counted_ladder)
     folds = fixture_folds()
@@ -367,13 +380,14 @@ def test_stack_equals_lone_evaluations_bit_for_bit(monkeypatch):
     inside = np.delete(np.arange(len(thetas)), 4)
     climbs.clear()
     stack = GpStack(
-        np.stack([members[b].coords for b in inside]),
         np.stack([members[b].X for b in inside]),
         np.stack([members[b].Z for b in inside]),
+        np.stack([members[b].sq_diffs for b in inside]),
         thetas[inside],
         nugget=0.0,
     )
-    assert climbs == [thetas[7].tolist()]
+    assert len(climbs) == 1
+    assert np.array_equal(climbs[0], np.tril(covariance_matrix(members[7].coords, thetas[7]), -1))
     for k, b in enumerate(inside):
         w = GpWork(members[b], thetas[b], nugget=0.0)
         assert stack.nugget[k] == w.nugget == (1e-8 if b == 7 else 0.0)
@@ -388,14 +402,7 @@ def test_stack_failed_member_fails_alone(monkeypatch):
     # a member that no nugget can factorize is -inf; its neighbours are not
     folds = fixture_folds()[:3]
     thetas = np.array([[3.0] * 4, [7.0] * 4, [3.5] * 4])
-    ladder = gp.cholesky_with_nugget
-
-    def failing_ladder(S, theta, nugget=gp.NUGGET_START):
-        if theta[0] == 7.0:
-            raise FactorizationError("forced")
-        return ladder(S, theta, nugget)
-
-    monkeypatch.setattr(gp, "cholesky_with_nugget", failing_ladder)
+    _failing_ladder(monkeypatch, folds[1].coords, thetas[1])
     lp = bayes_log_posterior_stack(folds, [3.0] * 3, [0.26] * 3, nugget=0.0)(thetas)
     assert lp[1] == -math.inf
     assert lp[[0, 2]].tolist() == [
@@ -419,14 +426,16 @@ def test_lone_target_scores_a_stack_of_rows():
     assert target.stack(thetas[:1]).tolist() == [target(thetas[0])]
 
 
-def _failing_ladder(monkeypatch, theta0):
-    """cholesky_with_nugget that no nugget satisfies at theta[0] == theta0."""
-    ladder = gp.cholesky_with_nugget
+def _failing_ladder(monkeypatch, coords, theta):
+    """cholesky_with_nugget that no nugget satisfies on a member whose V
+    block is V(theta) over ``coords``: the key is V's whole strict lower
+    triangle, which the ladder's nugget leaves alone."""
+    ladder, key = gp.cholesky_with_nugget, np.tril(covariance_matrix(coords, theta), -1)
 
-    def failing(S, theta, nugget=gp.NUGGET_START):
-        if theta[0] == theta0:
+    def failing(M, n, nugget):
+        if np.array_equal(np.tril(M[:n, :n], -1), key):
             raise FactorizationError("forced")
-        return ladder(S, theta, nugget)
+        return ladder(M, n, nugget)
 
     monkeypatch.setattr(gp, "cholesky_with_nugget", failing)
 
@@ -448,7 +457,7 @@ def test_covariance_is_exactly_symmetric():
         "n=25": (rng.uniform(size=(2, 25, 3)), rng.normal(-1.0, 0.5, size=(2, 3))),
     }
     for name, (S, thetas) in cases.items():
-        V = gp._covariance_stack(S, thetas, 0.0)
+        V = gp._covariance_stack(np.stack([gp._sq_diffs(s) for s in S]), thetas, 0.0)
         assert V.tobytes() == (0.5 * (V + V.transpose(0, 2, 1))).tobytes(), name
         for b, theta in enumerate(thetas):
             V = covariance_matrix(S[b % len(S)], theta)
@@ -462,15 +471,15 @@ def test_design_given_once_equals_design_stacked(monkeypatch):
     # one design with a leading axis of 1 against the same design stacked B
     # times: every field bit for bit, with a member that climbs the nugget
     # ladder (theta = 7 at nugget 0) and one that fails (theta = 9)
-    _failing_ladder(monkeypatch, 9.0)
     ds = synth_study(seed=8000)
     design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
     thetas = np.random.default_rng(22).normal(3.0, 0.6, size=(6, 4))
     thetas[2], thetas[4] = 7.0, 9.0
+    _failing_ladder(monkeypatch, design.coords, thetas[4])
     B = len(thetas)
-    once = GpStack(design.coords[None], design.X[None], design.Z[None], thetas, nugget=0.0)
+    once = GpStack(design.X[None], design.Z[None], design.sq_diffs[None], thetas, nugget=0.0)
     stacked = GpStack(
-        np.stack([design.coords] * B), np.stack([design.X] * B), np.stack([design.Z] * B), thetas, nugget=0.0
+        np.stack([design.X] * B), np.stack([design.Z] * B), np.stack([design.sq_diffs] * B), thetas, nugget=0.0
     )
     assert once.nugget[2] == 1e-8 and isinstance(once.error[4], FactorizationError)
     assert list(map(repr, once.error)) == list(map(repr, stacked.error))
@@ -484,8 +493,8 @@ def _fold_stack(B, seed):
     folds = fixture_folds()
     members = [folds[b % len(folds)] for b in range(B)]
     thetas = np.random.default_rng(seed).normal(3.0, 0.6, size=(B, 4))
-    S, X, Z = (np.stack([getattr(d, a) for d in members]) for a in ("coords", "X", "Z"))
-    return members, thetas, GpStack(S, X, Z, thetas, nugget=0.0)
+    X, Z, D = (np.stack([getattr(d, a) for d in members]) for a in ("X", "Z", "sq_diffs"))
+    return members, thetas, GpStack(X, Z, D, thetas, nugget=0.0)
 
 
 def _rel_err(a, b):
@@ -502,7 +511,7 @@ def test_bordered_factor_matches_triangular_solves():
     # L L^T - V, L Xw - X and L Zw - Z stay within 1e-12 relative unscaled
     d = random_design(np.random.default_rng(27), n=12, K=3, q=2)
     d_thetas = np.random.default_rng(28).normal(-0.5, 0.5, size=(8, 3))
-    d_stack = GpStack(d.coords[None], d.X[None], d.Z[None], d_thetas, nugget=0.0)
+    d_stack = GpStack(d.X[None], d.Z[None], d.sq_diffs[None], d_thetas, nugget=0.0)
     members, thetas, stack = _fold_stack(62, 26)
     cases = [(d_stack, b, d, theta) for b, theta in enumerate(d_thetas)]
     cases += [(stack, b, members[b], thetas[b]) for b in range(len(members))]
@@ -542,6 +551,51 @@ def test_stack_members_do_not_depend_on_stack_size():
         w = GpWork(design, theta, nugget=0.0)
         for field in (*STACK_FIELDS, "V"):
             assert np.asarray(getattr(stack, field)[b]).tobytes() == np.asarray(getattr(w, field)).tobytes(), (b, field)
+
+
+def test_ladder_builds_no_second_covariance(monkeypatch):
+    # a member that fails at nugget 0 (theta = 7) climbs the nugget ladder
+    # inside its own bordered matrix: V is built once, from the differences
+    # the design keeps, and the member keeps the factor of its bordered
+    # matrix at 1e-8.  A member that no rung factorizes names its theta
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    thetas = np.random.default_rng(22).normal(3.0, 0.6, size=(6, 4))
+    thetas[2] = 7.0
+    D, calls = design.sq_diffs[None], []
+
+    def counted(name):
+        fn = getattr(gp, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_sq_diffs", "_covariance_stack"):
+        monkeypatch.setattr(gp, name, counted(name))
+    stack = GpStack(design.X[None], design.Z[None], D, thetas, nugget=0.0)
+    assert calls == ["_covariance_stack"]
+    monkeypatch.undo()
+
+    n = design.n
+    M = np.zeros((n + 2, n + 2))
+    M[:n, :n] = covariance_matrix(design.coords, thetas[2], 1e-8)
+    M[:n, n], M[:n, n + 1] = design.X[:, 0], design.Z
+    M[n:, :n] = M[:n, n:].T
+    M[n, n] = M[n + 1, n + 1] = gp.BORDER
+    F = np.linalg.cholesky(M)
+    assert stack.error[2] is None and stack.nugget.tolist() == [0.0, 0.0, 1e-8, 0.0, 0.0, 0.0]
+    assert stack.V[2].tobytes() == M[:n, :n].tobytes()
+    assert stack.L[2].tobytes() == F[:n, :n].tobytes()
+    assert stack.Xw[2].tobytes() == F[n : n + 1, :n].T.tobytes()
+    assert stack.Zw[2].tobytes() == F[n + 1, :n].tobytes()
+
+    design, theta = random_design(np.random.default_rng(24)), np.array([0.3, -0.2])
+    _refuse_factorizing_at(monkeypatch, design, theta)
+    with pytest.raises(FactorizationError, match=re.escape(f"theta={theta}")):
+        GpWork(design, theta, nugget=0.0)
 
 
 HEALTHY_THETA = np.array([-0.4, 0.1])

@@ -27,6 +27,10 @@ distances are sums of squared coordinate differences too (SciPy's cdist),
 never the expanded |a|^2 + |b|^2 - 2 a.b: no library code sums two arrays
 pairwise (``np.add.outer``, or ``a[:, None] + b[None, :]``), and none
 multiplies an array of input locations by another or by a transposed array.
+V is built once, at ``gp._covariance_stack``, which only ``GpStack.__init__``
+and ``covariance_matrix`` call, and no library code calls
+``covariance_matrix``, the users' and the tests' builder: a failing member's
+nugget ladder builds no second V.
 """
 
 import ast
@@ -501,3 +505,39 @@ def test_no_distance_from_norms_and_a_cross_product():
                 ):
                     found.append(f"{path.name}:{node.lineno}: product of locations in {fn.name}")
     assert not found, "distances by the expanded form: " + ", ".join(sorted(set(found)))
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and of each
+    method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body if isinstance(fn, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+COVARIANCE_BUILDERS = ("GpStack.__init__", "covariance_matrix")
+
+
+def test_v_is_built_once():
+    """V is built at one site, ``gp._covariance_stack``, which only
+    ``GpStack.__init__`` (from the designs' differences) and
+    ``covariance_matrix`` call; no library code calls ``covariance_matrix``,
+    the users' and the tests' builder.  A second build of V, such as a
+    nugget ladder that forms V again from the coordinates, fails here."""
+    found = []
+    for path in sorted((ROOT / "src" / "reliagp").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        builders = {
+            id(node)
+            for name, fn in _functions(tree)
+            if path.name == "gp.py" and name in COVARIANCE_BUILDERS
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+            for node in ast.walk(tree)
+            if _calls(node, "covariance_matrix") or (_calls(node, "_covariance_stack") and id(node) not in builders)
+        ]
+    assert not found, "V built outside GpStack and covariance_matrix: " + ", ".join(found)

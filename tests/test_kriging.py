@@ -329,13 +329,15 @@ def test_held_out_stack_equals_lone_models_bit_for_bit(monkeypatch):
     design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
     rng = np.random.default_rng(3)
     thetas = np.vstack([rng.normal(3.0, 0.6, size=(4, 4)), np.full((1, 4), 7.0), np.full((1, 4), 8.0)])
-    failing = design.drop_row(2)
+    # the key is fold 2's whole V(8) below the diagonal: folds 3-24 share
+    # its first rows
+    forced = np.tril(covariance_matrix(design.drop_row(2).coords, thetas[5]), -1)
     ladder = gp.cholesky_with_nugget
 
-    def failing_ladder(S, theta, nugget=gp.NUGGET_START):
-        if theta[0] == 8.0 and np.array_equal(S, failing.coords):
+    def failing_ladder(M, n, nugget):
+        if np.array_equal(np.tril(M[:n, :n], -1), forced):
             raise FactorizationError("forced")
-        return ladder(S, theta, nugget)
+        return ladder(M, n, nugget)
 
     monkeypatch.setattr(gp, "cholesky_with_nugget", failing_ladder)
     for i in range(design.n):
