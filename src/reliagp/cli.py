@@ -17,8 +17,9 @@ tune-lambda's fold fits and tune-prior's CV chains run on worker processes
 outputs do not depend on the worker count.  Every process runs OpenBLAS
 on one thread: ``main`` sets its own (workers.one_blas_thread) before it
 runs a command, as each worker does.  tune-prior's final theta chain runs
-here, on a target that scores several proposals per call (see
-mcmc.am_sample).
+here, by independence Metropolis-Hastings (mcmc.independence_sample) on a
+t proposal fitted to the winning prior's cross-validation draws, which
+scores mcmc.IMH_CHUNK proposals per target call.
 
 Config file is JSON; see PipelineConfig for the fields.  One master seed
 fans out to all stage seeds via SeedSequence with a spawn key derived from
@@ -53,19 +54,20 @@ from reliagp import distributions as dists
 from reliagp import ingest, workers
 from reliagp.distributions import Family, InputVariableSpec, PriorSpec, mle_fit
 from reliagp.failure import simulate_pf, summarize
-from reliagp.gp import THETA_BOUNDS, GpDesign, bayes_log_posterior, fit_reml, hessian_nu_estimate, in_theta_box
+from reliagp.gp import THETA_BOUNDS, GpDesign, bayes_log_posterior_stack, fit_reml, hessian_nu_estimate, in_theta_box
 from reliagp.kriging import loo_diagnostics, loo_predictions
 from reliagp.mcmc import (
     AmSettings,
     PosteriorChain,
-    am_sample,
     am_sample_lockstep,
     default_init_cov,
     geweke,
+    independence_sample,
     load_chain,
     remove_burn_in,
     save_chain,
 )
+from reliagp.mcmc import am_sample  # noqa: F401 -- perfbench/spans.py wraps cli.am_sample
 from reliagp.tables import read_table, write_table
 from reliagp.tuning import cv_hyperparams, cv_lambda
 
@@ -97,6 +99,10 @@ def _finite(value, low=-math.inf) -> bool:
 
 
 LAM_WITHOUT_CV = 2.0  # the ridge penalty fit-gp fits at when tune-lambda did not run
+# the theta chain's t proposal scale in units of the covariance of the
+# winning prior's CV draws: a proposal wider than the target keeps the
+# independence sampler's weights (target over proposal) bounded
+PROPOSAL_INFLATION = 1.5
 
 
 @dataclass
@@ -445,9 +451,25 @@ def _fit_gp(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
     print(f"fit-gp: objective {fit.objective:.4f}, tau_hat {tau_hat:.3f}, nu_sq_hat {nu_sq_hat:.4f}")
 
 
+def _theta_proposal(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The theta chain's t proposal from the winning prior's CV draws
+    (rows, K): their mean, and PROPOSAL_INFLATION times their sample
+    covariance."""
+    center = draws.mean(axis=0)
+    deviations = draws - center
+    return center, PROPOSAL_INFLATION * (deviations.T @ deviations / (len(draws) - 1))
+
+
 def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> None:
+    """Cross-validate the (tau, nu^2) prior candidates, then sample theta's
+    posterior under the winner (Setting B's theta draws) by independence
+    Metropolis-Hastings on the nugget-0 likelihood the CV scored the prior
+    on.  The t proposal sits at the mean of the winner's retained CV draws,
+    pooled over its folds, with PROPOSAL_INFLATION times their covariance as
+    its scale.  gp_fit.json's theta is read only to reject one outside
+    THETA_BOUNDS, as the stages after this one do."""
     positive = _numbers(ok=lambda v: _finite(v) and v > 0, valid="a finite number > 0")
-    theta_hat, tau_hat, nu_sq_hat = _read_json(
+    _, tau_hat, nu_sq_hat = _read_json(
         cfg, "gp_fit.json", theta=_theta(design.K), tau_hat=_numbers(), nu_sq_hat=positive
     )
     if cfg.tau_candidates is not None:
@@ -462,12 +484,10 @@ def _tune_prior(cfg: PipelineConfig, dataset, design: GpDesign, work: Path) -> N
     tau_star, nu_sq_star = report.candidates[report.winner]
     _write_cv(work, "tune-prior", "prior", report, tau=tau_star, nu_sq=nu_sq_star)
 
-    # final theta posterior chain under the winning prior (used by Setting B),
-    # on the nugget-0 likelihood the CV scored the prior on
-    target = bayes_log_posterior(design, tau_star, nu_sq_star, 0.0)
+    target = bayes_log_posterior_stack([design], [tau_star], [nu_sq_star], 0.0)
     settings = cfg.am_settings(design.K, "theta")
     rng = stage_rng(cfg.seed, "tune-prior-chain")
-    chain = am_sample(target, theta_hat, default_init_cov(target, theta_hat), settings, rng)
+    chain = independence_sample(target, *_theta_proposal(report.winner_draws), settings, rng)
     _save_checked_chain(chain, work / "theta_chain.csv", [f"theta_{k}" for k in range(design.K)])
     print(f"tune-prior: winner tau={tau_star}, nu_sq={nu_sq_star:.4f}")
 

@@ -241,19 +241,31 @@ def cholesky_with_nugget(M: np.ndarray, n: int, nugget: float) -> tuple[np.ndarr
     leading n x n block is V, and the nugget it settled on.  Each rung sets
     V's diagonal to 1 + nugget in place; the nugget escalates by factors of
     10 (from NUGGET_START at 0) up to NUGGET_MAX, past which
-    FactorizationError is raised."""
+    FactorizationError is raised.  A rung at which M fails but its V block
+    factorizes fails on the data's scale, |L^-1 [X Z]|^2 past BORDER, which
+    no nugget mends: that raises ValueError at once."""
     diag = np.arange(n)
     while True:
         M[diag, diag] = 1.0 + nugget
         try:
             return np.linalg.cholesky(M), nugget
         except np.linalg.LinAlgError:
-            if nugget == 0.0:
-                nugget = NUGGET_START
-            elif nugget < NUGGET_MAX:
-                nugget = min(nugget * 10.0, NUGGET_MAX)
-            else:
-                raise FactorizationError(f"Cholesky failed even with nugget={nugget}")
+            pass
+        try:
+            np.linalg.cholesky(M[:n, :n])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            raise ValueError(
+                f"V factorizes at nugget={nugget} but its border by X and Z does not: "
+                "the data's scale overflows the factor"
+            )
+        if nugget == 0.0:
+            nugget = NUGGET_START
+        elif nugget < NUGGET_MAX:
+            nugget = min(nugget * 10.0, NUGGET_MAX)
+        else:
+            raise FactorizationError(f"Cholesky failed even with nugget={nugget}")
 
 
 class GpStack:
@@ -304,11 +316,12 @@ class GpStack:
             # block (self.V[b]) ends at the nugget it settles on
             try:
                 F[b], self.nugget[b] = cholesky_with_nugget(M[b], n, nugget)
-            except FactorizationError as e:
-                # the identity's factor keeps the failed member finite
+            except (FactorizationError, ValueError) as e:
+                # the identity's factor, with X for Xw and no Zw, keeps the
+                # failed member finite: Z itself may square past overflow
                 F[b] = np.eye(N)
-                F[b, n:, :n] = M[b, n:, :n]
-                self.error[b] = FactorizationError(f"{e} at theta={theta[b]}")
+                F[b, n:-1, :n] = M[b, n:-1, :n]
+                self.error[b] = type(e)(f"{e} at theta={theta[b]}")
         self.L = F[:, :n, :n]
         self.logdet_V = 2.0 * np.sum(np.log(np.diagonal(self.L, axis1=1, axis2=2)), axis=1)
         XwT = F[:, n:-1, :n]
@@ -460,14 +473,12 @@ def nll_bayes(
 def bayes_log_posterior(design: GpDesign, tau: float, nu_sq: float, nugget: float = NUGGET_START):
     """Log-target callable over theta for MCMC sampling of the range
     parameters; returns -inf outside THETA_BOUNDS and where the likelihood
-    cannot be evaluated.  It carries the one-chain bayes_log_posterior_stack
-    as ``stack``, with which am_sample scores several proposals at once."""
+    cannot be evaluated: the one-row bayes_log_posterior_stack."""
     stack = bayes_log_posterior_stack([design], [tau], [nu_sq], nugget)
 
     def target(theta):
         return float(stack(np.asarray(theta, dtype=float).reshape(1, -1))[0])
 
-    target.stack = stack
     return target
 
 

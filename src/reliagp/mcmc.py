@@ -1,40 +1,40 @@
-"""Adaptive Metropolis sampler and chain diagnostics.
+"""Adaptive Metropolis and independence samplers, and chain diagnostics.
 
-The sampler follows Haario, Saksman and Tamminen (2001): a random-walk
-Metropolis whose Gaussian proposal covariance is the empirical covariance of
-the whole chain history, scaled by s_d = 2.4^2/d and regularized by eps*I.
-Adaptation starts after an initial non-adaptive period t0 and the proposal
-covariance is refreshed every t1 steps; every t2-th state is retained as
-output, so a run of t steps yields t/t2 draws.  ``am_sample_lockstep`` runs
-many independent chains side by side in this process, with one target call
-per step, and ``am_sample`` is its one-chain case.  The pipeline's input
-chains (one per input variable) and tune-prior's cross-validation chains go
-through am_sample_lockstep, one call per share of chains that their
-callers deal out over worker processes (``workers.fork_blocks``);
-tune-prior's final theta chain runs in am_sample.  The pipeline sets only
-t, t0 and t2; epsilon and t1 are AmSettings' constants.  A chain that
-cannot start (a non-finite target at its start) or whose proposal
-covariance fails stops alone: the call returns its exception in its
-place, and am_sample raises it.
+The adaptive Metropolis sampler follows Haario, Saksman and Tamminen
+(2001): a random-walk Metropolis whose Gaussian proposal covariance is the
+empirical covariance of the whole chain history, scaled by s_d = 2.4^2/d
+and regularized by eps*I.  Adaptation starts after an initial
+non-adaptive period t0 and the proposal covariance is refreshed every t1
+steps; every t2-th state is retained as output, so a run of t steps yields
+t/t2 draws.  ``am_sample_lockstep`` runs many independent chains side by
+side in this process, with one target call per step, and ``am_sample`` is
+its one-chain case.  The pipeline's input chains (one per input variable)
+and tune-prior's cross-validation chains go through am_sample_lockstep,
+one call per share of chains that their callers deal out over worker
+processes (``workers.fork_blocks``).  The pipeline sets only t, t0 and t2;
+epsilon and t1 are AmSettings' constants.  A chain that cannot start (a
+non-finite target at its start) or whose proposal covariance fails stops
+alone: the call returns its exception in its place, and am_sample raises
+it.
 
 A chain draws one adaptation window at a time, a window running from one
 possible refresh of the proposal covariance to the next (the first ends
 at the first refresh after t0, the last at t).  At the start of a window
 each live chain draws the window's standard_normal(d) and random() values
-step by step from its own generator, the order a step at a time takes, so
-every generator ends in the state it would; one stacked product then
-gives all the window's proposal increments chol @ z, each bit for bit the
-product of its step alone, and the per-step loop only adds, scores and
-tests.
+step by step from its own generator (``_draw_steps``), the order a step
+at a time takes, so every generator ends in the state it would; one
+stacked product then gives all the window's proposal increments
+chol @ z, each bit for bit the product of its step alone, and the
+per-step loop only adds, scores and tests.
 
-A lone chain whose target also scores a stack of states (a ``stack``
-attribute, as ``gp.bayes_log_posterior`` gives) looks ahead, as in
-pre-fetching Metropolis (Brockwell 2006): one target call scores its next
-LOOKAHEAD proposals along the path on which all of them are rejected, and
-the chain walks them in order up to the first acceptance.  The proposals
-come from the window's increments, and no call reaches past the window's
-end, so the chain is the one a plain target gives, bit for bit, in fewer
-target calls.
+``independence_sample`` is the independence Metropolis-Hastings sampler
+(Tierney 1994) on a fixed multivariate t proposal; tune-prior's final
+theta chain runs in it, its proposal fitted to the winning prior's
+cross-validation draws (the adaptive independence sampler of Holden,
+Hauge and Holden 2009).  Its proposals do not depend on the chain's
+state, so one call of a stacked target scores IMH_CHUNK of them, and the
+walk then only tests.  It draws through ``_draw_steps`` too, t
+proposals, and keeps every t2-th state; t0, t1 and epsilon play no role.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "PosteriorChain",
     "am_sample",
     "am_sample_lockstep",
+    "independence_sample",
     "remove_burn_in",
     "geweke",
     "default_init_cov",
@@ -61,9 +62,10 @@ __all__ = [
     "load_chain",
 ]
 
-# proposals a lone chain with a stacked target scores per call; a 4-row
-# call to the fixture's theta target costs 1.4 times a 1-row call
-LOOKAHEAD = 4
+# independence_sample's proposals scored per target call; a row's value does
+# not depend on the rows beside it, so the chunk size moves no number
+IMH_CHUNK = 64
+T_DOF = 4  # degrees of freedom of independence_sample's t proposal
 
 BURN_IN = 0.2  # the fraction of every chain's retained draws dropped as burn-in
 
@@ -214,26 +216,29 @@ def am_sample(
     s_d*init_cov during the first t0 steps and
     s_d*Cov(history) + s_d*eps*I afterwards, refreshed every t1 steps.
     Symmetric accept/reject with probability min(1, exp(delta log-target)).
-    When ``log_target.stack`` maps an (m, d) stack of states to m values,
-    each equal to log_target's at its row, the chain looks ahead LOOKAHEAD
-    steps per target call (see the module docstring); the draws are the
-    same.
     """
     init = np.asarray(init, dtype=float)
     if init.shape != (settings.d,):
         raise ValueError(f"init has shape {init.shape}, expected ({settings.d},)")
-    stack = getattr(log_target, "stack", None)
     (chain,) = am_sample_lockstep(
-        stack or (lambda x: [float(log_target(x[0]))]),
-        init[None],
-        np.asarray(init_cov)[None],
-        settings,
-        [rng],
-        ahead=LOOKAHEAD if stack else 1,
+        lambda x: [float(log_target(x[0]))], init[None], np.asarray(init_cov)[None], settings, [rng]
     )
     if isinstance(chain, Exception):
         raise chain
     return chain
+
+
+def _draw_steps(rng: np.random.Generator, z: np.ndarray) -> list[float]:
+    """Each step's draws, step by step: row j of ``z`` gets the step's
+    standard normals and then the step's random() value is drawn, the order
+    a step at a time takes.  Returns the random() values.  Both samplers
+    draw here and nowhere else.  random() is uniform() without the identity
+    map 0 + 1*u, the same double from the same draw."""
+    u = [0.0] * len(z)
+    for j in range(len(z)):
+        rng.standard_normal(out=z[j])
+        u[j] = rng.random()
+    return u
 
 
 def am_sample_lockstep(
@@ -242,7 +247,6 @@ def am_sample_lockstep(
     init_covs,
     settings: AmSettings,
     rngs: list[np.random.Generator],
-    ahead: int = 1,
 ) -> list:
     """Run B adaptive Metropolis chains side by side, one step of all per
     iteration.
@@ -259,19 +263,11 @@ def am_sample_lockstep(
     stops moving and drawing, so its generator ends where am_sample leaves
     it, and the others run on.  The accept test compares Python floats, so
     a stopped chain at -inf raises no RuntimeWarning.
-
-    With ``ahead`` > 1 there must be one chain, and one call of
-    ``log_target`` scores an (m, d) stack of its next m <= ``ahead``
-    proposals along its all-reject path, read from the window's
-    increments; m stops at the window's end, the next refresh of the
-    proposal covariance.
     """
     B, d = len(rngs), settings.d
     x = np.array(inits, dtype=float)
     if x.shape != (B, d):
         raise ValueError(f"inits have shape {x.shape}, expected ({B}, {d})")
-    if ahead > 1 and B != 1:
-        raise ValueError(f"looking ahead needs one chain, got {B}")
     lp = np.asarray(log_target(x.copy()), dtype=float).tolist()
     t0, t1, t2 = settings.t0, settings.t1, settings.t2
     chol, alive = _proposal_factor(settings.s_d * np.asarray(init_covs, dtype=float))
@@ -308,37 +304,22 @@ def am_sample_lockstep(
         width = last + 1 - first
         # only live chains draw (alive changes at a window's last step only);
         # a stopped chain's z rows stay zero, since its zero chol times
-        # uninitialised memory can be NaN.  random() is uniform() without the
-        # identity map 0 + 1*u, the same double from the same draw
+        # uninitialised memory can be NaN
         z = np.zeros((width, B, d))
         u = [[0.0] * width for _ in range(B)]
         for b in np.flatnonzero(alive):
-            rng, z_b, u_b = rngs[b], z[:, b], u[b]
-            for j in range(width):
-                rng.standard_normal(out=z_b[j])
-                u_b[j] = rng.random()
+            u[b] = _draw_steps(rngs[b], z[:, b])
         incr = (chol @ z[..., None])[..., 0]  # each step's chol @ z, bit for bit
         log_u = [[math.log(max(v, 1e-300)) for v in u_b] for u_b in u]
-        scored = []  # the lone chain's scored proposals not yet walked, next last
         for j in range(width):
             step = first + j
-            if ahead > 1:
-                if not scored:
-                    # score the next m proposals along the all-reject path
-                    m = min(ahead, width - j)
-                    props = x + incr[j : j + m, 0]
-                    values = np.asarray(log_target(props), dtype=float).tolist()
-                    scored = [(props[i : i + 1], values[i : i + 1], j + i) for i in reversed(range(m))]
-                prop, values, k = scored.pop()
-            else:
-                prop, k = x + incr[j], j
-                values = np.asarray(log_target(prop), dtype=float).tolist()
+            prop = x + incr[j]
+            values = np.asarray(log_target(prop), dtype=float).tolist()
             for b in range(B):
-                if values[b] - lp[b] > log_u[b][k]:
+                if values[b] - lp[b] > log_u[b][j]:
                     x[b] = prop[b]
                     lp[b] = values[b]
                     n_accept[b] += 1
-                    scored.clear()  # the rest were proposed from the old state
             row += 1
             hist[row] = x
             if row == t1:
@@ -368,6 +349,65 @@ def am_sample_lockstep(
         or PosteriorChain(draws=retained[b], acceptance_rate=n_accept[b] / settings.t, settings=settings)
         for b in range(B)
     ]
+
+
+def independence_sample(
+    log_target,
+    center,
+    scale,
+    settings: AmSettings,
+    rng: np.random.Generator,
+) -> PosteriorChain:
+    """Independence Metropolis-Hastings (Tierney 1994) from ``center`` on a
+    multivariate t proposal with T_DOF degrees of freedom, location
+    ``center`` and scale matrix ``scale`` (d x d).
+
+    ``log_target`` maps an (m, d) stack of states to m log densities, each
+    that of its row alone.  Proposal y = center + L z sqrt(nu / w), with
+    L L^T = scale, z the step's first d standard normals and w the sum of
+    the squares of its last nu = T_DOF (a chi-square draw); the step's
+    random() value u follows (``_draw_steps``).  The proposal's log density
+    is -(nu + d)/2 log(1 + z^T z / w) up to a constant, 0 at the center, and
+    y replaces the state x when log u < (log target - log proposal)(y) -
+    (log target - log proposal)(x).  The proposals do not depend on x, so
+    one target call scores IMH_CHUNK of them and the walk then tests them in
+    order: ceil(t / IMH_CHUNK) + 1 calls in all, the first at the center.
+
+    The chain makes settings.t proposals and keeps every t2-th state, so it
+    yields t/t2 draws as am_sample does; t0, t1 and epsilon play no role.
+    ``acceptance_rate`` is the accepted proposals over t.  A non-finite
+    target at the center raises ValueError, and a scale that is not finite
+    and positive definite raises LinAlgError, as am_sample does at its
+    start.
+    """
+    center = np.asarray(center, dtype=float)
+    d = settings.d
+    if center.shape != (d,):
+        raise ValueError(f"center has shape {center.shape}, expected ({d},)")
+    weight = float(np.asarray(log_target(center[None]), dtype=float)[0])  # the proposal's log density is 0 here
+    if not math.isfinite(weight):
+        raise ValueError("log_target(center) must be finite")
+    (chol,), ok = _proposal_factor(np.asarray(scale, dtype=float)[None])
+    if not ok[0]:
+        raise np.linalg.LinAlgError("proposal scale is not positive definite")
+
+    x = center
+    retained = np.empty((settings.n_retained, d))
+    accepted = 0
+    for first in range(0, settings.t, IMH_CHUNK):
+        z = np.empty((min(IMH_CHUNK, settings.t - first), d + T_DOF))
+        log_u = [math.log(max(v, 1e-300)) for v in _draw_steps(rng, z)]
+        normals, w = z[:, :d], np.sum(np.square(z[:, d:]), axis=1)
+        props = center + (chol @ normals[:, :, None])[:, :, 0] * np.sqrt(T_DOF / w)[:, None]
+        log_q = -0.5 * (T_DOF + d) * np.log1p(np.sum(np.square(normals), axis=1) / w)
+        weights = (np.asarray(log_target(props), dtype=float) - log_q).tolist()
+        for j, step in enumerate(range(first + 1, first + len(z) + 1)):
+            if weights[j] - weight > log_u[j]:
+                x, weight = props[j], weights[j]
+                accepted += 1
+            if step % settings.t2 == 0:
+                retained[step // settings.t2 - 1] = x
+    return PosteriorChain(draws=retained, acceptance_rate=accepted / settings.t, settings=settings)
 
 
 def remove_burn_in(chain: PosteriorChain, fraction: float = BURN_IN) -> PosteriorChain:

@@ -45,12 +45,16 @@ __all__ = ["CvReport", "cv_lambda", "cv_hyperparams", "fold_rng"]
 
 @dataclass(frozen=True)
 class CvReport:
-    """Candidate settings, their CV scores, and the winning index."""
+    """Candidate settings, their CV scores, and the winning index.
+    ``winner_draws`` stacks the winner's theta rows over its n folds: every
+    fold's retained draws (cv_hyperparams) or point fit (cv_lambda), or
+    None when no candidate has a finite score."""
 
     candidates: list
     scores: np.ndarray
     winner: int
     fold_losses: np.ndarray | None = None  # (Q, n) per-fold contributions
+    winner_draws: np.ndarray | None = None  # (rows, K)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
@@ -77,7 +81,7 @@ def _score_folds(design: GpDesign, candidates: list, fold_thetas: list) -> CvRep
     summed over folds per row, and the score is their mean over rows.  A
     candidate stops, with score inf, at its first failed fit or kriging;
     its fold losses are NaN from there.  The winner is the first candidate
-    with the lowest score.
+    with the lowest score, and the report carries its fold theta rows.
     """
     n = design.n
     scores = np.full(len(candidates), math.inf)
@@ -98,7 +102,11 @@ def _score_folds(design: GpDesign, candidates: list, fold_thetas: list) -> CvRep
         except (RuntimeError, ValueError):
             continue
         scores[q] = float(np.mean(per_draw))
-    return CvReport(candidates, scores, int(np.argmin(scores)), fold_losses)
+    winner = int(np.argmin(scores))
+    draws = None
+    if math.isfinite(scores[winner]):  # then none of its folds failed
+        draws = np.vstack([np.atleast_2d(thetas) for thetas, _ in fold_thetas[winner * n : (winner + 1) * n]])
+    return CvReport(candidates, scores, winner, fold_losses, draws)
 
 
 def cv_lambda(design: GpDesign, lambdas, restarts: int = 8, master_seed: int = 0) -> CvReport:
@@ -153,7 +161,8 @@ def cv_hyperparams(
     fold_rng stream.  A chain that cannot start, or whose proposal
     covariance fails, is its fold's error.  The report therefore equals
     that of running the chains one after another, folds in order, and
-    stopping a candidate at its first failed fold.
+    stopping a candidate at its first failed fold.  The report's
+    winner_draws are the winning candidate's retained draws over its folds.
     """
     candidates = [tuple(c) for c in candidates]
     if not candidates or design.n < 3:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reliagp import cli, ingest, tuning
+from reliagp import cli, ingest, mcmc, tuning
 from reliagp.distributions import PriorSpec, log_posterior_unnorm, mle_fit, params_from_array
 from reliagp.mcmc import AmSettings, am_sample, default_init_cov, load_chain
 from reliagp.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
@@ -336,11 +336,34 @@ def test_failed_stage_commits_nothing(tmp_path, monkeypatch, capsys):
     def failing_chain(*args, **kwargs):
         raise RuntimeError("chain failed")
 
-    monkeypatch.setattr(cli, "am_sample", failing_chain)
+    monkeypatch.setattr(cli, "independence_sample", failing_chain)
     assert main(["tune-prior", "--config", str(cfg_path)]) == EXIT_NUMERICAL
     assert "chain failed" in capsys.readouterr().err
     assert {rel: (out / rel).read_bytes() for rel in kept} == before
     assert sorted(out.iterdir()) == entries
+
+
+def test_theta_chain_scores_its_proposals_in_chunks(tmp_path, monkeypatch):
+    # the final theta chain's target: one call at the start, then one per
+    # chunk of IMH_CHUNK proposals, each under the winning prior
+    cfg_path, out = _study(tmp_path)
+    assert main(["fit-gp", "--config", str(cfg_path)]) == EXIT_OK
+    calls, build = [], cli.bayes_log_posterior_stack
+
+    def counted(*args):
+        target = build(*args)
+        calls.append(args[1:])
+        return lambda theta: calls.append(len(theta)) or target(theta)
+
+    monkeypatch.setattr(cli, "bayes_log_posterior_stack", counted)
+    assert main(["tune-prior", "--config", str(cfg_path)]) == EXIT_OK
+    settings = cli.PipelineConfig.from_file(cfg_path).am_settings(4, "theta")
+    prior = json.loads((out / "cv_prior.json").read_text())
+    assert calls[0] == ([prior["tau"]], [prior["nu_sq"]], 0.0)
+    assert len(calls) - 1 <= -(-settings.t // mcmc.IMH_CHUNK) + 1
+    assert sum(calls[1:]) == settings.t + 1
+    chain = load_chain(out / "theta_chain.csv")
+    assert chain.rows == settings.n_retained and 0 < chain.acceptance_rate < 1
 
 
 def test_frozen_input_chain_exits_numerical(tmp_path, capsys):

@@ -413,17 +413,19 @@ def test_stack_failed_member_fails_alone(monkeypatch):
 
 
 def test_lone_target_scores_a_stack_of_rows():
-    # bayes_log_posterior's stacked form: m rows under one design, each the
-    # lone call's value; all rows in the box take the uncopied stacks, a row
+    # bayes_log_posterior_stack over one design: m rows, each the lone
+    # target's value; all rows in the box take the uncopied stacks, a row
     # outside it the live rows alone
     ds = synth_study(seed=8000)
-    target = bayes_log_posterior(GpDesign(S=ds.design, Z=ds.outputs, standardize=True), 3.0, 0.26, 0.0)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    target = bayes_log_posterior(design, 3.0, 0.26, 0.0)
+    stack = bayes_log_posterior_stack([design], [3.0], [0.26], 0.0)
     thetas = np.random.default_rng(21).normal(3.0, 0.6, size=(5, 4))
     for rows in (thetas, np.vstack([thetas, [[3.0, -10.5, 3.0, 3.0]]])):
-        lp = target.stack(rows)
+        lp = stack(rows)
         assert lp.tolist() == [target(th) for th in rows]
     assert lp[-1] == -math.inf and np.isfinite(lp[:-1]).all()
-    assert target.stack(thetas[:1]).tolist() == [target(thetas[0])]
+    assert stack(thetas[:1]).tolist() == [target(thetas[0])]
 
 
 def _failing_ladder(monkeypatch, coords, theta):
@@ -596,6 +598,29 @@ def test_ladder_builds_no_second_covariance(monkeypatch):
     _refuse_factorizing_at(monkeypatch, design, theta)
     with pytest.raises(FactorizationError, match=re.escape(f"theta={theta}")):
         GpWork(design, theta, nugget=0.0)
+
+
+def test_overflowing_data_fails_without_climbing_the_ladder(monkeypatch):
+    # outputs near 1e160 push |L^-1 Z|^2 past BORDER, so the bordered matrix
+    # fails at nugget 0 while V factorizes there: a ValueError that names
+    # the data's scale, after one rung
+    rng = np.random.default_rng(31)
+    design = GpDesign(S=rng.uniform(size=(8, 2)), Z=1e160 * rng.normal(size=8))
+    V = covariance_matrix(design.coords, np.zeros(2))
+    np.linalg.cholesky(V)
+    sizes, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        sizes.append(a.shape[-1])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    with pytest.raises(ValueError, match="data's scale") as failure:
+        GpWork(design, [0.0, 0.0], nugget=0.0)
+    assert not isinstance(failure.value, FactorizationError)
+    assert "theta=[0. 0.]" in str(failure.value)
+    # the stack, its member, the ladder's one rung and its V block, and X^T V^-1 X
+    assert sizes == [10, 10, 10, 8, 1]
 
 
 HEALTHY_THETA = np.array([-0.4, 0.1])

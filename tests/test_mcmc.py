@@ -15,7 +15,7 @@ from reliagp.distributions import (
     log_posterior_unnorm,
     params_from_array,
 )
-from reliagp.gp import THETA_BOUNDS, GpDesign, bayes_log_posterior
+from reliagp.gp import THETA_BOUNDS, GpDesign, bayes_log_posterior_stack
 from reliagp.ingest import synth_study
 from reliagp.mcmc import (
     AmSettings,
@@ -25,6 +25,7 @@ from reliagp.mcmc import (
     default_init_cov,
     fd_hessian,
     geweke,
+    independence_sample,
     load_chain,
     remove_burn_in,
     save_chain,
@@ -128,114 +129,77 @@ def test_unstartable_chain_fails_alone():
         assert chains[b].acceptance_rate == lone.acceptance_rate
 
 
-# ------------------------------------------------------------ looking ahead
+# ----------------------------------------------------- independence sampler
 
 
-def recording(f, stack=None):
-    """f, recording the states of each call in ``.calls``; with ``stack``
-    (f's stacked form) only the stacked form is offered and recorded."""
-    calls = []
-
-    def lone(x):
-        calls.append(np.array([x]))
-        return f(x)
-
-    def stacked(rows):
-        calls.append(np.array(rows))
-        return stack(rows)
-
-    if stack is None:
-        lone.calls = calls
-        return lone
-    wrapped = lambda x: f(x)
-    wrapped.stack, wrapped.calls = stacked, calls
-    return wrapped
+def batch_se(x, stat, n_batches=20):
+    """Batch-means standard error of ``stat`` over the draws x."""
+    m = x.size // n_batches
+    values = [stat(batch) for batch in x[: m * n_batches].reshape(n_batches, m)]
+    return float(np.std(values, ddof=1) / math.sqrt(n_batches))
 
 
-def walked_steps(calls, plain_calls, settings, ahead):
-    """Replay the look-ahead calls against the plain run's proposals (one
-    per step): each call must hold the proposals of the steps right after
-    those already walked, as many as ``ahead``, the end of the run and the
-    next refresh of the proposal covariance allow; the chain walks them up
-    to the first that differs from the plain run's (an acceptance moved
-    the state).  Returns the steps walked."""
-    proposals = [rows[0] for rows in plain_calls[1:]]
-    refreshes = [r for r in range(1, settings.t + settings.t1) if r > settings.t0 and r % settings.t1 == 0]
-    assert len(calls[0]) == 1  # the start
-    done = 0
-    for rows in calls[1:]:
-        crossed = [r for r in refreshes if done < r < done + len(rows)]
-        assert not crossed, f"a call scores proposals from both sides of the refresh at step {crossed}"
-        refresh = next(r for r in refreshes if r > done)
-        assert len(rows) == min(ahead, settings.t - done, refresh - done)
-        walked = 0
-        while walked < len(rows) and np.array_equal(rows[walked], proposals[done + walked]):
-            walked += 1
-        assert walked > 0
-        done += walked
-    return done
+def test_independence_sample_recovers_a_known_target():
+    # a correlated 2-D Normal from a proposal off its mean and twice its
+    # covariance: each coordinate's mean and 5/50/95% quantiles within 3
+    # batch-means standard errors of the closed form
+    mean, cov = np.array([1.0, -2.0]), np.array([[1.0, 0.6], [0.6, 2.0]])
+    precision = np.linalg.inv(cov)
+
+    def target(X):
+        dev = X - mean
+        return -0.5 * np.einsum("ij,jk,ik->i", dev, precision, dev)
+
+    settings = AmSettings(d=2, t=100_000, t0=1, t2=5)
+    chain = independence_sample(target, mean + [0.5, -0.5], 2.0 * cov, settings, np.random.default_rng(7))
+    assert chain.rows == settings.n_retained and 0.3 < chain.acceptance_rate < 0.9
+    z = [-1.6448536269514722, 0.0, 1.6448536269514722]  # the Normal's 5/50/95% points
+    for k in range(2):
+        x, sd = chain.draws[:, k], math.sqrt(cov[k, k])
+        assert abs(x.mean() - mean[k]) < 3 * batch_se(x, np.mean)
+        for p, zp in zip((0.05, 0.5, 0.95), z):
+            q = lambda v, p=p: np.quantile(v, p)
+            assert abs(q(x) - (mean[k] + zp * sd)) < 3 * batch_se(x, q), (k, p)
 
 
 @pytest.fixture(scope="module")
-def theta_target():
+def theta_design():
     ds = synth_study(seed=8000)
-    return bayes_log_posterior(GpDesign(S=ds.design, Z=ds.outputs, standardize=True), 3.0, 0.26)
+    return GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
 
 
-def run_plain_and_ahead(target, stack, init, cov, settings, seed):
-    """am_sample on the plain target and on its stacked form: (chain or
-    exception, recorded calls) for each."""
+def test_independence_sample_does_not_depend_on_the_chunk(theta_design, monkeypatch):
+    # the fixture's theta target, with a proposal wide enough to leave the
+    # box: the same draws, acceptance and generator state at any chunk size
+    target = bayes_log_posterior_stack([theta_design], [3.0], [0.26], 0.0)
+    settings = AmSettings(d=4, t=2000, t0=1, t2=10)
+    center, scale = np.full(4, 3.0), 4.0 * np.eye(4)
     runs = []
-    for f in (recording(target), recording(target, stack)):
-        try:
-            runs.append((am_sample(f, init, cov, settings, np.random.default_rng(seed)), f.calls))
-        except (RuntimeError, ValueError) as e:
-            runs.append((e, f.calls))
-    return runs
+    for chunk in (1, 7, mcmc.IMH_CHUNK):
+        monkeypatch.setattr(mcmc, "IMH_CHUNK", chunk)
+        calls = []
+        rng = np.random.default_rng(5)
+        recorded = lambda X: calls.append(X.copy()) or target(X)
+        chain = independence_sample(recorded, center, scale, settings, rng)
+        runs.append((chain.draws.tobytes(), chain.acceptance_rate, rng.bit_generator.state))
+        rows = [len(X) for X in calls]
+        assert rows == [1] + [chunk] * (settings.t // chunk) + [settings.t % chunk] * (settings.t % chunk > 0)
+        assert np.concatenate(calls).max() > THETA_BOUNDS[1], "no proposal left the box"
+    assert runs[0] == runs[1] == runs[2]
+    assert 0 < runs[0][1] < 1
+    assert np.any(np.frombuffer(runs[0][0]) != 3.0)
 
 
-@pytest.mark.parametrize("ahead", [2, 3, 4, 7])
-def test_look_ahead_chain_equals_plain_chain(ahead, theta_target, monkeypatch):
-    # the fixture's theta chain from a start near the box's edge, across t0
-    # and 243 refreshes every 7 steps: the same draws and acceptance rate
-    # in fewer target calls, and no call reaching past a refresh
-    monkeypatch.setattr(mcmc, "LOOKAHEAD", ahead)
-    settings = AmSettings(d=4, t=2000, t0=300, t1=7, t2=10)
-    init = np.array([9.5, 3.0, 3.0, 3.0])
-    (plain, plain_calls), (chain, calls) = run_plain_and_ahead(
-        theta_target, theta_target.stack, init, np.eye(4), settings, seed=6
-    )
-    assert np.array_equal(chain.draws, plain.draws)
-    assert chain.acceptance_rate == plain.acceptance_rate
-    assert 0 < plain.acceptance_rate < 1
-    rows = np.concatenate(calls)
-    assert np.any(rows > THETA_BOUNDS[1]), "no proposal left the box"
-    assert len(calls) < len(plain_calls) == settings.t + 1
-    assert walked_steps(calls, plain_calls, settings, ahead) == settings.t
-
-
-def test_look_ahead_chain_fails_at_the_same_refresh():
-    # far_target's adaptation fails at a refresh: the look-ahead chain
-    # raises the same error after walking the same steps
-    settings = AmSettings(d=2, t=2000, t0=100, t1=7, t2=10)
-    stack = lambda X: np.array([far_target(x) for x in X])
-    (plain, plain_calls), (chain, calls) = run_plain_and_ahead(
-        far_target, stack, np.full(2, 1e8), 1e-6 * np.eye(2), settings, seed=2
-    )
-    assert isinstance(plain, RuntimeError) and type(chain) is type(plain)
-    assert str(chain) == str(plain)
-    steps = len(plain_calls) - 1
-    assert settings.t0 < steps < settings.t and steps % settings.t1 == 0
-    assert walked_steps(calls, plain_calls, settings, mcmc.LOOKAHEAD) == steps
-
-
-def test_look_ahead_needs_one_chain():
-    settings = AmSettings(d=1, t=100, t0=10)
-    with pytest.raises(ValueError, match="one chain"):
-        am_sample_lockstep(
-            lambda X: -0.5 * np.sum(X**2, axis=1), np.zeros((2, 1)), np.ones((2, 1, 1)), settings,
-            [np.random.default_rng(s) for s in (1, 2)], ahead=3,
-        )
+def test_independence_sample_start_errors():
+    settings = AmSettings(d=2, t=100, t0=1, t2=10)
+    target = lambda X: -0.5 * np.sum(X * X, axis=1)
+    with pytest.raises(ValueError, match="must be finite"):
+        independence_sample(target, np.array([np.nan, 0.0]), np.eye(2), settings, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="must be finite"):
+        independence_sample(target, np.array([np.inf, 0.0]), np.eye(2), settings, np.random.default_rng(0))
+    for scale in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)), np.full((2, 2), np.nan)):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            independence_sample(target, np.zeros(2), scale, settings, np.random.default_rng(0))
 
 
 # ------------------------------------------------------ the reference loop
@@ -295,17 +259,13 @@ def assert_matches_reference(chain, rng, target, init, cov, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stack"])
+@pytest.mark.parametrize("form", ["plain"])
 @pytest.mark.parametrize("k", range(len(REFERENCE_CHAINS)))
-def test_am_sample_equals_the_reference_loop(k, stacked):
+def test_am_sample_equals_the_reference_loop(k, form):
     target, init, cov, seed = REFERENCE_CHAINS[k]
-    f = target
-    if stacked:
-        f = lambda x: target(x)
-        f.stack = lambda X: np.array([target(x) for x in X])
     rng = np.random.default_rng(seed)
     try:
-        chain = am_sample(f, init, cov, REFERENCE_SETTINGS, rng)
+        chain = am_sample(target, init, cov, REFERENCE_SETTINGS, rng)
     except RuntimeError as e:
         chain = e
     assert_matches_reference(chain, rng, target, init, cov, seed)
