@@ -152,7 +152,7 @@ class GpDesign:
     @cached_property
     def coords(self) -> np.ndarray:
         """Input locations in the (possibly standardized) distance coordinates."""
-        return (self.S - self._mu) / self._sd
+        return self.transform(self.S)
 
     @cached_property
     def logdet_xtx(self) -> float:
@@ -238,19 +238,14 @@ def cross_covariance(S: np.ndarray, S_new: np.ndarray, theta: np.ndarray) -> np.
 
 def cholesky_with_nugget(M: np.ndarray, n: int, nugget: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of M, a GpStack member's bordered matrix whose
-    leading n x n block is V, and the nugget it settled on.  Each rung sets
-    V's diagonal to 1 + nugget in place; the nugget escalates by factors of
-    10 (from NUGGET_START at 0) up to NUGGET_MAX, past which
-    FactorizationError is raised.  A rung at which M fails but its V block
-    factorizes fails on the data's scale, |L^-1 [X Z]|^2 past BORDER, which
-    no nugget mends: that raises ValueError at once."""
+    leading n x n block is V, and the nugget it settled on, once M has failed
+    with V's diagonal at 1 + nugget.  If V alone factorizes there, M fails on
+    the data's scale, |L^-1 [X Z]|^2 past BORDER, which no nugget mends:
+    ValueError.  Else the nugget climbs by factors of 10 (from NUGGET_START
+    at 0) up to NUGGET_MAX, past which FactorizationError is raised, and each
+    rung sets V's diagonal to 1 + nugget in place and factorizes M again."""
     diag = np.arange(n)
     while True:
-        M[diag, diag] = 1.0 + nugget
-        try:
-            return np.linalg.cholesky(M), nugget
-        except np.linalg.LinAlgError:
-            pass
         try:
             np.linalg.cholesky(M[:n, :n])
         except np.linalg.LinAlgError:
@@ -266,13 +261,18 @@ def cholesky_with_nugget(M: np.ndarray, n: int, nugget: float) -> tuple[np.ndarr
             nugget = min(nugget * 10.0, NUGGET_MAX)
         else:
             raise FactorizationError(f"Cholesky failed even with nugget={nugget}")
+        M[diag, diag] = 1.0 + nugget
+        try:
+            return np.linalg.cholesky(M), nugget
+        except np.linalg.LinAlgError:
+            pass
 
 
 class GpStack:
     """GLS quantities for B (design, theta) pairs of one size at once, from
     one bordered Cholesky factorization per member: L, log|V|, the whitened
-    design Xw = L^-1 X and outputs Zw = L^-1 Z, beta_hat, G^2 and
-    log|X^T V^-1 X|.
+    design Xw = L^-1 X and outputs Zw = L^-1 Z, beta_hat, the whitened
+    residual resid_w = Zw - Xw beta_hat, G^2 and log|X^T V^-1 X|.
 
     ``X`` (B, n, q) holds each design's mean design, ``Z`` (B, n) its
     outputs, ``D`` (B, K, n*n) its sq_diffs, from which V alone is built,
@@ -292,10 +292,10 @@ class GpStack:
     Every operation is a batched matmul or a batched LAPACK call, each of
     which works on one member alone, so a member's numbers do not depend on
     B or on the other members.  Only a member that fails at ``nugget`` goes
-    up cholesky_with_nugget's ladder, inside its own bordered matrix, and
-    keeps the factor the ladder returns.  ``error[b]`` is the
-    FactorizationError or ValueError a lone evaluation of member b raises,
-    else None; a failed member's other entries are meaningless.
+    up cholesky_with_nugget's ladder, inside its own bordered matrix, from
+    the rung above ``nugget``, and keeps the factor the ladder returns.
+    ``error[b]`` is the FactorizationError or ValueError a lone evaluation
+    of member b raises, else None; its other entries are then meaningless.
     """
 
     def __init__(self, X, Z, D, theta, nugget: float):
@@ -332,17 +332,15 @@ class GpStack:
         for b in np.flatnonzero(~ok):
             self.L_xtvx[b] = xtvx[b] = np.eye(q)
             self.error[b] = self.error[b] or FactorizationError("X^T V^-1 X is singular")
-        self.logdet_xtvx = 2.0 * np.sum(
-            np.log(np.diagonal(self.L_xtvx, axis1=1, axis2=2)), axis=1
-        )
+        self.logdet_xtvx = 2.0 * np.sum(np.log(np.diagonal(self.L_xtvx, axis1=1, axis2=2)), axis=1)
         # NaN or inf in the data or a factor reaches log|V|, log|X^T V^-1 X|
         # or G^2, and the member fails with ValueError
         finite = np.isfinite(self.logdet_V) & np.isfinite(self.logdet_xtvx)
         if not finite.all():
             xtvx[~finite] = np.eye(q)  # a non-finite member must not fail the batched solve
         self.beta_hat = np.linalg.solve(xtvx, XwT @ self.Zw[:, :, None])[:, :, 0]
-        resid_w = self.Zw - (Xw @ self.beta_hat[:, :, None])[:, :, 0]
-        self.G_sq = (resid_w[:, None, :] @ resid_w[:, :, None])[:, 0, 0]
+        self.resid_w = r = self.Zw - (Xw @ self.beta_hat[:, :, None])[:, :, 0]
+        self.G_sq = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
         finite &= np.isfinite(self.G_sq)
         for b in np.flatnonzero(~finite):
             self.error[b] = self.error[b] or ValueError("array must not contain infs or NaNs")
@@ -378,6 +376,7 @@ class GpWork:
         self.L_xtvx = stack.L_xtvx[b]
         self.logdet_xtvx = float(stack.logdet_xtvx[b])
         self.beta_hat = stack.beta_hat[b]
+        self.resid_w = stack.resid_w[b]
         self.G_sq = float(stack.G_sq[b])
 
 
@@ -438,7 +437,7 @@ def nll_reml_regularized_grad(design: GpDesign, theta, lam: float) -> tuple[floa
     # V^-1 X (X^T V^-1 X)^-1 X^T V^-1 = A A^T with A = L^-T Xw L_xtvx^-T
     A = L_inv.T @ dtrtrs(w.L_xtvx, w.Xw.T, lower=1)[0].T
     P = L_inv.T @ L_inv - A @ A.T
-    Pz = L_inv.T @ (w.Zw - w.Xw @ w.beta_hat)
+    Pz = L_inv.T @ w.resid_w
     # dV_k's factor -dk/dd2 is k itself for the squared exponential, so the
     # factorized V serves; its diagonal does not matter: D_k vanishes there
     terms = np.stack([P * w.V, np.outer(Pz, Pz) * w.V]).reshape(2, n * n) @ design.sq_diffs.T

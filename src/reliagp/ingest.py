@@ -19,7 +19,6 @@ the per-variable distributional assumptions.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from reliagp.distributions import (
     sample,
 )
 from reliagp.failure import lhs_sample
-from reliagp.tables import read_table, write_table
+from reliagp.tables import read_cells, read_table, write_table
 
 __all__ = [
     "StudyDataset",
@@ -252,17 +251,13 @@ def load_dataset(manifest_path) -> StudyDataset:
     declared = {v["name"]: Family(v.get("family")) for v in variables}
 
     obs_by_var: dict[str, list[float]] = {name: [] for name in declared}
-    with open(base / manifest["observations"], newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["variable", "value"]:
-            raise ValueError(
-                f"observations schema must be 'variable,value', got {reader.fieldnames}"
-            )
-        for row in reader:
-            name = row["variable"]
-            if name not in declared:
-                raise ValueError(f"observation for undeclared variable {name!r}")
-            obs_by_var[name].append(float(row["value"]))
+    header, rows = read_cells(base / manifest["observations"])
+    if header != ["variable", "value"]:
+        raise ValueError(f"observations schema must be 'variable,value', got {header}")
+    for name, value in filter(None, rows):  # blank rows are skipped
+        if name not in declared:
+            raise ValueError(f"observation for undeclared variable {name!r}")
+        obs_by_var[name].append(float(value))
 
     variables = []
     for name, fam in declared.items():

@@ -95,9 +95,8 @@ class KrigingStack:
         for b in [b for b, error in enumerate(stack.error) if error is None]:
             w = GpWork.member(design, thetas[b], stack, b)
             a = float(alpha) if alpha is not None else w.G_sq / (n - q)
-            resid_w = w.Zw - w.Xw @ w.beta_hat
             # L^T x = resid_w; the kriged mean's bits, and the CV scores, rest on this LAPACK call
-            c_inv_resid = dtrtrs(w.L.T, resid_w, lower=0)[0]
+            c_inv_resid = dtrtrs(w.L.T, w.resid_w, lower=0)[0]
             self.members[b] = w, a, c_inv_resid
 
     def krige(self, pts, x0=None):

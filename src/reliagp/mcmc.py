@@ -179,14 +179,15 @@ def cholesky_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a (B, d, d) stack, member by member.
 
     Returns (L, ok): where A[b] is not positive definite ok[b] is False and
-    L[b] is NaN, and the other members are factorized all the same.
+    L[b] is NaN, and the other members are factorized all the same (a lone
+    member, which has just failed, is not factorized again).
     """
     try:
         return np.linalg.cholesky(A), np.ones(len(A), dtype=bool)
     except np.linalg.LinAlgError:
         L = np.full_like(A, np.nan)
         ok = np.zeros(len(A), dtype=bool)
-        for b, a in enumerate(A):
+        for b, a in enumerate(A if len(A) > 1 else []):
             try:
                 L[b] = np.linalg.cholesky(a)
                 ok[b] = True

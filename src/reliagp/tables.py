@@ -1,4 +1,4 @@
-"""The one on-disk format of every numeric table: CSV with a header row.
+"""The one on-disk format of every table: CSV with a header row.
 
 A float cell, NumPy floats included, is written as ``repr(float(v))``, which
 reads back as the same double bit for bit (signed zero, subnormals, inf and
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_table", "read_table"]
+__all__ = ["write_table", "read_cells", "read_table"]
 
 
 def write_table(path, header, rows) -> None:
@@ -25,8 +25,14 @@ def write_table(path, header, rows) -> None:
         )
 
 
-def read_table(path) -> tuple[list[str], np.ndarray]:
-    """(header, float array of shape (rows, len(header))) of the table at ``path``."""
+def read_cells(path) -> tuple[list[str], list[list[str]]]:
+    """(header, rows) of the table at ``path`` as string cells; a blank row is []."""
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def read_table(path) -> tuple[list[str], np.ndarray]:
+    """(header, float array of shape (rows, len(header))) of the table at ``path``."""
+    header, rows = read_cells(path)
     return header, np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), len(header))

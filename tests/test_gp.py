@@ -619,8 +619,31 @@ def test_overflowing_data_fails_without_climbing_the_ladder(monkeypatch):
         GpWork(design, [0.0, 0.0], nugget=0.0)
     assert not isinstance(failure.value, FactorizationError)
     assert "theta=[0. 0.]" in str(failure.value)
-    # the stack, its member, the ladder's one rung and its V block, and X^T V^-1 X
-    assert sizes == [10, 10, 10, 8, 1]
+    # the one-member stack, whose failed member is not factorized again, the
+    # ladder's probe of its V block at the same nugget, and X^T V^-1 X
+    assert sizes == [10, 8, 1]
+
+
+def test_a_failing_stack_member_climbs_from_the_rung_above(monkeypatch):
+    # a 3-member stack whose middle member is singular at nugget 0: the
+    # batched call fails, each member is factorized once on its own, and the
+    # ladder probes the failing member's V block at 0 and factorizes its
+    # bordered matrix next at 1e-8, so no bordered matrix is factorized on
+    # its own twice at one nugget
+    ds = synth_study(seed=8000)
+    design = GpDesign(S=ds.design, Z=ds.outputs, standardize=True)
+    thetas = np.array([[3.0] * 4, [7.0] * 4, [3.5] * 4])
+    lone, cholesky = [], np.linalg.cholesky
+
+    def counted(a):
+        if a.shape == (design.n + 2, design.n + 2):
+            lone.append(a.tobytes())
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    stack = GpStack(design.X[None], design.Z[None], design.sq_diffs[None], thetas, nugget=0.0)
+    assert stack.error == [None] * 3 and stack.nugget.tolist() == [0.0, 1e-8, 0.0]
+    assert len(lone) == 4 and len(set(lone)) == 4
 
 
 HEALTHY_THETA = np.array([-0.4, 0.1])

@@ -7,7 +7,7 @@ dead: not its module, another library module, a test, a demo or the
 benchmark.  So is a parameter default of a module-level function that no
 call of that name there overrides: a call that passes the default's own
 literal does not count.  The CSV table format lives in ``reliagp.tables`` alone: no other
-module calls ``csv.writer`` or formats a cell with ``repr(float(``.  No
+module imports ``csv``, calls ``csv.writer`` or formats a cell with ``repr(float(``.  No
 library module swallows exceptions with a bare ``except:`` or a handler for
 Exception or BaseException, and no ``except`` tuple names a class next to
 one of its bases.  Worker processes live in ``reliagp.workers``
@@ -149,10 +149,14 @@ def test_no_unread_private_names():
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tables.py"], ids=lambda p: p.name)
 def test_table_format_lives_in_tables(path):
-    """Only reliagp.tables writes CSV or formats a float cell."""
+    """Only reliagp.tables reads or writes CSV or formats a float cell."""
     source = path.read_text()
     found = [token for token in ("csv.writer", "repr(float(") if token in source]
-    assert not found, f"{path.name} uses {found}; write tables with reliagp.tables.write_table"
+    tree = ast.parse(source)
+    modules = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    found += ["import csv"] * ("csv" in modules)
+    assert not found, f"{path.name} uses {found}; read and write tables with reliagp.tables"
 
 
 def test_every_parameter_default_is_overridden_somewhere():
